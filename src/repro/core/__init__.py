@@ -53,11 +53,7 @@ from repro.core.long_run_we import (
     LongRunWalkEstimateSampler,
     long_run_walk_estimate_batch,
 )
-from repro.core.sharded import (
-    long_run_walk_estimate_sharded,
-    merge_batch_results,
-    walk_estimate_sharded,
-)
+from repro.core.sharded import merge_batch_results
 
 # The unified front door (PR 6).  Imported last on purpose: binding the
 # `estimate` *function* here shadows the `repro.core.estimate` submodule
@@ -105,7 +101,5 @@ __all__ = [
     "IdealWalk",
     "LongRunWalkEstimateSampler",
     "long_run_walk_estimate_batch",
-    "walk_estimate_sharded",
-    "long_run_walk_estimate_sharded",
     "merge_batch_results",
 ]

@@ -1,23 +1,21 @@
 """One front door for every WALK-ESTIMATE engine: ``estimate(job)``.
 
-PRs 1–5 grew five separately-shaped estimation entry points — the scalar
-charged sampler (:class:`~repro.core.walk_estimate.WalkEstimateSampler`),
-its batched-backward charged variant (the PR 4 ``batch_backward`` flag),
-the free-graph batch rounds
+The estimation entry points come in two shapes: the charged samplers
+(:class:`~repro.core.walk_estimate.WalkEstimateSampler`, plain or with
+batched backward walks, and its long-run twin) and the free-graph rounds
 (:func:`~repro.core.walk_estimate.walk_estimate_batch` /
-:func:`~repro.core.long_run_we.long_run_walk_estimate_batch`), and the
-process-sharded forms
-(:func:`~repro.core.sharded.walk_estimate_sharded` /
-:func:`~repro.core.sharded.long_run_walk_estimate_sharded`).  Each is the
-right tool for one regime, but a *caller* — the CLI, the serving layer,
-a notebook — should not have to know five signatures to pick one.
+:func:`~repro.core.long_run_we.long_run_walk_estimate_batch`), which run
+in process over a graph or on the worker pool of a
+:class:`~repro.walks.parallel.ShardedWalkEngine`.  Each is the right tool
+for one regime, but a *caller* — the CLI, the serving layer, a notebook
+— should not have to know every signature to pick one.
 
 This module is the unification:
 
 * :class:`EngineConfig` names the regime — ``backend`` (``scalar`` /
   ``charged`` / ``batch`` / ``sharded``) × ``long_run`` — plus the
-  engine-shape knobs (worker count, start method, the PR 4
-  ``batch_backward`` flag);
+  engine-shape knobs (worker count, start method, slab storage, kernel
+  backend);
 * :class:`EstimationJobSpec` is one complete, JSON-round-trippable job
   description: transition design, sample count, estimand, error target,
   query budget, tenant, seed, walk knobs, engine config.  It is the wire
@@ -48,10 +46,6 @@ from repro.core.long_run_we import (
     LongRunWalkEstimateSampler,
     long_run_walk_estimate_batch,
 )
-from repro.core.sharded import (
-    long_run_walk_estimate_sharded,
-    walk_estimate_sharded,
-)
 from repro.core.walk_estimate import (
     BatchWalkEstimateResult,
     WalkEstimateSampler,
@@ -73,7 +67,7 @@ from repro.walks.transitions import (
 )
 
 #: Backends the dispatcher knows.  ``charged`` is the scalar sampler with
-#: the PR 4 ``batch_backward`` flag forced on — the batched-accounting
+#: ``WalkEstimateConfig.batch_backward`` forced on — the batched-accounting
 #: charged-API regime of the ROADMAP engine table.
 BACKENDS = ("scalar", "charged", "batch", "sharded")
 
@@ -170,12 +164,12 @@ class EngineConfig:
     backend:
         ``scalar`` — the per-query charged sampler over a
         :class:`~repro.osn.api.SocialNetworkAPI`; ``charged`` — the same
-        sampler with ``batch_backward`` forced on (each candidate's
-        backward repetitions advance together, one accounting settlement
-        per depth level — the PR 4 flag, folded in here); ``batch`` — the
-        vectorized free-graph round over a compiled
-        :class:`~repro.graphs.csr.CSRGraph`; ``sharded`` — the same round
-        fanned over a :class:`~repro.walks.parallel.ShardedWalkEngine`.
+        sampler with ``WalkEstimateConfig.batch_backward`` forced on (each
+        candidate's backward repetitions advance together, one accounting
+        settlement per depth level); ``batch`` — the vectorized free-graph
+        round over a compiled :class:`~repro.graphs.csr.CSRGraph`;
+        ``sharded`` — the same round fanned over a
+        :class:`~repro.walks.parallel.ShardedWalkEngine`.
     long_run:
         Segment one (or K) continuous walks instead of restarting per
         sample (§6.1 future work) — selects the ``long_run_*`` twin of
@@ -189,17 +183,13 @@ class EngineConfig:
         (default) or ``"file"`` with a slab directory (see
         :mod:`repro.graphs.shm`).  Like ``n_workers``, ignored when an
         engine is passed in: a live engine's slab already exists.
-    batch_backward:
-        The PR 4 flag on the scalar backend: route each candidate's
-        backward-repetition loop through
-        :func:`~repro.core.weighted.ws_bw_batch`.  ``charged`` implies it.
     kernel_backend:
         Kernel backend for the batch forward-walk trajectory loop —
         ``numpy`` (reference), ``native`` (Numba JIT), or ``python``
         (verification twin); see :mod:`repro.walks.kernels`.  Folded
         into the job's :class:`~repro.core.config.WalkEstimateConfig`
-        the same way ``batch_backward`` is, so the batch and sharded
-        front ends (and :mod:`repro.service` jobs) inherit it.
+        (see :meth:`EstimationJobSpec.walk_config`), so the batch and
+        sharded front ends (and :mod:`repro.service` jobs) inherit it.
         Validated eagerly for *availability*: asking for ``native``
         on a host without numba fails here with an actionable message
         rather than as an ImportError mid-job.  Scalar engines walk
@@ -210,7 +200,6 @@ class EngineConfig:
     long_run: bool = False
     n_workers: Optional[int] = None
     mp_context: str = "spawn"
-    batch_backward: bool = False
     kernel_backend: str = "numpy"
     slab_storage: str = "shm"
     slab_dir: Optional[str] = None
@@ -237,11 +226,6 @@ class EngineConfig:
                 "the charged (batch_backward) regime has no long-run form; "
                 "use backend='scalar' with long_run=True"
             )
-
-    @property
-    def effective_batch_backward(self) -> bool:
-        """Whether the scalar sampler should run batched backward walks."""
-        return self.batch_backward or self.backend == "charged"
 
     def with_overrides(self, **changes) -> "EngineConfig":
         """Copy with the given fields replaced (validation re-runs)."""
@@ -354,17 +338,16 @@ class EstimationJobSpec:
         return design_from_spec(self.design)
 
     def walk_config(self) -> WalkEstimateConfig:
-        """The walk knobs with the engine's ``batch_backward`` and
-        ``kernel_backend`` folded in.
+        """The walk knobs with the engine regime folded in.
 
-        A non-default engine ``kernel_backend`` wins over the walk
-        config's default; a walk config that names a backend explicitly
-        keeps it unless the engine overrides with a non-``numpy`` one —
-        the same "engine regime beats per-walk default" precedence as
-        ``batch_backward``.
+        ``backend="charged"`` switches ``batch_backward`` on.  A
+        non-default engine ``kernel_backend`` wins over the walk config's
+        default; a walk config that names a backend explicitly keeps it
+        unless the engine overrides with a non-``numpy`` one — the engine
+        regime beats the per-walk default.
         """
         config = self.walk
-        if self.engine.effective_batch_backward and not config.batch_backward:
+        if self.engine.backend == "charged" and not config.batch_backward:
             config = config.with_overrides(batch_backward=True)
         if (
             self.engine.kernel_backend != "numpy"
@@ -441,8 +424,6 @@ class EstimateResult:
     @property
     def nodes(self) -> np.ndarray:
         """Accepted sample node ids, as an int64 array."""
-        if isinstance(self.raw, SampleBatch):
-            return np.asarray(self.raw.nodes, dtype=np.int64)
         return np.asarray(self.raw.nodes, dtype=np.int64)
 
     @property
@@ -512,7 +493,7 @@ def estimate(
     backend     required resource
     ========== =====================================================
     scalar      ``api`` — a charged :class:`~repro.osn.api.SocialNetworkAPI`
-    charged     ``api`` (the sampler runs with ``batch_backward`` on)
+    charged     ``api`` (the sampler runs with batched backward walks)
     batch       ``graph`` — a :class:`~repro.graphs.graph.Graph` or
                 compiled :class:`~repro.graphs.csr.CSRGraph`
     sharded     ``engine`` — a live
@@ -545,14 +526,15 @@ def estimate(
         raw: Union[SampleBatch, BatchWalkEstimateResult] = sampler.sample(
             api, job.start, job.samples, seed=run_seed
         )
-    elif backend == "batch":
-        if graph is None:
+    else:  # batch runs the round inline over the graph, sharded on the pool
+        name, resource = ("graph", graph) if backend == "batch" else ("engine", engine)
+        if resource is None:
             raise ConfigurationError(
-                "backend 'batch' runs over a free in-memory graph; pass graph=..."
+                f"backend {backend!r} runs a free-graph round; pass {name}=..."
             )
         if job.engine.long_run:
             raw = long_run_walk_estimate_batch(
-                graph,
+                resource,
                 design,
                 job.start,
                 job.samples,
@@ -562,25 +544,6 @@ def estimate(
             )
         else:
             raw = walk_estimate_batch(
-                graph, design, job.start, job.samples, config=config, seed=run_seed
-            )
-    else:  # sharded — BACKENDS is closed, __post_init__ enforced membership
-        if engine is None:
-            raise ConfigurationError(
-                "backend 'sharded' fans over a ShardedWalkEngine; pass engine=..."
-            )
-        if job.engine.long_run:
-            raw = long_run_walk_estimate_sharded(
-                engine,
-                design,
-                job.start,
-                job.samples,
-                job.segments,
-                config=config,
-                seed=run_seed,
-            )
-        else:
-            raw = walk_estimate_sharded(
-                engine, design, job.start, job.samples, config=config, seed=run_seed
+                resource, design, job.start, job.samples, config=config, seed=run_seed
             )
     return EstimateResult(spec=job, raw=raw)

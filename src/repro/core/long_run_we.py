@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.config import WalkEstimateConfig
 from repro.core.rejection import RejectionSampler, ScaleFactorBootstrap
+from repro.core.sharded import run_round
 from repro.core.unbiased import unbiased_estimate_batch
 from repro.core.walk_estimate import BatchWalkEstimateResult
 from repro.core.weighted import (
@@ -57,6 +58,7 @@ from repro.graphs.graph import Graph
 from repro.osn.api import SocialNetworkAPI
 from repro.rng import RngLike, ensure_rng
 from repro.walks.batch import run_walk_batch, target_weights_batch
+from repro.walks.parallel import InlineExecutor, ShardedWalkEngine
 from repro.walks.samplers import SampleBatch
 from repro.walks.transitions import Node, TransitionDesign
 from repro.walks.walker import run_walk
@@ -153,7 +155,7 @@ class LongRunWalkEstimateSampler:
 # Vectorized batch front end (CSR backend)
 # ----------------------------------------------------------------------
 def long_run_walk_estimate_batch(
-    graph: Union[Graph, CSRGraph],
+    graph: Union[Graph, CSRGraph, InlineExecutor, ShardedWalkEngine],
     design: TransitionDesign,
     start,
     k_runs: int,
@@ -175,7 +177,8 @@ def long_run_walk_estimate_batch(
     segment of every run at once.
 
     As in the scalar sampler, a calibration prefix
-    (``ceil(calibration_walks / k_runs)`` segments per run) seeds the
+    (``ceil(calibration_walks / k_runs)`` segments per run, with
+    ``k_runs`` counted per shard) seeds the
     scale-factor pool and is never offered as candidates, and the crawl
     heuristic stays off — segment starts change every ``t`` steps, so no
     neighborhood is worth pre-paying for.  Accepted endpoints are
@@ -186,6 +189,11 @@ def long_run_walk_estimate_batch(
 
     Parameters
     ----------
+    graph:
+        A graph, run in process as one shard, or an executor such as a
+        :class:`~repro.walks.parallel.ShardedWalkEngine`, which advances
+        one contiguous shard of the runs per worker and merges them
+        run-major (see :mod:`repro.core.sharded`).
     start:
         One node (every run begins there) or an array of ``k_runs`` nodes.
     k_runs:
@@ -210,14 +218,6 @@ def long_run_walk_estimate_batch(
     if segments < 1:
         raise ConfigurationError(f"segments must be >= 1, got {segments}")
     config = config if config is not None else WalkEstimateConfig()
-    rng = ensure_rng(seed)
-    csr = graph.compile() if isinstance(graph, Graph) else graph
-    t = config.effective_walk_length
-    repetitions = config.backward_repetitions + config.refine_repetitions
-    light_repetitions = config.calibration_repetitions
-    calibration = -(-config.calibration_walks // k_runs)  # ceil division
-    total = calibration + segments
-
     starts = np.asarray(start, dtype=np.int64)
     if starts.ndim == 0:
         starts = np.full(k_runs, int(starts), dtype=np.int64)
@@ -226,6 +226,30 @@ def long_run_walk_estimate_batch(
             f"start must be one node or an array of {k_runs} nodes; got "
             f"shape {starts.shape}"
         )
+    return run_round(
+        graph,
+        k_runs,
+        seed,
+        _long_run_round,
+        lambda s: (design, starts[s], segments, config),
+    )
+
+
+def _long_run_round(
+    csr: CSRGraph,
+    design: TransitionDesign,
+    starts: np.ndarray,
+    segments: int,
+    config: WalkEstimateConfig,
+    rng: np.random.Generator,
+) -> BatchWalkEstimateResult:
+    """One shard of :func:`long_run_walk_estimate_batch`, run by the executor."""
+    k_runs = starts.size
+    t = config.effective_walk_length
+    repetitions = config.backward_repetitions + config.refine_repetitions
+    light_repetitions = config.calibration_repetitions
+    calibration = -(-config.calibration_walks // k_runs)  # ceil division
+    total = calibration + segments
 
     walks = run_walk_batch(
         csr, design, starts, total * t, seed=rng, backend=config.kernel_backend

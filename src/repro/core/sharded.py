@@ -1,16 +1,19 @@
-"""Sharded WALK-ESTIMATE front ends: K walks fanned over worker processes.
+"""One free-graph WALK-ESTIMATE round path: plan, run on an executor, merge.
 
-The throughput-bound WALK-ESTIMATE entry points
+The free-graph front ends
 (:func:`~repro.core.walk_estimate.walk_estimate_batch`,
-:func:`~repro.core.long_run_we.long_run_walk_estimate_batch`) advance K
-walks per NumPy operation in one process.  These front ends fan the same
-computations over a :class:`~repro.walks.parallel.ShardedWalkEngine`:
-each worker runs the ordinary single-process batch estimator on its
-contiguous shard of walks — forward walks, backward estimates,
-calibration, and acceptance–rejection all happen worker-side over the
-shared zero-copy topology — and the per-shard
-:class:`~repro.core.walk_estimate.BatchWalkEstimateResult` records merge
-back in walk order.
+:func:`~repro.core.long_run_we.long_run_walk_estimate_batch`) take either
+a graph or an executor.  :func:`run_round` turns the round into a shard
+plan (:func:`~repro.walks.parallel.shard_slices` and
+:func:`~repro.walks.parallel.shard_rngs`), hands one task per shard to
+the executor's ``map_shards``, and merges the per-shard
+:class:`~repro.core.walk_estimate.BatchWalkEstimateResult` records in
+walk order through :func:`merge_batch_results`.  A graph runs inline as
+one shard (:class:`~repro.walks.parallel.InlineExecutor`); a
+:class:`~repro.walks.parallel.ShardedWalkEngine` runs one shard per
+worker.  Each shard runs the whole round — forward walks, backward
+estimates, calibration, and acceptance–rejection — over the executor's
+graph.
 
 Each shard calibrates its own scale-factor pool (``calibration_walks``
 forward walks per shard, priced into ``forward_steps``): the pool is the
@@ -20,53 +23,27 @@ parallelize.  A per-shard pool drawn from the same distribution leaves
 every accepted candidate target-distributed, so the merged
 ``result.nodes`` / ``result.weights`` feed
 :func:`repro.estimators.aggregates.average_estimate_arrays` exactly as a
-single-process round's do.
+one-shard round's do.
 
-With one worker both front ends reproduce their single-process twins
-result for result (same stream, same arithmetic) — the parity hook the
-tests pin; more workers re-partition the randomness deterministically per
-``(seed, n_workers)``.
+A one-shard round consumes the caller's stream directly, so it equals
+the single-process computation result for result.  More shards
+re-partition the randomness deterministically per ``(seed, n_workers)``,
+whichever executor runs them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, List
 
 import numpy as np
 
-from repro.core.config import WalkEstimateConfig
-from repro.core.long_run_we import long_run_walk_estimate_batch
-from repro.core.walk_estimate import BatchWalkEstimateResult, walk_estimate_batch
 from repro.errors import ConfigurationError
-from repro.graphs.csr import CSRGraph
 from repro.rng import RngLike
-from repro.walks.parallel import ShardedWalkEngine
-from repro.walks.transitions import Node, TransitionDesign
+from repro.walks.parallel import InlineExecutor, shard_rngs, shard_slices
 
-
-def _we_shard(
-    csr: CSRGraph,
-    design: TransitionDesign,
-    start: Node,
-    k_walks: int,
-    config: WalkEstimateConfig,
-    rng: np.random.Generator,
-) -> BatchWalkEstimateResult:
-    return walk_estimate_batch(csr, design, start, k_walks, config=config, seed=rng)
-
-
-def _long_run_shard(
-    csr: CSRGraph,
-    design: TransitionDesign,
-    starts: np.ndarray,
-    k_runs: int,
-    segments: int,
-    config: WalkEstimateConfig,
-    rng: np.random.Generator,
-) -> BatchWalkEstimateResult:
-    return long_run_walk_estimate_batch(
-        csr, design, starts, k_runs, segments, config=config, seed=rng
-    )
+if TYPE_CHECKING:
+    from repro.core.walk_estimate import BatchWalkEstimateResult
 
 
 def merge_batch_results(
@@ -82,7 +59,10 @@ def merge_batch_results(
         raise ConfigurationError("nothing to merge: no shard results")
     if len(parts) == 1:
         return parts[0]
-    return BatchWalkEstimateResult(
+    # replace() spares this module a runtime import of the front ends,
+    # which import it.
+    return replace(
+        parts[0],
         candidates=np.concatenate([p.candidates for p in parts]),
         estimates=np.concatenate([p.estimates for p in parts]),
         target_weights=np.concatenate([p.target_weights for p in parts]),
@@ -93,83 +73,22 @@ def merge_batch_results(
     )
 
 
-def walk_estimate_sharded(
-    engine: ShardedWalkEngine,
-    design: TransitionDesign,
-    start: Node,
-    k_walks: int,
-    config: Optional[WalkEstimateConfig] = None,
-    seed: RngLike = None,
+def run_round(
+    graph,
+    k: int,
+    seed: RngLike,
+    round_fn: Callable,
+    shard_args: Callable[[slice], tuple],
 ) -> BatchWalkEstimateResult:
-    """Sharded :func:`~repro.core.walk_estimate.walk_estimate_batch`.
+    """Run ``round_fn`` once per shard of *k* walks and merge the results.
 
-    Splits *k_walks* into per-worker shards, runs one vectorized
-    WALK-ESTIMATE round per shard over the engine's shared topology, and
-    merges the verdicts in walk order.  Same contract as the
-    single-process round; at ``n_workers=1`` the result is identical to
-    it for the same seed.
-
-    Parameters mirror :func:`walk_estimate_batch`, with *engine* replacing
-    the graph.  Feed the merged ``result.nodes`` / ``result.weights`` to
-    :func:`~repro.estimators.aggregates.average_estimate_arrays` for
-    population aggregates.
-
-    .. note:: **Compatibility front end.**  Prefer
-       :func:`repro.core.estimate` with ``EngineConfig(backend="sharded")``;
-       this signature stays as a thin, parity-pinned shim.
+    *graph* is a graph, run inline as one shard, or an executor (anything
+    with ``n_workers`` and ``map_shards``).  ``shard_args(s)`` gives the
+    arguments of walk slice *s*; the shard's generator follows them.
+    *round_fn* must be module-level, because a pool pickles it by name.
     """
-    if k_walks < 1:
-        raise ConfigurationError(f"k_walks must be >= 1, got {k_walks}")
-    config = config if config is not None else WalkEstimateConfig()
-    slices = engine.shard_slices(k_walks)
-    rngs = engine.shard_rngs(len(slices), seed)
-    tasks = [
-        (design, start, s.stop - s.start, config, rng)
-        for s, rng in zip(slices, rngs)
-    ]
-    return merge_batch_results(engine.map_shards(_we_shard, tasks))
-
-
-def long_run_walk_estimate_sharded(
-    engine: ShardedWalkEngine,
-    design: TransitionDesign,
-    start,
-    k_runs: int,
-    segments: int,
-    config: Optional[WalkEstimateConfig] = None,
-    seed: RngLike = None,
-) -> BatchWalkEstimateResult:
-    """Sharded :func:`~repro.core.long_run_we.long_run_walk_estimate_batch`.
-
-    Each worker advances its shard of the K continuous long runs —
-    calibration prefix, per-segment backward estimates, and vectorized
-    acceptance — and the per-shard results merge run-major, so candidate
-    ``i * segments + j`` is run *i*'s segment *j* exactly as in the
-    single-process form.  *start* is one node or an array of ``k_runs``
-    nodes.
-
-    .. note:: **Compatibility front end.**  Prefer
-       :func:`repro.core.estimate` with ``EngineConfig(backend="sharded",
-       long_run=True)``; this signature stays as a thin, parity-pinned
-       shim.
-    """
-    if k_runs < 1:
-        raise ConfigurationError(f"k_runs must be >= 1, got {k_runs}")
-    if segments < 1:
-        raise ConfigurationError(f"segments must be >= 1, got {segments}")
-    config = config if config is not None else WalkEstimateConfig()
-    starts = np.asarray(start, dtype=np.int64)
-    if starts.ndim == 0:
-        starts = np.full(k_runs, int(starts), dtype=np.int64)
-    elif starts.shape != (k_runs,):
-        raise ConfigurationError(
-            f"start must be one node or an array of {k_runs} nodes; got "
-            f"shape {starts.shape}"
-        )
-    slices = engine.shard_slices(k_runs)
-    rngs = engine.shard_rngs(len(slices), seed)
-    tasks = [
-        (design, starts[s], s.stop - s.start, segments, config, rng)
-        for s, rng in zip(slices, rngs)
-    ]
-    return merge_batch_results(engine.map_shards(_long_run_shard, tasks))
+    executor = graph if hasattr(graph, "map_shards") else InlineExecutor(graph)
+    slices = shard_slices(k, executor.n_workers)
+    rngs = shard_rngs(len(slices), seed)
+    tasks = [shard_args(s) + (rng,) for s, rng in zip(slices, rngs)]
+    return merge_batch_results(executor.map_shards(round_fn, tasks))

@@ -31,6 +31,7 @@ from repro.core.config import WalkEstimateConfig
 from repro.core.crawl import InitialCrawl
 from repro.core.estimate import ProbabilityEstimator
 from repro.core.rejection import RejectionSampler, ScaleFactorBootstrap
+from repro.core.sharded import run_round
 from repro.core.unbiased import unbiased_estimate_batch
 from repro.core.weighted import ForwardHistory
 from repro.errors import ConfigurationError, QueryBudgetExceededError
@@ -39,6 +40,7 @@ from repro.graphs.graph import Graph
 from repro.osn.api import SocialNetworkAPI
 from repro.rng import RngLike, ensure_rng
 from repro.walks.batch import run_walk_batch, target_weights_batch
+from repro.walks.parallel import InlineExecutor, ShardedWalkEngine
 from repro.walks.samplers import SampleBatch
 from repro.walks.transitions import Node, TransitionDesign
 from repro.walks.walker import run_walk
@@ -295,7 +297,7 @@ class BatchWalkEstimateResult:
 
 
 def walk_estimate_batch(
-    graph: Union[Graph, CSRGraph],
+    graph: Union[Graph, CSRGraph, InlineExecutor, ShardedWalkEngine],
     design: TransitionDesign,
     start: Node,
     k_walks: int,
@@ -316,6 +318,11 @@ def walk_estimate_batch(
     :class:`WalkEstimateSampler` whenever cost against a
     :class:`~repro.osn.api.SocialNetworkAPI` is the thing being measured.
 
+    *graph* is a :class:`Graph` or :class:`CSRGraph`, run in process as
+    one shard, or an executor — a
+    :class:`~repro.walks.parallel.ShardedWalkEngine` runs one shard per
+    worker (see :mod:`repro.core.sharded`).
+
     Accepted nodes follow the design's target distribution, so feeding
     ``result.nodes`` / ``result.weights`` to
     :func:`~repro.estimators.aggregates.average_estimate_arrays` estimates
@@ -333,8 +340,24 @@ def walk_estimate_batch(
     if k_walks < 1:
         raise ConfigurationError(f"k_walks must be >= 1, got {k_walks}")
     config = config if config is not None else WalkEstimateConfig()
-    rng = ensure_rng(seed)
-    csr = graph.compile() if isinstance(graph, Graph) else graph
+    return run_round(
+        graph,
+        k_walks,
+        seed,
+        _we_round,
+        lambda s: (design, start, s.stop - s.start, config),
+    )
+
+
+def _we_round(
+    csr: CSRGraph,
+    design: TransitionDesign,
+    start: Node,
+    k_walks: int,
+    config: WalkEstimateConfig,
+    rng: np.random.Generator,
+) -> BatchWalkEstimateResult:
+    """One shard of :func:`walk_estimate_batch`, run by the executor."""
     t = config.effective_walk_length
     repetitions = config.backward_repetitions + config.refine_repetitions
 

@@ -48,10 +48,11 @@ from repro.graphs.shm import CSRSlabSpec, SharedCSR, compute_file_digest
 from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 
 #: Schema version stamped into every checkpoint document.  Version 2
-#: added the ``topology`` record (persisted file-slab path + digest).
-CHECKPOINT_VERSION = 2
+#: added the ``topology`` record (persisted file-slab path + digest);
+#: version 3 dropped ``batch_backward`` from the job specs' engine config.
+CHECKPOINT_VERSION = 3
 
-#: Top-level keys every version-2 checkpoint document carries.
+#: Top-level keys every checkpoint document carries.
 CHECKPOINT_KEYS = frozenset(
     {
         "version",

@@ -1,26 +1,34 @@
-"""Sharded walk engine: multiprocess fan-out over one shared CSR slab.
+"""Shard plans and the executors that run them, in process or on a pool.
 
 The batch engine (:mod:`repro.walks.batch`) advances K walks per NumPy
-operation — one core's worth of throughput.  This module adds the next
-axis: a :class:`ShardedWalkEngine` keeps a persistent pool of worker
-processes, each attached to the *same* zero-copy shared-memory topology
-(:mod:`repro.graphs.shm`), and fans a K-walk batch out as contiguous
-per-worker shards.  Walks are embarrassingly parallel once the topology
-is a frozen read-only slab, so W workers buy close to W× steps/sec on a
-multi-core host — the "Walk, Not Wait" premise, scaled past one process.
+operation in one process.  This module splits a K-walk round into
+shards and runs them on an *executor*.  Two executors share one
+interface (``graph``, ``n_workers``, ``map_shards(fn, per_shard_args)``):
 
-**Sharding and determinism.**  A batch of K walks splits into
-``min(n_workers, K)`` contiguous shards of near-equal size.  Each shard
-runs the ordinary single-process kernels over its attached slab with its
-own RNG stream, derived from the caller's seed via :func:`repro.rng.spawn`
-— so results are deterministic for a fixed ``(seed, n_workers)`` and walk
-*i* of the merged result always corresponds to ``starts[i]``.  With one
-shard the caller's stream is used directly, which makes a one-worker
-engine reproduce :func:`repro.walks.batch.run_walk_batch` trajectory for
-trajectory — the parity hook the tests pin.  More workers legitimately
-re-partition the randomness (each walk's law is unchanged; the joint
-stream differs), exactly as the batch engine re-partitions the scalar
-engine's.
+* :class:`InlineExecutor` runs the shards in process, in order, over a
+  plain :class:`CSRGraph`;
+* :class:`ShardedWalkEngine` keeps a persistent pool of worker
+  processes, each attached to the *same* zero-copy shared-memory
+  topology (:mod:`repro.graphs.shm`).
+
+Whether the pool beats one process depends on the host, K, and the
+kernel backend.  On a 2-core container it ran slower than one process
+at every K measured, and two workers ran slower than one; see the
+ROADMAP's "Picking K and worker count" before choosing.
+
+**The shard plan is data.**  :func:`shard_slices` splits K walks into
+``min(n_workers, K)`` contiguous shards of near-equal size, and
+:func:`shard_rngs` gives each shard its own RNG stream, derived from the
+caller's seed via :func:`repro.rng.spawn` — so results are deterministic
+for a fixed ``(seed, n_workers)`` and walk *i* of the merged result
+always corresponds to ``starts[i]``.  With one shard the caller's stream
+is used directly, which makes a one-worker plan reproduce
+:func:`repro.walks.batch.run_walk_batch` trajectory for trajectory — the
+parity hook the tests pin.  More shards legitimately re-partition the
+randomness (each walk's law is unchanged; the joint stream differs),
+exactly as the batch engine re-partitions the scalar engine's.  The plan
+does not depend on the executor: an :class:`InlineExecutor` with n
+shards returns what a pool with n workers does.
 
 **Lifetime.**  The engine owns one slab (a ``/dev/shm`` segment by
 default, or a file-backed ``*.slab`` via ``slab_storage="file"``) and one
@@ -56,12 +64,6 @@ pins, with crashes injected deterministically via
 :meth:`ShardedWalkEngine.schedule_worker_crash`.  Recovery is bounded by
 ``max_shard_retries`` respawn cycles per round, after which
 :class:`~repro.errors.WorkerCrashError` surfaces.
-
-**Choosing K and worker count.**  See the ROADMAP's engine table: shard
-width ``K / n_workers`` should stay large enough (≳256) that each worker
-amortizes its per-step NumPy overhead, so prefer fewer workers for small
-batches.  ``n_workers`` beyond the physical core count only adds
-scheduling noise.
 """
 
 from __future__ import annotations
@@ -225,6 +227,60 @@ def default_worker_count() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+# ----------------------------------------------------------------------
+# The shard plan
+# ----------------------------------------------------------------------
+def shard_slices(k: int, shards: int) -> List[slice]:
+    """Contiguous near-equal slices covering ``0..k-1``.
+
+    ``min(shards, k)`` slices; the first ``k % shards`` take one extra
+    walk, exactly like :func:`numpy.array_split`.
+    """
+    shards = min(shards, k)
+    if shards <= 0:
+        return []
+    base, extra = divmod(k, shards)
+    out: List[slice] = []
+    cursor = 0
+    for i in range(shards):
+        size = base + (1 if i < extra else 0)
+        out.append(slice(cursor, cursor + size))
+        cursor += size
+    return out
+
+
+def shard_rngs(shards: int, seed: RngLike) -> List[np.random.Generator]:
+    """One independent generator per shard, deterministic per seed.
+
+    A single shard consumes the caller's stream directly — the
+    one-worker parity hook; multiple shards derive children via
+    :func:`repro.rng.spawn`.
+    """
+    rng = ensure_rng(seed)
+    if shards <= 1:
+        return [rng]
+    return spawn(rng, shards)
+
+
+class InlineExecutor:
+    """The executor interface of :class:`ShardedWalkEngine`, in process.
+
+    :meth:`map_shards` calls ``fn(graph, *args)`` for each shard in order,
+    so a plan of ``n_workers`` shards runs here exactly as it would on a
+    pool of that many workers.
+    """
+
+    def __init__(self, graph: GraphLike, n_workers: int = 1) -> None:
+        if n_workers < 1:
+            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+        self.graph = as_csr(graph)
+        self.n_workers = n_workers
+
+    def map_shards(self, fn: Callable, per_shard_args: Sequence[tuple]) -> list:
+        """Run ``fn(graph, *args)`` once per shard, in order."""
+        return [fn(self.graph, *args) for args in per_shard_args]
 
 
 @dataclass(frozen=True)
@@ -405,38 +461,8 @@ class ShardedWalkEngine:
             raise ConfigurationError("round hook is not registered") from None
 
     # ------------------------------------------------------------------
-    # Sharding machinery
+    # Fan-out
     # ------------------------------------------------------------------
-    def shard_slices(self, k: int) -> List[slice]:
-        """Contiguous near-equal slices covering ``0..k-1``.
-
-        ``min(n_workers, k)`` shards; the first ``k % shards`` shards take
-        one extra walk, exactly like :func:`numpy.array_split`.
-        """
-        shards = min(self.n_workers, k)
-        if shards <= 0:
-            return []
-        base, extra = divmod(k, shards)
-        out: List[slice] = []
-        cursor = 0
-        for i in range(shards):
-            size = base + (1 if i < extra else 0)
-            out.append(slice(cursor, cursor + size))
-            cursor += size
-        return out
-
-    def shard_rngs(self, shards: int, seed: RngLike) -> List[np.random.Generator]:
-        """One independent generator per shard, deterministic per seed.
-
-        A single shard consumes the caller's stream directly — the
-        one-worker parity hook; multiple shards derive children via
-        :func:`repro.rng.spawn`.
-        """
-        rng = ensure_rng(seed)
-        if shards <= 1:
-            return [rng]
-        return spawn(rng, shards)
-
     def schedule_worker_crash(self, round_index: int, shard_index: int) -> None:
         """Arrange for one shard of one future round to kill its worker.
 
@@ -536,28 +562,47 @@ class ShardedWalkEngine:
             pending = failed
         return results
 
-    def _gather_paths(
+    def _walk_round(
         self,
         shard_fn: Callable,
-        tasks: List[tuple],
-        slices: List[slice],
-        k: int,
+        head: tuple,
+        starts,
         steps: int,
-    ) -> np.ndarray:
-        """Fan tasks out and collect their rows via a shared output slab.
+        seed: RngLike,
+        kernel_backend: Optional[str],
+    ) -> BatchWalkResult:
+        """Plan one walk round, fan it out, and collect the paths.
 
-        Workers write their contiguous row ranges straight into one
-        transient segment (see :func:`_write_rows`), so the merged
-        ``(K, steps + 1)`` matrix costs one parent-side copy instead of
-        pickling every trajectory through the result pipe.  The segment
-        is unlinked before returning — worker failures included.
+        *head* leads every shard's arguments (the design, for kernels
+        that take one).  Workers write their contiguous row ranges
+        straight into one transient output segment (see
+        :func:`_write_rows`), so the merged ``(K, steps + 1)`` matrix
+        costs one parent-side copy instead of pickling every trajectory
+        through the result pipe.  The segment is unlinked before
+        returning — worker failures included.
         """
-        rows = steps + 1
+        if self.closed:
+            raise ConfigurationError("engine is closed")
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        if kernel_backend is not None:
+            kernel_backend = require_kernel_backend(kernel_backend).name
+        starts = np.asarray(starts, dtype=np.int64)
+        # Validate starts once, parent-side, so workers never see bad ids.
+        self.graph.positions_of(starts)
+        k, rows = starts.size, steps + 1
+        if k == 0:
+            return BatchWalkResult(paths=np.empty((0, rows), dtype=np.int64))
+        slices = shard_slices(k, self.n_workers)
+        rngs = shard_rngs(len(slices), seed)
         out = shared_memory.SharedMemory(create=True, size=k * rows * 8)
         try:
             written = self.map_shards(
                 shard_fn,
-                [task + (out.name, s.start, k) for task, s in zip(tasks, slices)],
+                [
+                    head + (starts[s], steps, rng, kernel_backend, out.name, s.start, k)
+                    for s, rng in zip(slices, rngs)
+                ],
             )
             assert sum(written) == k, "shards wrote an unexpected row count"
             carpet = np.frombuffer(out.buf, dtype=np.int64, count=k * rows)
@@ -566,7 +611,7 @@ class ShardedWalkEngine:
         finally:
             out.close()
             out.unlink()
-        return paths
+        return BatchWalkResult(paths=paths)
 
     # ------------------------------------------------------------------
     # Walk front ends
@@ -588,35 +633,13 @@ class ShardedWalkEngine:
         any task is submitted, and a JIT backend compiles once per
         persistent worker — later rounds reuse the dispatcher.
         """
-        if self.closed:
-            raise ConfigurationError("engine is closed")
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
         if not has_batch_kernel(design):
             raise ConfigurationError(
                 f"design {design.name!r} has no batch kernel; the sharded "
                 "engine fans out the batch kernels only"
             )
-        if kernel_backend is not None:
-            kernel_backend = require_kernel_backend(kernel_backend).name
-        starts = np.asarray(starts, dtype=np.int64)
-        # Validate starts once, parent-side, so workers never see bad ids.
-        self.graph.positions_of(starts)
-        if starts.size == 0:
-            return BatchWalkResult(paths=np.empty((0, steps + 1), dtype=np.int64))
-        slices = self.shard_slices(starts.size)
-        rngs = self.shard_rngs(len(slices), seed)
-        return BatchWalkResult(
-            paths=self._gather_paths(
-                _walk_shard,
-                [
-                    (design, starts[s], steps, rng, kernel_backend)
-                    for s, rng in zip(slices, rngs)
-                ],
-                slices,
-                starts.size,
-                steps,
-            )
+        return self._walk_round(
+            _walk_shard, (design,), starts, steps, seed, kernel_backend
         )
 
     def run_nbrw_walk_batch(
@@ -627,30 +650,7 @@ class ShardedWalkEngine:
         kernel_backend: Optional[str] = None,
     ) -> BatchWalkResult:
         """Sharded :func:`repro.walks.batch.run_nbrw_walk_batch`."""
-        if self.closed:
-            raise ConfigurationError("engine is closed")
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        if kernel_backend is not None:
-            kernel_backend = require_kernel_backend(kernel_backend).name
-        starts = np.asarray(starts, dtype=np.int64)
-        self.graph.positions_of(starts)
-        if starts.size == 0:
-            return BatchWalkResult(paths=np.empty((0, steps + 1), dtype=np.int64))
-        slices = self.shard_slices(starts.size)
-        rngs = self.shard_rngs(len(slices), seed)
-        return BatchWalkResult(
-            paths=self._gather_paths(
-                _nbrw_shard,
-                [
-                    (starts[s], steps, rng, kernel_backend)
-                    for s, rng in zip(slices, rngs)
-                ],
-                slices,
-                starts.size,
-                steps,
-            )
-        )
+        return self._walk_round(_nbrw_shard, (), starts, steps, seed, kernel_backend)
 
     # ------------------------------------------------------------------
     # Lifetime

@@ -18,9 +18,7 @@ from repro.core import (
     design_to_spec,
     estimate,
     long_run_walk_estimate_batch,
-    long_run_walk_estimate_sharded,
     walk_estimate_batch,
-    walk_estimate_sharded,
 )
 from repro.errors import ConfigurationError
 from repro.graphs.generators import barabasi_albert_graph
@@ -142,11 +140,15 @@ class TestEngineConfig:
             EngineConfig.from_dict({"backend": "batch", "worker_count": 4})
 
     def test_charged_implies_batch_backward(self):
-        assert EngineConfig(backend="charged").effective_batch_backward
-        assert not EngineConfig(backend="scalar").effective_batch_backward
-        assert EngineConfig(
-            backend="scalar", batch_backward=True
-        ).effective_batch_backward
+        def folded(backend, walk=WalkEstimateConfig()):
+            spec = EstimationJobSpec(walk=walk, engine=EngineConfig(backend=backend))
+            return spec.walk_config().batch_backward
+
+        assert folded("charged")
+        assert not folded("scalar")
+        assert folded("scalar", WalkEstimateConfig(batch_backward=True))
+        with pytest.raises(ConfigurationError, match="batch_backward"):
+            EngineConfig.from_dict({"backend": "scalar", "batch_backward": True})
 
     def test_charged_has_no_long_run(self):
         with pytest.raises(ConfigurationError, match="long-run"):
@@ -346,7 +348,7 @@ class TestShardedParity:
             engine=EngineConfig(backend="sharded"),
         )
         via_dispatch = estimate(spec, engine=engine)
-        direct = walk_estimate_sharded(
+        direct = walk_estimate_batch(
             engine, SimpleRandomWalk(), 0, 20, config=config, seed=13
         )
         assert batch_results_equal(via_dispatch.raw, direct)
@@ -361,7 +363,7 @@ class TestShardedParity:
             engine=EngineConfig(backend="sharded", long_run=True),
         )
         via_dispatch = estimate(spec, engine=engine)
-        direct = long_run_walk_estimate_sharded(
+        direct = long_run_walk_estimate_batch(
             engine, MetropolisHastingsWalk(), 0, 6, 2, config=config, seed=13
         )
         assert batch_results_equal(via_dispatch.raw, direct)

@@ -1,21 +1,19 @@
-"""Sharded WALK-ESTIMATE front ends: parity, determinism, merged outputs."""
+"""Free-graph WALK-ESTIMATE rounds on an executor: parity, determinism, merge."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import WalkEstimateConfig
 from repro.core.long_run_we import long_run_walk_estimate_batch
-from repro.core.sharded import (
-    long_run_walk_estimate_sharded,
-    merge_batch_results,
-    walk_estimate_sharded,
-)
+from repro.core.sharded import merge_batch_results
 from repro.core.walk_estimate import walk_estimate_batch
 from repro.errors import ConfigurationError
 from repro.estimators.aggregates import average_estimate_arrays
 from repro.graphs.generators import barabasi_albert_graph
-from repro.walks.parallel import ShardedWalkEngine
+from repro.walks.parallel import InlineExecutor, ShardedWalkEngine
 from repro.walks.transitions import MetropolisHastingsWalk, SimpleRandomWalk
+
+DESIGNS = {"srw": SimpleRandomWalk(), "mhrw": MetropolisHastingsWalk()}
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +53,7 @@ class TestSingleWorkerParity:
         "design", [SimpleRandomWalk(), MetropolisHastingsWalk()], ids=["srw", "mhrw"]
     )
     def test_walk_estimate_matches_batch(self, design, csr, config, engine1):
-        sharded = walk_estimate_sharded(engine1, design, 0, 30, config=config, seed=77)
+        sharded = walk_estimate_batch(engine1, design, 0, 30, config=config, seed=77)
         batch = walk_estimate_batch(csr, design, 0, 30, config=config, seed=77)
         assert np.array_equal(sharded.candidates, batch.candidates)
         assert np.array_equal(sharded.estimates, batch.estimates)
@@ -66,7 +64,7 @@ class TestSingleWorkerParity:
 
     def test_long_run_matches_batch(self, csr, config, engine1):
         design = SimpleRandomWalk()
-        sharded = long_run_walk_estimate_sharded(
+        sharded = long_run_walk_estimate_batch(
             engine1, design, 0, 4, 5, config=config, seed=77
         )
         batch = long_run_walk_estimate_batch(
@@ -77,11 +75,48 @@ class TestSingleWorkerParity:
         assert np.array_equal(sharded.accepted, batch.accepted)
 
 
+def assert_rounds_equal(a, b):
+    assert np.array_equal(a.candidates, b.candidates)
+    assert np.array_equal(a.estimates, b.estimates)
+    assert np.array_equal(a.acceptance, b.acceptance)
+    assert np.array_equal(a.accepted, b.accepted)
+    assert a.forward_steps == b.forward_steps
+    assert a.backward_steps == b.backward_steps
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda n: f"n{n}")
+def fork_pool(request, csr):
+    with ShardedWalkEngine(csr, n_workers=request.param, mp_context="fork") as pool:
+        yield pool
+
+
+class TestInlineMatchesPool:
+    """The shard plan fixes the result; the executor only runs it."""
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_walk_estimate(self, design, csr, config, fork_pool):
+        inline = InlineExecutor(csr, n_workers=fork_pool.n_workers)
+        args = (DESIGNS[design], 0, 40)
+        assert_rounds_equal(
+            walk_estimate_batch(inline, *args, config=config, seed=19),
+            walk_estimate_batch(fork_pool, *args, config=config, seed=19),
+        )
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_long_run(self, design, csr, config, fork_pool):
+        inline = InlineExecutor(csr, n_workers=fork_pool.n_workers)
+        args = (DESIGNS[design], 0, 7, 3)
+        assert_rounds_equal(
+            long_run_walk_estimate_batch(inline, *args, config=config, seed=19),
+            long_run_walk_estimate_batch(fork_pool, *args, config=config, seed=19),
+        )
+
+
 class TestShardedRounds:
     def test_walk_estimate_deterministic(self, config, engine2):
         design = SimpleRandomWalk()
-        a = walk_estimate_sharded(engine2, design, 0, 48, config=config, seed=5)
-        b = walk_estimate_sharded(engine2, design, 0, 48, config=config, seed=5)
+        a = walk_estimate_batch(engine2, design, 0, 48, config=config, seed=5)
+        b = walk_estimate_batch(engine2, design, 0, 48, config=config, seed=5)
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.accepted, b.accepted)
         assert a.candidates.shape == (48,)
@@ -91,7 +126,7 @@ class TestShardedRounds:
         # estimator and land near the true mean degree — the end-to-end
         # reduction the sharded round exists for.
         design = SimpleRandomWalk()
-        result = walk_estimate_sharded(engine2, design, 0, 256, config=config, seed=11)
+        result = walk_estimate_batch(engine2, design, 0, 256, config=config, seed=11)
         assert result.nodes.size > 10
         degrees = np.array(
             [graph.degree(int(node)) for node in result.nodes], dtype=float
@@ -102,10 +137,10 @@ class TestShardedRounds:
 
     def test_long_run_shapes_and_determinism(self, config, engine2):
         design = SimpleRandomWalk()
-        a = long_run_walk_estimate_sharded(
+        a = long_run_walk_estimate_batch(
             engine2, design, 0, 6, 4, config=config, seed=2
         )
-        b = long_run_walk_estimate_sharded(
+        b = long_run_walk_estimate_batch(
             engine2, design, 0, 6, 4, config=config, seed=2
         )
         assert a.candidates.shape == (24,)
@@ -114,7 +149,7 @@ class TestShardedRounds:
     def test_long_run_accepts_per_run_starts(self, config, engine2):
         design = SimpleRandomWalk()
         starts = np.array([0, 1, 2, 3], dtype=np.int64)
-        result = long_run_walk_estimate_sharded(
+        result = long_run_walk_estimate_batch(
             engine2, design, starts, 4, 3, config=config, seed=9
         )
         assert result.candidates.shape == (12,)
@@ -123,19 +158,19 @@ class TestShardedRounds:
 class TestValidation:
     def test_rejects_bad_k(self, config, engine2):
         with pytest.raises(ConfigurationError, match="k_walks"):
-            walk_estimate_sharded(
+            walk_estimate_batch(
                 engine2, SimpleRandomWalk(), 0, 0, config=config, seed=1
             )
 
     def test_rejects_bad_segments(self, config, engine2):
         with pytest.raises(ConfigurationError, match="segments"):
-            long_run_walk_estimate_sharded(
+            long_run_walk_estimate_batch(
                 engine2, SimpleRandomWalk(), 0, 2, 0, config=config, seed=1
             )
 
     def test_rejects_bad_start_shape(self, config, engine2):
         with pytest.raises(ConfigurationError, match="start"):
-            long_run_walk_estimate_sharded(
+            long_run_walk_estimate_batch(
                 engine2,
                 SimpleRandomWalk(),
                 np.array([0, 1, 2]),

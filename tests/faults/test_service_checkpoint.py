@@ -186,6 +186,16 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="mapping"):
             checkpoint_module.validate([1, 2])
 
+    def test_version_2_document_refused(self, hidden):
+        # Version 2 job specs carried engine.batch_backward; such a
+        # document must fail loudly, never half-load.
+        document = self._document(hidden)
+        for job in document["jobs"]:
+            job["spec"]["engine"]["batch_backward"] = False
+        document["version"] = 2
+        with pytest.raises(CheckpointError, match="version 2"):
+            SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
+
     def test_restore_refuses_used_service_and_wrong_start(self, hidden):
         document = self._document(hidden)
         with make_service(hidden) as used:

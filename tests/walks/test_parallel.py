@@ -22,7 +22,13 @@ from repro.walks.batch import (
     run_walk_batch,
     target_weights_batch,
 )
-from repro.walks.parallel import ShardedWalkEngine, default_worker_count
+from repro.walks.parallel import (
+    InlineExecutor,
+    ShardedWalkEngine,
+    default_worker_count,
+    shard_rngs,
+    shard_slices,
+)
 from repro.walks.transitions import (
     BidirectionalWalk,
     LazyWalk,
@@ -203,9 +209,9 @@ class TestStationarity:
 
 
 class TestSharding:
-    def test_shard_slices_cover_contiguously(self, engine2):
+    def test_shard_slices_cover_contiguously(self):
         for k in (1, 2, 3, 31, 64):
-            slices = engine2.shard_slices(k)
+            slices = shard_slices(k, 2)
             assert len(slices) == min(2, k)
             assert slices[0].start == 0 and slices[-1].stop == k
             sizes = [s.stop - s.start for s in slices]
@@ -213,14 +219,14 @@ class TestSharding:
             for before, after in zip(slices[:-1], slices[1:]):
                 assert before.stop == after.start
 
-    def test_shard_rngs_deterministic(self, engine2):
-        a = engine2.shard_rngs(2, seed=5)
-        b = engine2.shard_rngs(2, seed=5)
+    def test_shard_rngs_deterministic(self):
+        a = shard_rngs(2, seed=5)
+        b = shard_rngs(2, seed=5)
         for x, y in zip(a, b):
             assert x.integers(0, 1 << 30) == y.integers(0, 1 << 30)
 
-    def test_single_shard_uses_callers_stream(self, engine2):
-        (rng,) = engine2.shard_rngs(1, seed=5)
+    def test_single_shard_uses_callers_stream(self):
+        (rng,) = shard_rngs(1, seed=5)
         reference = np.random.default_rng(5)
         assert rng.integers(0, 1 << 30) == reference.integers(0, 1 << 30)
 
@@ -238,6 +244,8 @@ class TestErrors:
     def test_rejects_bad_worker_count(self, csr):
         with pytest.raises(ConfigurationError, match="n_workers"):
             ShardedWalkEngine(csr, n_workers=0)
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            InlineExecutor(csr, n_workers=0)
 
     def test_rejects_negative_steps(self, engine2):
         with pytest.raises(ValueError, match="steps"):
