@@ -18,11 +18,21 @@ paths on small graphs.
 The candidate set ``C(u)`` is ``N(u)`` plus ``u`` itself when the design
 has a self-loop at ``u`` (MHRW does); on an undirected graph these are the
 only states with ``T(x, u) > 0``.
+
+On a frozen :class:`~repro.graphs.csr.CSRGraph` the factor
+``|C(u)| · T(x, u)`` is a fixed number per ``(u, x)`` pair, so the batch
+estimator reads it from a **backward candidate table** instead of pricing
+every step: row ``u`` lists ``C(u)`` (``N(u)`` in CSR order, then ``u``
+when the design may self-loop) with each slot's factor alongside, plus
+each node's candidate count and whether any node is isolated.  One table is
+built per (graph, design structure) on first use and memoized on the
+graph; a depth level is then one bounded draw and one gather of slot,
+predecessor and factor.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +42,7 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike, ensure_rng
 from repro.walks.batch import check_max_degree
+from repro.walks.kernels import compile_design
 from repro.walks.transitions import (
     LazyWalk,
     MaxDegreeWalk,
@@ -145,12 +156,16 @@ def _transition_probabilities_batch(
 ) -> np.ndarray:
     """``T(source, destination)`` for aligned position arrays.
 
-    Only called with (source, destination) pairs that are graph edges or
-    self-loops — the shape backward sampling produces — so neighbor-set
-    membership needs no checking.  Pure-self-loop pairs only ever reach a
-    branch whose design ``may_self_loop`` (the candidate sets exclude the
-    node itself otherwise), except through the LazyWalk recursion, which
-    zeroes a loop-free inner design's self-entry before adding λ.
+    Called once per backward candidate table, over every slot of it:
+    (source, destination) pairs that are graph edges or self-loops, so
+    neighbor-set membership needs no checking, and never with an isolated
+    destination (its 0/0 prices would warn and are never read).
+    Pure-self-loop pairs only ever reach a branch whose design
+    ``may_self_loop`` (the candidate sets exclude the node itself
+    otherwise), except through the LazyWalk recursion, which zeroes a
+    loop-free inner design's self-entry before adding λ.  A
+    :class:`MaxDegreeWalk` source over the declared bound is priced here
+    without complaint; the step loop raises when a walk draws it.
     """
     if isinstance(design, SimpleRandomWalk):
         return 1.0 / csr.degrees[sources].astype(np.float64)
@@ -164,7 +179,6 @@ def _transition_probabilities_batch(
         return probabilities
     if isinstance(design, MaxDegreeWalk):
         degrees = csr.degrees[sources]
-        check_max_degree(csr, design, sources, degrees)
         probabilities = np.full(sources.size, 1.0 / design.max_degree)
         loops = sources == destinations
         if np.any(loops):
@@ -190,6 +204,60 @@ def _transition_probabilities_batch(
     )
 
 
+class _BackwardTable(NamedTuple):
+    """Every candidate set ``C(u)`` of one graph under one design, flat.
+
+    ``indices[indptr[u]:indptr[u + 1]]`` is ``C(u)``: ``N(u)`` in CSR
+    order, then ``u`` itself when the design may self-loop (loop-free
+    designs alias the graph's own ``indptr`` / ``indices``).  ``factors``
+    holds ``|C(u)| · T(x, u)`` for each slot's ``x``; ``counts[u]`` is
+    ``|C(u)|``.  An isolated node's row is never drawn from: no edge
+    leads to it, so a walk is there only at its first level, with weight
+    1, and the stuck check raises first.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    factors: np.ndarray
+    counts: np.ndarray
+    has_isolated: bool
+
+
+def _build_backward_table(csr: CSRGraph, design: TransitionDesign) -> _BackwardTable:
+    n = csr.number_of_nodes()
+    degrees = csr.degrees
+    if design.may_self_loop:
+        counts = degrees + 1
+        indptr = csr.indptr + np.arange(n + 1)
+        indices = np.insert(csr.indices, csr.indptr[1:], np.arange(n))
+    else:
+        counts, indptr, indices = degrees, csr.indptr, csr.indices
+    rows = np.repeat(np.arange(n), counts)
+    has_isolated = bool(np.any(degrees == 0))
+    # Only an isolated node's self slot sits in a zero-degree row; pricing
+    # it would divide 0 by 0, so it keeps a factor of 0 that is never read.
+    live = np.repeat(degrees > 0, counts) if has_isolated else slice(None)
+    factors = np.zeros(indices.size, dtype=np.float64)
+    factors[live] = counts[rows[live]] * _transition_probabilities_batch(
+        csr, design, indices[live], rows[live]
+    )
+    return _BackwardTable(indptr, indices, factors, counts, has_isolated)
+
+
+def _backward_table(csr: CSRGraph, design: TransitionDesign) -> _BackwardTable:
+    """*csr*'s table for *design*, built on first use and memoized on *csr*."""
+    compiled = compile_design(design)
+    key: Optional[Tuple] = None
+    if compiled is not None:
+        code, laziness, max_degree = compiled
+        key = (code, tuple(laziness.tolist()), max_degree)
+    table = csr._backward_tables.get(key)
+    if table is None:
+        # An unsupported design (key None) raises inside the build.
+        table = csr._backward_tables[key] = _build_backward_table(csr, design)
+    return table
+
+
 def unbiased_estimate_batch(
     graph: Union[Graph, CSRGraph],
     design: TransitionDesign,
@@ -203,10 +271,12 @@ def unbiased_estimate_batch(
 
     The vectorized twin of :func:`unbiased_estimate`: all
     ``len(nodes) × repetitions`` backward walks advance together, one
-    predecessor draw and one transition-weight gather per depth level.  It
-    runs over a free in-memory :class:`CSRGraph` — per-query cost
-    accounting (and hence the crawl-table shortcut) stays on the scalar
-    path, which is the one WALK-ESTIMATE uses against a charged API.
+    predecessor draw and one transition-weight gather per depth level,
+    read from the graph's backward candidate table (built on first use,
+    then memoized on the graph).  It runs over a free in-memory
+    :class:`CSRGraph` — per-query cost accounting (and hence the
+    crawl-table shortcut) stays on the scalar path, which is the one
+    WALK-ESTIMATE uses against a charged API.
 
     *start* is either one node — all walks share the forward origin, the
     many-short-runs shape — or an array aligned with *nodes* giving each
@@ -238,24 +308,25 @@ def unbiased_estimate_batch(
     start_position = np.tile(start_position, repetitions)
     current = np.tile(targets, repetitions)
     weights = np.ones(current.size, dtype=np.float64)
-    self_loop = 1 if design.may_self_loop else 0
+    # Depth 0 prices no transition, so it needs no table.
+    table = _backward_table(csr, design) if t else None
+    # A max-degree bound under any lazy layers applies to every drawn
+    # predecessor; the table prices over-bound nodes without checking.
+    inner = design
+    while isinstance(inner, LazyWalk):
+        inner = inner.inner
     for _ in range(t, 0, -1):
-        degrees = csr.degrees[current]
-        if np.any((degrees == 0) & (weights > 0)):
-            stuck = int(csr.ids_of(current[(degrees == 0) & (weights > 0)][:1])[0])
-            raise GraphError(f"backward walk stuck: node {stuck} has no neighbors")
-        candidates = degrees + self_loop
+        if table.has_isolated:
+            stuck = (csr.degrees[current] == 0) & (weights > 0)
+            if np.any(stuck):
+                node = int(csr.ids_of(current[stuck][:1])[0])
+                raise GraphError(f"backward walk stuck: node {node} has no neighbors")
         # Walks whose weight already hit zero keep drawing (their product
         # stays zero); masking them out would cost more than it saves.
-        picks = rng.integers(0, np.maximum(candidates, 1))
-        is_neighbor = picks < degrees
-        predecessors = np.where(
-            is_neighbor,
-            csr.indices[csr.indptr[current] + np.minimum(picks, degrees - 1)],
-            current,
-        )
-        transition = _transition_probabilities_batch(csr, design, predecessors, current)
-        weights *= candidates * transition
-        current = predecessors
+        slots = table.indptr[current] + rng.integers(0, table.counts[current])
+        current = table.indices[slots]
+        if isinstance(inner, MaxDegreeWalk):
+            check_max_degree(csr, inner, current, csr.degrees[current])
+        weights *= table.factors[slots]
     realizations = weights * (current == start_position)
     return realizations.reshape(repetitions, targets.size).mean(axis=0)

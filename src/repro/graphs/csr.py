@@ -109,6 +109,7 @@ class CSRGraph:
         }
         self._position: Optional[Dict[Node, int]] = None
         self._mhrw_selfloop: Optional[np.ndarray] = None
+        self._backward_tables: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -169,6 +170,7 @@ class CSRGraph:
         }
         self._position = None
         self._mhrw_selfloop = None
+        self._backward_tables = {}
         return self
 
     def to_graph(self, name: Optional[str] = None) -> "Graph":
@@ -313,6 +315,15 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Precomputed transition quantities
     # ------------------------------------------------------------------
+    # Memos built on first use and kept on the instance, so they live and
+    # die with its arrays (a slab-backed graph's tables may alias the
+    # slab's views; a module-level cache would outlive the mapping):
+    #
+    # * ``_mhrw_selfloop`` — :meth:`mhrw_selfloop_mass`;
+    # * ``_backward_tables`` — :mod:`repro.core.unbiased`'s backward
+    #   candidate tables (every C(u) row with its |C(u)|·T(x, u)
+    #   factors), one per design structure, keyed by the flattened
+    #   :func:`repro.walks.kernels.compile_design`.
     def mhrw_selfloop_mass(self) -> np.ndarray:
         """Per-position MHRW self-loop mass, ``1 - Σ_v (1/dᵤ)·min(1, dᵤ/dᵥ)``.
 
