@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -236,33 +236,55 @@ class DiscoveredGraph:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def snapshot_rows(self) -> Dict[str, object]:
-        """JSON-safe snapshot of every cached row, in insertion order.
+    def snapshot_rows(self) -> Dict[str, np.ndarray]:
+        """Every cached row as int64 arrays, in first-record order.
 
-        ``rows`` lists ``[node, [neighbors...]]`` pairs in the exact order
-        :meth:`record` first stored them — replaying them through a fresh
-        store reproduces the identical dict order, pool layout, and slot
-        assignment, which is what makes a restored store bit-compatible
-        with the one that was checkpointed.  ``marked`` carries members
-        that arrived via :meth:`mark` only (never fetched, never listed),
-        which a row replay alone could not recover.
+        ``ids[i]`` is the i-th node :meth:`record` first stored,
+        ``lengths[i]`` its row's length, and ``flat`` the rows' current
+        contents concatenated — one gather over the row pool, no
+        per-row Python.  ``marked`` holds, sorted, the members that
+        arrived via :meth:`mark` only (never fetched, never listed),
+        which the rows alone could not recover.
+
+        :meth:`restore_rows` replays the snapshot into a fresh store
+        with the same rows, row order, slot assignment and members, so
+        every lookup and every compaction of the restored store equals
+        the source's.  The pool layout may differ: a row recorded twice
+        leaves its first segment unused in the source pool, and the
+        replay writes only the row's current contents.
         """
         with self._lock:
-            rows = [
-                [int(node), [int(n) for n in row]] for node, row in self._rows.items()
-            ]
-            listed: set[Node] = set(self._rows)
-            for row in self._rows.values():
-                listed.update(row)
-            marked = sorted(int(node) for node in self._members - listed)
-            return {"rows": rows, "marked": marked}
+            count = len(self._slot_by_id)
+            ids = np.fromiter(self._slot_by_id, dtype=np.int64, count=count)
+            flat, lengths = self._gather(np.arange(count, dtype=np.int64))
+            self._refresh_arrays()
+            listed = np.union1d(ids, flat)
+            marked = np.setdiff1d(self._member_ids, listed, assume_unique=True)
+            return {"ids": ids, "lengths": lengths, "flat": flat, "marked": marked}
 
-    def restore_rows(self, state: Dict[str, object]) -> None:
-        """Replay a :meth:`snapshot_rows` document into this (empty) store.
+    def restore_rows(self, state: Mapping[str, object]) -> None:
+        """Replay a :meth:`snapshot_rows` snapshot into this (empty) store.
 
-        Refuses to merge into a non-empty store — a half-restored cache
-        would silently desynchronize the §2.4 accounting that trusts it.
+        Records the rows in snapshot order, then marks the mark-only
+        members.  Refuses to merge into a non-empty store — a
+        half-restored cache would silently desynchronize the §2.4
+        accounting that trusts it — and refuses a snapshot whose
+        ``lengths`` do not tile ``flat``.
         """
+        ids = np.asarray(state["ids"], dtype=np.int64)
+        lengths = np.asarray(state["lengths"], dtype=np.int64)
+        flat = np.asarray(state["flat"], dtype=np.int64)
+        marked = np.asarray(state["marked"], dtype=np.int64)
+        if (
+            ids.shape != lengths.shape
+            or np.any(lengths < 0)
+            or int(lengths.sum()) != flat.size
+        ):
+            raise CheckpointError(
+                f"row snapshot is inconsistent: {ids.size} ids, "
+                f"{lengths.size} lengths summing to {int(lengths.sum())}, "
+                f"{flat.size} row entries"
+            )
         with self._lock:
             if self._rows or self._members:
                 raise CheckpointError(
@@ -270,11 +292,13 @@ class DiscoveredGraph:
                     f"({self.fetched_count} rows, {self.membership_size} members); "
                     "restore targets must be freshly constructed"
                 )
-            for node, row in state["rows"]:
-                self.record(int(node), tuple(int(n) for n in row))
-            marked = state.get("marked", ())
-            if marked:
-                self.mark(int(marked[0]), (int(n) for n in marked))
+            entries = flat.tolist()
+            end = 0
+            for node, length in zip(ids.tolist(), lengths.tolist()):
+                self.record(node, tuple(entries[end : end + length]))
+                end += length
+            if marked.size:
+                self.mark(int(marked[0]), marked.tolist())
 
     # ------------------------------------------------------------------
     # Scalar lookups (NeighborView over the paid-for region)
@@ -424,13 +448,20 @@ class DiscoveredGraph:
         if nodes.size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         with self._lock:
-            slots = self._slots_of(nodes)
-            starts = self._slot_starts[slots]
-            lengths = self._slot_lengths[slots]
-            total = int(lengths.sum())
-            offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-            flat = self._pool[np.repeat(starts, lengths) + np.arange(total) - offsets]
-            return flat, lengths
+            return self._gather(self._slots_of(nodes))
+
+    def _gather(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The pool rows at *slots*, concatenated, and their lengths.
+
+        Each entry's pool index is its row's start, shifted back by the
+        row's offset in the output, plus its output position: one repeat
+        and one gather for the whole batch.  Call with the lock held.
+        """
+        lengths = self._slot_lengths[slots]
+        ends = np.cumsum(lengths)
+        shift = np.repeat(self._slot_starts[slots] - (ends - lengths), lengths)
+        total = int(ends[-1]) if ends.size else 0
+        return self._pool[shift + np.arange(total)], lengths
 
     def rows_contain(self, nodes, values) -> np.ndarray:
         """Per-row membership: is ``values[i]`` in *nodes[i]*'s cached row.
@@ -473,8 +504,11 @@ class DiscoveredGraph:
         neighbor list, frontier nodes (seen but never fetched) an empty
         row, with :attr:`DiscoveredSlab.fetched` telling them apart.  All
         listed neighbors are members by construction, so every index
-        resolves.  Compaction cost is O(members + cached edges); the slab
-        is reused until the store grows.
+        resolves.  Compaction is array work only, O(members + cached
+        edges): one membership lookup, one :meth:`rows_flat` gather over
+        the row pool for the edge array, and one
+        :func:`numpy.searchsorted` to renumber it.  The slab is reused
+        until the store grows.
 
         Safe against a concurrent producer: the whole compaction holds the
         store lock, so the slab reflects one well-defined generation —
@@ -485,15 +519,14 @@ class DiscoveredGraph:
                 return self._slab
             self._refresh_arrays()
             members = self._member_ids
-            n = members.size
-            degrees = np.zeros(n, dtype=np.int64)
             fetched = self.fetched_mask(members)
-            degrees[fetched] = self.degrees_of(members[fetched])
-            indptr = np.zeros(n + 1, dtype=np.int64)
+            # Members are sorted, so the fetched rows gathered in member
+            # order are the CSR edge array, row after row.
+            flat, lengths = self.rows_flat(members[fetched])
+            degrees = np.zeros(members.size, dtype=np.int64)
+            degrees[fetched] = lengths
+            indptr = np.zeros(members.size + 1, dtype=np.int64)
             np.cumsum(degrees, out=indptr[1:])
-            flat = np.empty(int(indptr[-1]), dtype=np.int64)
-            for p in np.flatnonzero(fetched):
-                flat[indptr[p] : indptr[p + 1]] = self._rows[int(members[p])]
             indices = np.searchsorted(members, flat)
             csr = CSRGraph(indptr, indices, node_ids=members.copy(), name=self.name)
             self._slab = DiscoveredSlab(csr=csr, fetched=fetched)

@@ -19,6 +19,24 @@ store's insertion order.  Documents are written through
 :func:`repro.bench.io.atomic_write_json`, so a crash mid-write leaves the
 previous checkpoint intact, never a torn one.
 
+**Format (version 4).**  The document is strict JSON on one line,
+serialized by CPython's C encoder (``indent=None``).  The two bulk
+payloads are written as bytes, not as numbers: each job's accepted
+``values`` and ``weights`` are one base64 blob of little-endian float64
+apiece, and the discovered rows (``ids``, ``lengths``, ``flat``,
+``marked`` from
+:meth:`~repro.graphs.discovered.DiscoveredGraph.snapshot_rows`) are
+base64 blobs of little-endian int64.  A late-campaign checkpoint holds
+hundreds of thousands of samples; formatting each one as a decimal
+number made the write grow with the campaign, while a blob is one copy
+of the array's bytes.  Blobs also carry the exact bits — every NaN,
+``-0.0`` and subnormal — so the resumed estimates stay bit-identical.  The
+estimate and stderr of partials and results stay JSON numbers when they
+are finite; a non-finite one (``(nan, inf)`` for a job resolved before
+its first sample) is written as a one-value float64 blob, since strict
+JSON has no NaN or infinity.  The small lists — counter, ledger,
+crawler frontier, specs and partials — stay plain JSON.
+
 **Topology.**  What survives depends on the slab backend.  ``/dev/shm``
 slabs die with the machine, so they are *not* captured — the first
 post-resume publish rebuilds them from the restored rows (free, the rows
@@ -35,6 +53,8 @@ subscriptions are never captured (a handle is a connection, not state;
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
@@ -49,8 +69,10 @@ from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 
 #: Schema version stamped into every checkpoint document.  Version 2
 #: added the ``topology`` record (persisted file-slab path + digest);
-#: version 3 dropped ``batch_backward`` from the job specs' engine config.
-CHECKPOINT_VERSION = 3
+#: version 3 dropped ``batch_backward`` from the job specs' engine config;
+#: version 4 writes samples and discovered rows as base64 blobs and
+#: non-finite estimates as one-value blobs.
+CHECKPOINT_VERSION = 4
 
 #: Top-level keys every checkpoint document carries.
 CHECKPOINT_KEYS = frozenset(
@@ -76,6 +98,61 @@ CHECKPOINT_KEYS = frozenset(
 )
 
 
+_FLOAT64 = np.dtype("<f8")
+_INT64 = np.dtype("<i8")
+
+#: Float fields of partials and results that may be non-finite.
+_NONFINITE_FIELDS = ("estimate", "stderr")
+
+
+def _encode(array, dtype: np.dtype) -> str:
+    """Base64 of *array*'s little-endian bytes: exact, compact, JSON-safe."""
+    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode(blob: str, dtype: np.dtype) -> np.ndarray:
+    """Inverse of :func:`_encode`: a fresh native-order array."""
+    try:
+        raw = base64.b64decode(blob, validate=True)
+        return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"corrupt {dtype.name} blob in checkpoint: {exc}"
+        ) from exc
+
+
+def _float_document(value: float) -> Union[float, str]:
+    """*value* as a JSON number, or as a one-value blob when non-finite."""
+    return value if math.isfinite(value) else _encode([value], _FLOAT64)
+
+
+def _float_from(value: Union[float, str]) -> float:
+    """Inverse of :func:`_float_document`, bit for bit."""
+    if not isinstance(value, str):
+        return float(value)
+    decoded = _decode(value, _FLOAT64)
+    if decoded.size != 1:
+        raise CheckpointError(f"expected one float64, got {decoded.size}")
+    return float(decoded[0])
+
+
+def _record_document(record) -> Dict[str, Any]:
+    """A partial's or result's fields, non-finite floats as blobs."""
+    doc = dict(vars(record))
+    for field in _NONFINITE_FIELDS:
+        doc[field] = _float_document(doc[field])
+    return doc
+
+
+def _record_fields(doc: Mapping[str, Any]) -> Dict[str, Any]:
+    """Inverse of :func:`_record_document`: constructor keyword arguments."""
+    fields = dict(doc)
+    for field in _NONFINITE_FIELDS:
+        fields[field] = _float_from(fields[field])
+    return fields
+
+
 def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
     """A generator's full bit-generator state (plain ints, JSON-safe)."""
     return rng.bit_generator.state
@@ -94,6 +171,7 @@ def _restore_rng(rng: np.random.Generator, state: Mapping[str, Any]) -> None:
 
 def _job_document(job: Job) -> Dict[str, Any]:
     """One job's full resumable state (spec, stream position, samples)."""
+    values, weights = job.sample_arrays()
     doc: Dict[str, Any] = {
         "job_id": job.job_id,
         "spec": job.spec.to_dict(),
@@ -103,13 +181,13 @@ def _job_document(job: Job) -> Dict[str, Any]:
         "exhausted_rounds": job.exhausted_rounds,
         "submitted_at": job.submitted_at,
         "first_partial_at": job.first_partial_at,
-        "values": [chunk.tolist() for chunk in job._values],
-        "weights": [chunk.tolist() for chunk in job._weights],
-        "partials": [vars(partial) for partial in job.partials],
+        "values": _encode(values, _FLOAT64),
+        "weights": _encode(weights, _FLOAT64),
+        "partials": [_record_document(partial) for partial in job.partials],
         "result": None,
     }
     if job.result is not None:
-        result = vars(job.result).copy()
+        result = _record_document(job.result)
         result["state"] = job.result.state.value
         doc["result"] = result
     return doc
@@ -128,18 +206,16 @@ def _rebuild_job(doc: Mapping[str, Any]) -> Job:
     job.submitted_at = float(doc["submitted_at"])
     first_partial = doc["first_partial_at"]
     job.first_partial_at = None if first_partial is None else float(first_partial)
-    for values, weights in zip(doc["values"], doc["weights"]):
-        # absorb() recomputes the sample count and keeps the chunk
-        # boundaries, so current_estimate() concatenates the identical
-        # float64 sequence the original service would have.
-        job.absorb(
-            np.asarray(values, dtype=np.float64),
-            np.asarray(weights, dtype=np.float64),
-        )
-    job.partials = [PartialEstimate(**partial) for partial in doc["partials"]]
+    # One absorb of the concatenated samples: current_estimate()
+    # concatenates the chunks anyway, so it sees the identical float64
+    # sequence the original service would have.
+    job.absorb(_decode(doc["values"], _FLOAT64), _decode(doc["weights"], _FLOAT64))
+    job.partials = [
+        PartialEstimate(**_record_fields(partial)) for partial in doc["partials"]
+    ]
     result = doc["result"]
     if result is not None:
-        rebuilt = dict(result)
+        rebuilt = _record_fields(result)
         rebuilt["state"] = JobState(rebuilt["state"])
         job.resolve(JobResult(**rebuilt))
     else:
@@ -234,7 +310,10 @@ def capture(service) -> Dict[str, Any]:
             "baseline": int(service.ledger.baseline),
             "charges": service.ledger.charges(),
         },
-        "discovered": service.api.discovered.snapshot_rows(),
+        "discovered": {
+            key: _encode(array, _INT64)
+            for key, array in service.api.discovered.snapshot_rows().items()
+        },
         "crawler": service.crawler.state_dict(),
         "topology": _topology_document(service),
     }
@@ -246,8 +325,9 @@ def write(service, path: Union[str, Path]) -> Path:
     Same writer as every benchmark artifact
     (:func:`repro.bench.io.atomic_write_json`): the document lands whole
     or not at all, so the previous checkpoint survives a crash mid-write.
+    It is written compact (``indent=None``), through the C encoder.
     """
-    return atomic_write_json(path, capture(service))
+    return atomic_write_json(path, capture(service), indent=None)
 
 
 def load(path: Union[str, Path]) -> Dict[str, Any]:
@@ -298,7 +378,9 @@ def restore(service, document: Mapping[str, Any]) -> None:
             f"checkpoint was captured for start node {document['start']}, "
             f"but this service starts at {service.start}"
         )
-    service.api.discovered.restore_rows(document["discovered"])
+    service.api.discovered.restore_rows(
+        {key: _decode(blob, _INT64) for key, blob in document["discovered"].items()}
+    )
     counter = document["counter"]
     service.api.counter.restore(counter["seen"], int(counter["raw_calls"]))
     ledger = document["ledger"]

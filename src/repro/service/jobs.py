@@ -142,6 +142,13 @@ class Job:
             self._weights.append(weights)
             self._samples += int(values.size)
 
+    def sample_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every absorbed ``(values, weights)`` pair, concatenated in order."""
+        if not self._values:
+            empty = np.zeros(0, dtype=np.float64)
+            return empty, empty
+        return np.concatenate(self._values), np.concatenate(self._weights)
+
     def current_estimate(self) -> tuple[float, float]:
         """``(estimate, stderr)`` over everything absorbed so far.
 
@@ -152,8 +159,7 @@ class Job:
         """
         if not self._samples:
             return float("nan"), float("inf")
-        values = np.concatenate(self._values)
-        weights = np.concatenate(self._weights)
+        values, weights = self.sample_arrays()
         total = float(np.sum(weights))
         mean = float(np.sum(values * weights) / total)
         residuals = values - mean

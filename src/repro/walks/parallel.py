@@ -470,9 +470,10 @@ class ShardedWalkEngine:
         *round_index* (1-based, matching :attr:`rounds_dispatched` after
         dispatch) submits shard *shard_index* (0-based), the shard's
         function is replaced by :func:`_crash_shard`, which ``os._exit``\\ s
-        the hosting process.  The schedule entry is consumed at submit
-        time, so the post-respawn retry runs the real function — the
-        recovered round must be bit-identical to a crash-free one.
+        the hosting process.  The schedule entry is consumed when that
+        task enters the pool, so the post-respawn retry runs the real
+        function — the recovered round must be bit-identical to a
+        crash-free one.
         """
         if round_index < 1:
             raise ConfigurationError(
@@ -505,12 +506,14 @@ class ShardedWalkEngine:
         submission order.
 
         A worker death mid-round (detected as the executor's broken-pool
-        failure) is recovered transparently: shards whose futures already
+        failure, from a shard's future or from a submit the broken pool
+        refuses) is recovered transparently: shards whose futures already
         settled keep their results, the pool is respawned, and only the
-        failed shards are resubmitted — with the *same* pickled arguments,
-        so the retry consumes the same RNG stream and writes the same
-        rows.  After :attr:`max_shard_retries` respawn cycles the round
-        surfaces :class:`~repro.errors.WorkerCrashError`.
+        failed and never-submitted shards are resubmitted — with the
+        *same* pickled arguments, so the retry consumes the same RNG
+        stream and writes the same rows.  After :attr:`max_shard_retries`
+        respawn cycles the round surfaces
+        :class:`~repro.errors.WorkerCrashError`.
         """
         if self._pool is None:
             raise ConfigurationError("engine is closed")
@@ -530,20 +533,22 @@ class ShardedWalkEngine:
         cycles = 0
         while pending:
             submitted = []
-            for index in pending:
-                task_fn = fn
-                if (round_index, index) in self._scheduled_crashes:
-                    self._scheduled_crashes.discard((round_index, index))
-                    task_fn = _crash_shard
-                submitted.append(
-                    (
-                        index,
-                        self._pool.submit(
-                            _run_shard, spec, task_fn, per_shard_args[index]
-                        ),
-                    )
-                )
             failed: List[int] = []
+            for position, index in enumerate(pending):
+                crash = (round_index, index)
+                task_fn = _crash_shard if crash in self._scheduled_crashes else fn
+                try:
+                    future = self._pool.submit(
+                        _run_shard, spec, task_fn, per_shard_args[index]
+                    )
+                except BrokenProcessPool:
+                    # An earlier shard's crash broke the pool before this
+                    # one went in: it and every shard after it retry on
+                    # the respawned pool.
+                    failed.extend(pending[position:])
+                    break
+                self._scheduled_crashes.discard(crash)
+                submitted.append((index, future))
             for index, future in submitted:
                 try:
                     results[index] = future.result()
@@ -559,7 +564,7 @@ class ShardedWalkEngine:
                 )
             self._respawn_pool()
             self.shard_retries += len(failed)
-            pending = failed
+            pending = sorted(failed)
         return results
 
     def _walk_round(

@@ -2,10 +2,13 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.bench import atomic_write_json, load_json
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _tmp_droppings(directory):
@@ -70,3 +73,34 @@ def test_accepts_string_paths(tmp_path):
     target = str(tmp_path / "BENCH_x.json")
     atomic_write_json(target, [1, 2, 3])
     assert json.loads(open(target).read()) == [1, 2, 3]
+
+
+def test_indented_text_matches_json_dump(tmp_path):
+    # The text is built with json.dumps; at indent=2 it must be the
+    # bytes the streaming json.dump writer produced.
+    document = {"a": [1, 2.5, -0.0, 1e-310], "b": {"c": None, "d": "é"}, "e": []}
+    target = tmp_path / "doc.json"
+    atomic_write_json(target, document)
+    with open(tmp_path / "reference.json", "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, allow_nan=False)
+        handle.write("\n")
+    assert target.read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in REPO_ROOT.glob("BENCH_*.json"))
+)
+def test_committed_artifacts_rewrite_byte_identically(tmp_path, name):
+    committed = REPO_ROOT / name
+    target = tmp_path / name
+    atomic_write_json(target, load_json(committed))
+    assert target.read_bytes() == committed.read_bytes()
+
+
+def test_compact_indent_writes_one_line(tmp_path):
+    document = {"values": "AAAAAAAA+H8=", "rows": [[1, [2, 3]]], "x": 0.1}
+    target = tmp_path / "doc.json"
+    atomic_write_json(target, document, indent=None)
+    text = target.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert load_json(target) == document

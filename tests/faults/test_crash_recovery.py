@@ -6,6 +6,8 @@ shards re-executed — with the same pickled arguments, so the recovered
 round's trajectories are bit-for-bit those of a crash-free run.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,66 @@ class TestCrashTransparency:
             assert engine.worker_respawns == 0
             engine.run_walk_batch(SimpleRandomWalk(), starts, 5, seed=2)
             assert engine.worker_respawns == 1
+
+
+class SubmitRefusedOnce:
+    """A pool whose *n*-th submit raises ``BrokenProcessPool`` once.
+
+    Stands in for the race where a crashed shard breaks the pool before
+    a later shard of the same round is submitted; every other call goes
+    to the real pool, so the refused shards' retry runs for real.
+    """
+
+    def __init__(self, pool, refuse_at):
+        self._pool = pool
+        self._refuse_at = refuse_at
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        if self.submits == self._refuse_at:
+            raise BrokenProcessPool("pool broke before this submit")
+        return self._pool.submit(*args, **kwargs)
+
+    def shutdown(self, wait=True):
+        self._pool.shutdown(wait=wait)
+
+
+class TestRefusedSubmit:
+    def _round(self, graph, refuse_at, crashes=()):
+        with ShardedWalkEngine(graph, n_workers=4, mp_context="fork") as engine:
+            for round_index, shard_index in crashes:
+                engine.schedule_worker_crash(round_index, shard_index)
+            stub = SubmitRefusedOnce(engine._pool, refuse_at)
+            engine._pool = stub
+            starts = np.zeros(WALKS, dtype=np.int64)
+            result = engine.run_walk_batch(SimpleRandomWalk(), starts, STEPS, seed=SEED)
+            stats = (engine.worker_respawns, engine.shard_retries)
+        return result.paths, stats, stub.submits
+
+    def test_refused_submit_retries_the_unsubmitted_shards(self, graph):
+        clean, _ = run_round(graph)
+        # Shards 0 and 1 go in; the submit of shard 2 is refused, so
+        # shards 2 and 3 retry on the respawned pool.
+        paths, (respawns, retries), submits = self._round(graph, refuse_at=3)
+        assert submits == 3
+        assert (respawns, retries) == (1, 2)
+        np.testing.assert_array_equal(paths, clean)
+
+    def test_refused_first_submit_retries_the_whole_round(self, graph):
+        clean, _ = run_round(graph)
+        paths, (respawns, retries), _ = self._round(graph, refuse_at=1)
+        assert (respawns, retries) == (1, 4)
+        np.testing.assert_array_equal(paths, clean)
+
+    def test_a_crash_scheduled_on_a_refused_shard_still_fires(self, graph):
+        # The schedule entry is consumed only when the task enters a
+        # pool: the refused shard crashes on its retry, and the second
+        # respawn runs the real function.
+        clean, _ = run_round(graph)
+        paths, (respawns, _), _ = self._round(graph, refuse_at=2, crashes=[(1, 1)])
+        assert respawns == 2
+        np.testing.assert_array_equal(paths, clean)
 
 
 class TestScheduleValidation:

@@ -6,15 +6,18 @@ unique-node query for the rows the checkpoint carried.
 """
 
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import EngineConfig, EstimationJobSpec, WalkEstimateConfig
 from repro.crawl.clock import drive
 from repro.errors import CheckpointError
 from repro.graphs.generators import barabasi_albert_graph
+from repro.graphs.graph import Graph
 from repro.osn.api import SocialNetworkAPI
 from repro.service import CHECKPOINT_VERSION, SamplingService, ServiceConfig
 from repro.service import checkpoint as checkpoint_module
@@ -196,6 +199,29 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="version 2"):
             SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
 
+    def test_version_3_document_refused(self, hidden):
+        # Version 3 wrote samples as nested lists of JSON numbers and the
+        # discovered rows as [node, [neighbors]] pairs; such a document
+        # must fail loudly, never half-load.
+        document = self._document(hidden)
+        for job in document["jobs"]:
+            job["values"] = [[1.0, 2.0]]
+            job["weights"] = [[0.5, 0.5]]
+        document["discovered"] = {"rows": [[0, [1, 2]]], "marked": []}
+        document["version"] = 3
+        with pytest.raises(CheckpointError, match="version 3"):
+            SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
+
+    def test_corrupt_blob_refused(self, hidden):
+        document = self._document(hidden)
+        document["jobs"][0]["values"] = "not base64!"
+        fresh = make_service(hidden)
+        try:
+            with pytest.raises(CheckpointError, match="blob"):
+                checkpoint_module.restore(fresh, document)
+        finally:
+            fresh.close()
+
     def test_restore_refuses_used_service_and_wrong_start(self, hidden):
         document = self._document(hidden)
         with make_service(hidden) as used:
@@ -361,3 +387,202 @@ class TestFileSlabResume:
             step(service)
             document = service.checkpoint()
             assert document["topology"] is None
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestBlobFormat:
+    """Version 4 writes bulk arrays as base64 blobs of exact bits."""
+
+    SPECIAL = [
+        0.0,
+        -0.0,
+        np.inf,
+        -np.inf,
+        np.nan,
+        -np.nan,
+        5e-324,  # smallest subnormal
+        2.225073858507201e-308,  # largest subnormal
+        -1.5e-320,
+        1.7976931348623157e308,
+        0.1,
+    ]
+
+    def test_float64_blobs_round_trip_bit_for_bit(self):
+        payload_nan = np.frombuffer(
+            struct.pack("<Q", 0x7FF0_0000_0000_1234), dtype=np.float64
+        )
+        values = np.concatenate((np.array(self.SPECIAL), payload_nan))
+        blob = checkpoint_module._encode(values, checkpoint_module._FLOAT64)
+        decoded = checkpoint_module._decode(
+            json.loads(json.dumps(blob)), checkpoint_module._FLOAT64
+        )
+        assert decoded.tobytes() == values.tobytes()
+        assert decoded.dtype == np.float64 and decoded.flags.writeable
+
+    def test_int64_blobs_round_trip(self):
+        values = np.array([0, -1, 2**63 - 1, -(2**63), 1 << 40], dtype=np.int64)
+        blob = checkpoint_module._encode(values, checkpoint_module._INT64)
+        decoded = checkpoint_module._decode(blob, checkpoint_module._INT64)
+        assert decoded.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["_FLOAT64", "_INT64"])
+    def test_empty_arrays_round_trip(self, dtype):
+        dtype = getattr(checkpoint_module, dtype)
+        blob = checkpoint_module._encode(np.zeros(0), dtype)
+        assert blob == ""
+        decoded = checkpoint_module._decode(blob, dtype)
+        assert decoded.size == 0 and decoded.dtype == dtype
+
+    def test_blob_bytes_are_little_endian(self):
+        blob = checkpoint_module._encode([1.0], checkpoint_module._FLOAT64)
+        assert blob == "AAAAAAAA8D8="  # 0x3FF0000000000000, low byte first
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_scalar_floats_round_trip_through_strict_json(self, value):
+        value = float(value)
+        doc = checkpoint_module._float_document(value)
+        assert isinstance(doc, str) != bool(np.isfinite(value))
+        text = json.dumps(doc, allow_nan=False)
+        back = checkpoint_module._float_from(json.loads(text))
+        assert bits([back]) == bits([value])
+
+    def test_corrupt_blob_raises_checkpoint_error(self):
+        with pytest.raises(CheckpointError, match="blob"):
+            checkpoint_module._decode("AAAA", checkpoint_module._FLOAT64)
+        with pytest.raises(CheckpointError, match="one float64"):
+            checkpoint_module._float_from(
+                checkpoint_module._encode([1.0, 2.0], checkpoint_module._FLOAT64)
+            )
+
+    def test_checkpoint_file_is_one_line_of_strict_json(self, hidden, tmp_path):
+        path = tmp_path / "service.ckpt.json"
+        with make_service(hidden) as service:
+            service.submit_nowait(job_spec("alice"))
+            step(service)
+            step(service)
+            service.checkpoint(path)
+            values, _ = service.jobs["job-1"].sample_arrays()
+        text = path.read_text()
+        assert text.count("\n") == 1
+
+        def refuse(token):
+            raise AssertionError(f"non-strict JSON token {token}")
+
+        document = json.loads(text, parse_constant=refuse)
+        assert isinstance(document["jobs"][0]["values"], str)
+        assert set(document["discovered"]) == {"ids", "lengths", "flat", "marked"}
+        decoded = checkpoint_module._decode(
+            document["jobs"][0]["values"], checkpoint_module._FLOAT64
+        )
+        assert decoded.tobytes() == values.tobytes()
+
+    def test_identical_campaigns_write_identical_files(self, hidden, tmp_path):
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            with make_service(hidden) as service:
+                service.submit_nowait(job_spec("alice"))
+                service.submit_nowait(job_spec("bob"))
+                step(service)
+                step(service)
+                service.checkpoint(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def exact(value):
+    """Floats by their bits, so a NaN compares equal to itself."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def exact_fields(record, skip=()):
+    if record is None:
+        return None
+    return tuple(exact(v) for k, v in vars(record).items() if k not in skip)
+
+
+def exact_fingerprint(service):
+    return (
+        [
+            (
+                job_id,
+                job.state.value,
+                # A resumed service rebuilds its /dev/shm slab and numbers
+                # the rebuilt topology epoch 1, so partials streamed after
+                # a resume carry a different epoch label.
+                [exact_fields(partial, skip=("epoch",)) for partial in job.partials],
+                exact_fields(job.result),
+            )
+            for job_id, job in sorted(service.jobs.items())
+        ],
+        service.api.counter.state(),
+        service.ledger.charges(),
+    )
+
+
+class TestNonFiniteEstimates:
+    """Jobs resolved before their first sample report ``(nan, inf)``.
+
+    Such a job must not break the checkpoints that follow it: the file
+    stays strict JSON, and a resumed campaign reproduces the NaN and
+    infinity bit for bit.
+    """
+
+    @pytest.fixture(scope="class")
+    def islands(self):
+        # Two triangles; the crawl from 0 reaches {0, 1, 2, 3} only, so
+        # a job starting at 10 fails once the crawl finishes.
+        graph = Graph()
+        graph.add_edges_from(
+            [(0, 1), (1, 2), (0, 2), (2, 3), (10, 11), (11, 12), (10, 12)]
+        )
+        return graph
+
+    def _campaign(self, islands, path):
+        config = ServiceConfig(
+            rows_per_epoch=1,
+            max_rounds_per_job=6,
+            checkpoint_path=str(path),
+            checkpoint_every=1,
+        )
+        service = SamplingService(
+            SocialNetworkAPI(islands), 0, config=config, latency=LATENCY, seed=3
+        )
+        home = replace(job_spec("home", budget=10), error_target=None)
+        service.submit_nowait(home)
+        service.submit_nowait(replace(home, tenant="lost", start=10))
+        cancelled = service.submit_nowait(replace(home, tenant="gone"))
+        assert service.cancel(cancelled.job_id)
+        return service
+
+    def test_checkpoints_and_resume_keep_nan_and_inf(self, islands, tmp_path):
+        with self._campaign(islands, tmp_path / "reference.json") as reference:
+            finish(reference)
+            expected = exact_fingerprint(reference)
+        lost = reference.jobs["job-2"].result
+        assert lost.reason == "start-not-walkable"
+        assert np.isnan(lost.estimate) and lost.stderr == np.inf
+        assert reference.jobs["job-3"].result.reason == "cancelled"
+
+        path = tmp_path / "live.json"
+        with self._campaign(islands, path) as service:
+            while service.jobs["job-2"].result is None:
+                step(service)
+            assert service.scheduler.has_work, "checkpoint before the end"
+            document = checkpoint_module.load(path)
+            result = document["jobs"][1]["result"]
+            assert isinstance(result["estimate"], str)
+            assert isinstance(result["stderr"], str)
+
+        resumed = SamplingService.resume(
+            SocialNetworkAPI(islands), path, latency=LATENCY
+        )
+        try:
+            assert exact_fields(resumed.jobs["job-2"].result) == exact_fields(
+                service.jobs["job-2"].result
+            )
+            finish(resumed)
+            assert exact_fingerprint(resumed) == expected
+        finally:
+            resumed.close()
