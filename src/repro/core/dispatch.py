@@ -442,16 +442,12 @@ class EstimateResult:
     @property
     def attempts(self) -> int:
         """Accept/reject decisions made (== candidates judged)."""
-        if isinstance(self.raw, SampleBatch):
-            return len(self.raw.nodes)  # scalar batches keep only accepts
-        return int(self.raw.accepted.size)
+        return int(self.raw.attempts)
 
     @property
     def acceptance_rate(self) -> float:
-        """Fraction of candidates accepted, where the backend reports it."""
-        if isinstance(self.raw, BatchWalkEstimateResult):
-            return self.raw.acceptance_rate
-        return 1.0  # scalar SampleBatch records accepted samples only
+        """Fraction of candidates accepted."""
+        return float(self.raw.acceptance_rate)
 
     @property
     def query_cost(self) -> int:

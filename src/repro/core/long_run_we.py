@@ -148,6 +148,7 @@ class LongRunWalkEstimateSampler:
             pass
         batch.walk_steps += stats.steps
         batch.query_cost = api.query_cost
+        batch.attempts = rejection.accepted + rejection.rejected
         return batch
 
 

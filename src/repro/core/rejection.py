@@ -16,7 +16,7 @@ describes.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class ScaleFactorBootstrap:
         self.percentile = percentile
         self.minimum_observations = minimum_observations
         self._ratios: List[float] = []
+        self._scale: Optional[float] = None
 
     def observe(self, ratio: float) -> None:
         """Record one observed ``p̂(v)/q̃(v)`` (non-finite/negative dropped).
@@ -49,12 +50,15 @@ class ScaleFactorBootstrap:
         """
         if ratio > 0.0 and np.isfinite(ratio):
             self._ratios.append(float(ratio))
+            self._scale = None
 
     def observe_many(self, ratios) -> None:
         """Record a whole array of ratios at once (same filtering rules)."""
         ratios = np.asarray(ratios, dtype=float)
         kept = ratios[(ratios > 0.0) & np.isfinite(ratios)]
-        self._ratios.extend(kept.tolist())
+        if kept.size:
+            self._ratios.extend(kept.tolist())
+            self._scale = None
 
     @property
     def observation_count(self) -> int:
@@ -80,18 +84,23 @@ class ScaleFactorBootstrap:
     def scale_factor(self) -> float:
         """The bootstrapped stand-in for ``min_v p(v)/q̃(v)``.
 
+        The percentile is computed once per state of the ratio pool and
+        reused until :meth:`observe` or :meth:`observe_many` adds a ratio.
+
         Raises
         ------
         EstimationError
             If called before :attr:`ready`.
         """
-        if not self._ratios:
-            raise EstimationError("no ratios observed yet")
-        if not self.ready:
-            raise EstimationError(
-                f"need {self.minimum_observations} ratios, have {len(self._ratios)}"
-            )
-        return float(np.percentile(self._ratios, self.percentile))
+        if self._scale is None:
+            if not self._ratios:
+                raise EstimationError("no ratios observed yet")
+            if not self.ready:
+                raise EstimationError(
+                    f"need {self.minimum_observations} ratios, have {len(self._ratios)}"
+                )
+            self._scale = float(np.percentile(self._ratios, self.percentile))
+        return self._scale
 
 
 class RejectionSampler:

@@ -194,6 +194,7 @@ class WalkEstimateSampler:
         report.backward_steps = estimator.stats.steps if estimator is not None else 0
         batch.query_cost = api.query_cost
         batch.walk_steps = report.total_steps
+        batch.attempts = report.attempts
         return batch
 
     # ------------------------------------------------------------------
@@ -279,6 +280,11 @@ class BatchWalkEstimateResult:
         return self.target_weights[self.accepted]
 
     @property
+    def attempts(self) -> int:
+        """Candidates judged (one accept/reject decision per walk)."""
+        return int(self.accepted.size)
+
+    @property
     def acceptance_rate(self) -> float:
         """Fraction of candidates accepted."""
         if self.accepted.size == 0:
@@ -293,6 +299,7 @@ class BatchWalkEstimateResult:
             query_cost=0,
             walk_steps=self.forward_steps + self.backward_steps,
             sampler=sampler,
+            attempts=self.attempts,
         )
 
 

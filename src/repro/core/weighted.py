@@ -117,8 +117,18 @@ class ForwardHistory:
         for step, node in enumerate(walk.path):
             counts = self._counts[step]
             counts[node] = counts.get(node, 0) + 1
+            dense = self._dense[step]
+            if dense is None:
+                continue  # built by the next counts_dense, if it can be
+            if not 0 <= node < _DENSE_COUNT_LIMIT:
+                self._dense[step] = None
+                continue
+            if node >= dense.size:
+                grown = np.zeros(min(max(2 * dense.size, node + 1), _DENSE_COUNT_LIMIT))
+                grown[: dense.size] = dense
+                self._dense[step] = dense = grown
+            dense[node] += 1.0
         self._arrays = [None] * (self.walk_length + 1)
-        self._dense = [None] * (self.walk_length + 1)
         self._total_walks += 1
 
     @property
@@ -162,9 +172,12 @@ class ForwardHistory:
         """One step's visit counts as a dense id-indexed float vector.
 
         Turns the per-candidate count lookup into a single gather — the
-        fastest path for the batched backward walk.  Returns None when the
-        step is out of range, empty, or the visited ids are too large for
-        a dense table (callers fall back to :meth:`counts_arrays`).
+        fastest path for the batched backward walk.  Built once from
+        :meth:`counts_arrays`, then kept current by :meth:`record` in
+        place (a live view, do not mutate): entry ``i`` is ``n_{i, step}``,
+        and entries past the largest visited id are zero.  Returns None
+        when the step is out of range, empty, or has visited an id outside
+        ``[0, 2^20)`` (callers fall back to :meth:`counts_arrays`).
         """
         if not 0 <= step <= self.walk_length:
             return None

@@ -174,6 +174,11 @@ class FaultyAPI:
         return self.api.cacheable
 
     @property
+    def restriction(self):
+        """The inner API's neighbor restriction (or None)."""
+        return self.api.restriction
+
+    @property
     def query_cost(self) -> int:
         """The inner API's unique-node cost."""
         return self.api.query_cost

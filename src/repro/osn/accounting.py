@@ -9,10 +9,10 @@ nodes by default while still tracking raw calls for diagnostics.
 Two access grains coexist.  The scalar grain (:meth:`QueryCounter.seen` /
 :meth:`QueryCounter.charge`) serves the per-step walkers; the batch grain
 (:meth:`QueryCounter.seen_many` / :meth:`QueryCounter.charge_batch`) lets K
-simultaneous walks settle their whole step in one operation — membership is
-decided by one binary search over a lazily maintained sorted id array
-rather than K Python set probes, which is what keeps accounting off the
-critical path of the batched charged-API engine.
+simultaneous walks settle their whole step in one call.  Both grains read
+and update the one set of charged ids, so a batch costs K set probes and
+no sorted mirror has to be kept in step with the scalar grain; only
+:meth:`QueryCounter.state` sorts, on demand.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.arrays import sorted_lookup
 from repro.errors import ConfigurationError, QueryBudgetExceededError
 
 
@@ -55,7 +54,6 @@ class QueryCounter:
     def __init__(self) -> None:
         self._seen: set[int] = set()
         self._raw_calls = 0
-        self._seen_ids: Optional[np.ndarray] = None
 
     @property
     def unique_nodes(self) -> int:
@@ -71,19 +69,16 @@ class QueryCounter:
         """True if *node* was already accessed (its result is cached)."""
         return node in self._seen
 
-    def seen_ids(self) -> np.ndarray:
-        """Sorted array of every charged node id (rebuilt lazily on growth)."""
-        if self._seen_ids is None:
-            self._seen_ids = np.fromiter(
-                self._seen, dtype=np.int64, count=len(self._seen)
-            )
-            self._seen_ids.sort()
-        return self._seen_ids
-
     def seen_many(self, nodes) -> np.ndarray:
-        """Vectorized :meth:`seen`: boolean mask for an array of node ids."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        return sorted_lookup(self.seen_ids(), nodes)[1]
+        """Vectorized :meth:`seen`: boolean mask for an array of node ids.
+
+        One set probe per id — for the few-node batches of a backward
+        level this beats any array search, and it needs no sorted copy of
+        the set.
+        """
+        ids = np.asarray(nodes, dtype=np.int64).tolist()
+        seen = self._seen
+        return np.fromiter((node in seen for node in ids), dtype=bool, count=len(ids))
 
     def charge(self, node: int) -> bool:
         """Record an access to *node*; returns True if it was a new node."""
@@ -91,7 +86,6 @@ class QueryCounter:
         if node in self._seen:
             return False
         self._seen.add(node)
-        self._seen_ids = None
         return True
 
     def charge_batch(self, nodes) -> np.ndarray:
@@ -100,28 +94,17 @@ class QueryCounter:
         Returns the mask of entries that charged a *new* unique node
         (duplicates within the batch charge on their first occurrence
         only, exactly as the equivalent sequence of :meth:`charge` calls
-        would).  Raw calls grow by ``len(nodes)``.
+        would: each entry probes the set, then joins it).  Raw calls grow
+        by ``len(nodes)``.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        self._raw_calls += int(nodes.size)
-        if nodes.size == 0:
-            return np.zeros(0, dtype=bool)
-        new = ~self.seen_many(nodes)
-        if np.any(new):
-            first = np.zeros(nodes.size, dtype=bool)
-            first[np.unique(nodes, return_index=True)[1]] = True
-            new &= first
-            fresh = nodes[new]
-            self._seen.update(fresh.tolist())
-            if self._seen_ids is not None:
-                # Linear merge instead of invalidate-and-resort: keeps a
-                # long campaign's per-batch accounting at O(S + k log S)
-                # rather than O(S log S) per level.
-                fresh = np.sort(fresh)
-                self._seen_ids = np.insert(
-                    self._seen_ids, np.searchsorted(self._seen_ids, fresh), fresh
-                )
-        return new
+        ids = np.asarray(nodes, dtype=np.int64).tolist()
+        self._raw_calls += len(ids)
+        seen = self._seen
+        new = []
+        for node in ids:
+            new.append(node not in seen)
+            seen.add(node)
+        return np.array(new, dtype=bool)
 
     def record_raw(self, count: int) -> None:
         """Count *count* extra raw invocations that charged nothing new."""
@@ -137,7 +120,7 @@ class QueryCounter:
         equality the async-vs-serial crawl parity tests pin, stronger
         than comparing the two scalar totals.
         """
-        return tuple(int(n) for n in self.seen_ids()), self._raw_calls
+        return tuple(sorted(int(node) for node in self._seen)), self._raw_calls
 
     def snapshot(self) -> "QueryCounterSnapshot":
         """Immutable view of the current counts (cheap, for deltas)."""
@@ -167,13 +150,11 @@ class QueryCounter:
             raise ValueError(f"raw_calls must be >= 0, got {raw_calls}")
         self._seen = {int(node) for node in seen}
         self._raw_calls = int(raw_calls)
-        self._seen_ids = None
 
     def reset(self) -> None:
         """Forget everything (new measurement epoch)."""
         self._seen.clear()
         self._raw_calls = 0
-        self._seen_ids = None
 
 
 @dataclass(frozen=True)

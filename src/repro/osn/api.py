@@ -22,8 +22,8 @@ Two access grains share one accounting state.  The scalar grain
 (``neighbors``/``degree``/``attribute``) is what the per-step walkers use.
 The batch grain (:meth:`SocialNetworkAPI.neighbors_batch` /
 :meth:`SocialNetworkAPI.degrees_batch`) settles a whole array of lookups
-in one operation: cache membership is one vectorized search over the
-discovered-graph id arrays, the budget is enforced for the batch as a
+in one operation: the batch is looked up in the discovered graph once,
+and only its misses reach the API.  For them the budget is enforced as a
 whole (the affordable prefix is charged, then exhaustion raises *before*
 the first over-budget invocation), the rate limiter is drained in one
 closed-form acquisition, and the counter is charged once — this is the
@@ -164,12 +164,11 @@ class SocialNetworkAPI:
 
         Semantically equivalent to ``[self.neighbors(v) for v in nodes]``
         — same unique-node charges, same raw-call count, same cache
-        contents afterwards — but the accounting happens once for the
-        whole batch: one vectorized membership test against the
-        discovered graph, one counter charge, one rate-limiter
-        acquisition, one budget decision.  Node-id validity is checked up
-        front for the entire batch (a failed lookup is free, §2.4), so an
-        unknown id raises before anything is charged.
+        contents afterwards — but the batch is looked up in the
+        discovered graph once, and only its misses reach the API, settled
+        together by :meth:`_settle`: one counter charge, one rate-limiter
+        acquisition, one budget decision.  An unknown id raises before
+        anything is charged (a failed lookup is free, §2.4).
 
         Under the type-1 restriction each *occurrence* is its own fresh
         invocation, exactly as in the scalar path; otherwise duplicate
@@ -184,98 +183,82 @@ class SocialNetworkAPI:
             new unique nodes than the budget allows — the over-budget
             invocation itself never happens.
         """
-        order = np.asarray(nodes, dtype=np.int64)
-        if order.ndim != 1:
-            raise ConfigurationError(
-                f"nodes must be 1-d, got shape {tuple(order.shape)}"
-            )
+        order = _node_array(nodes)
         if order.size == 0:
             return []
-        for node in order.tolist():
-            if not self._graph.has_node(node):
-                raise NodeNotFoundError(node)
-        unique_sorted, first_index = np.unique(order, return_index=True)
-        appearance = np.argsort(first_index, kind="stable")
-        unique = unique_sorted[appearance]
-        firsts = first_index[appearance]
-        if self.cacheable:
-            uncached = ~self.discovered.fetched_mask(unique)
-            to_invoke, firsts = unique[uncached], firsts[uncached]
-        else:
-            to_invoke = unique
-        new_mask = ~self.counter.seen_many(to_invoke)
-        requested = int(new_mask.sum())
-        affordable = self.budget.affordable(self.counter, requested)
-        exhausted = affordable < requested
-        occurrences = None if self.cacheable else order
-        if exhausted:
-            # Process exactly the invocations a scalar sequence would have
-            # completed before the first over-budget charge.
-            cutoff = int(np.flatnonzero(np.cumsum(new_mask) > affordable)[0])
-            if occurrences is not None:
-                occurrences = order[: int(firsts[cutoff])]
-            to_invoke = to_invoke[:cutoff]
-        rows = self._invoke_batch(to_invoke, occurrences)
-        if exhausted:
-            raise QueryBudgetExceededError(self.budget.limit, self.counter.unique_nodes)
-        if self.cacheable:
-            lookup = {int(n): self.discovered.neighbors(int(n)) for n in unique}
-            return [lookup[int(n)] for n in order.tolist()]
-        # Type-1: every occurrence got its own fresh subset, in input order.
-        return rows
-
-    def _invoke_batch(
-        self, to_invoke: np.ndarray, occurrences: Optional[np.ndarray]
-    ) -> List[Tuple[Node, ...]]:
-        """Rate-limit, charge, log, fetch, and cache one batch of invocations.
-
-        *occurrences* is None on the cacheable path (one invocation per
-        unique node); under type-1 it is the occurrence array and every
-        entry is invoked separately.  Returns the per-invocation rows of
-        the type-1 path (empty list otherwise — cacheable callers read
-        the discovered graph instead).
-        """
-        calls = int(to_invoke.size if occurrences is None else occurrences.size)
-        if self.rate_limiter is not None and calls:
-            self.rate_limiter.acquire_or_wait_many(calls)
-        self.counter.charge_batch(to_invoke)
-        self.counter.record_raw(calls - int(to_invoke.size))
-        rows: List[Tuple[Node, ...]] = []
-        if occurrences is None:
-            self.log.record_many(to_invoke)
-            for node in to_invoke.tolist():
-                row = self._graph.neighbors(node)
-                if self.restriction is not None:
-                    row = self.restriction.apply(node, row)
-                self.discovered.record(node, row)
-        else:
-            self.log.record_many(occurrences)
-            for node in occurrences.tolist():
-                row = self.restriction.apply(node, self._graph.neighbors(node))
-                self.discovered.mark(node, row)
-                rows.append(row)
-        return rows
+        if not self.cacheable:
+            # Type-1: every occurrence got its own fresh subset, in input order.
+            return self._settle(order)
+        fetched = self.discovered.fetched_mask(order)
+        if not fetched.all():
+            self._settle(order[~fetched])
+        return [self.discovered.neighbors(node) for node in order.tolist()]
 
     def degrees_batch(self, nodes) -> np.ndarray:
         """Visible degrees for an array of nodes, settled as one batch.
 
         Nodes whose rows are already in the discovered graph are answered
-        by one array gather without touching the API; only genuinely new
-        nodes are fetched (and charged) via :meth:`neighbors_batch`.
+        by one array gather without touching the API; the misses are
+        settled exactly as :meth:`neighbors_batch` settles them, and their
+        degrees are then read from the store.
         """
-        arr = np.asarray(nodes, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ConfigurationError(f"nodes must be 1-d, got shape {tuple(arr.shape)}")
+        order = _node_array(nodes)
         if not self.cacheable:
-            rows = self.neighbors_batch(arr)
-            return np.fromiter((len(r) for r in rows), dtype=np.int64, count=arr.size)
-        out, known = self.discovered.try_degrees(arr)
-        if not np.all(known):
-            rows = self.neighbors_batch(arr[~known])
-            out[~known] = np.fromiter(
-                (len(r) for r in rows), dtype=np.int64, count=int((~known).sum())
-            )
-        return out
+            return np.array([len(row) for row in self._settle(order)], dtype=np.int64)
+        degrees, known = self.discovered.try_degrees(order)
+        if not known.all():
+            misses = order[~known]
+            self._settle(misses)
+            degrees[~known] = self.discovered.degrees_of(misses)
+        return degrees
+
+    def _settle(self, misses: np.ndarray) -> List[Tuple[Node, ...]]:
+        """Invoke the API for a batch's misses, in one accounting operation.
+
+        *misses* are the requested ids the discovered graph cannot answer,
+        in input order.  Their distinct ids, in first-appearance order,
+        are validated, then split into new ids and ids already paid for
+        (by a profile fetch).  The invocations a scalar sequence would
+        complete before its first over-budget charge are rate-limited,
+        charged, logged, fetched and stored; then exhaustion raises.  On
+        the cacheable path each distinct id is one invocation whose row
+        is recorded.  Under type-1 every occurrence is one, and the fresh
+        rows come back in input order.
+        """
+        cacheable = self.cacheable
+        order = misses.tolist()
+        distinct = list(dict.fromkeys(order))
+        for node in distinct:
+            if not self._graph.has_node(node):
+                raise NodeNotFoundError(node)
+        new = ~self.counter.seen_many(distinct)
+        requested = int(new.sum())
+        affordable = self.budget.affordable(self.counter, requested)
+        exhausted = affordable < requested
+        if exhausted:
+            cutoff = int(np.flatnonzero(new)[affordable])
+            if not cacheable:
+                order = order[: order.index(distinct[cutoff])]
+            distinct = distinct[:cutoff]
+        calls = distinct if cacheable else order
+        if self.rate_limiter is not None and calls:
+            self.rate_limiter.acquire_or_wait_many(len(calls))
+        self.counter.charge_batch(distinct)
+        self.counter.record_raw(len(calls) - len(distinct))
+        self.log.record_many(calls)
+        rows: List[Tuple[Node, ...]] = []
+        for node in calls:
+            row = self._graph.neighbors(node)
+            if self.restriction is not None:
+                row = self.restriction.apply(node, row)
+            if cacheable:
+                self.discovered.record(node, row)
+            else:
+                self.discovered.mark(node, row)
+                rows.append(row)
+        if exhausted:
+            raise QueryBudgetExceededError(self.budget.limit, self.counter.unique_nodes)
+        return rows
 
     # ------------------------------------------------------------------
     # Free metadata
@@ -312,3 +295,11 @@ class SocialNetworkAPI:
             f"SocialNetworkAPI(graph={self._graph.name!r}, "
             f"cost={self.query_cost}, raw={self.raw_calls})"
         )
+
+
+def _node_array(nodes) -> np.ndarray:
+    """*nodes* as a 1-d int64 array (the batch grain's one input shape)."""
+    order = np.asarray(nodes, dtype=np.int64)
+    if order.ndim != 1:
+        raise ConfigurationError(f"nodes must be 1-d, got shape {tuple(order.shape)}")
+    return order

@@ -396,6 +396,11 @@ class ResilientAPI:
         return self.api.cacheable
 
     @property
+    def restriction(self):
+        """The wrapped API's neighbor restriction (or None)."""
+        return self.api.restriction
+
+    @property
     def query_cost(self) -> int:
         """The wrapped API's unique-node cost."""
         return self.api.query_cost

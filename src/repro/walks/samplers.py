@@ -45,6 +45,9 @@ class SampleBatch:
         Total forward transitions taken (the paper's Figure 5 y-axis).
     sampler:
         Human-readable producer name for reports.
+    attempts:
+        Candidates an accept/reject step judged to produce :attr:`nodes`
+        (the WALK-ESTIMATE samplers); 0 for samplers that keep every draw.
     """
 
     nodes: List[Node] = field(default_factory=list)
@@ -52,9 +55,17 @@ class SampleBatch:
     query_cost: int = 0
     walk_steps: int = 0
     sampler: str = ""
+    attempts: int = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    @property
+    def acceptance_rate(self) -> float:
+        """Fraction of judged candidates accepted (0.0 when none were)."""
+        if self.attempts == 0:
+            return 0.0
+        return len(self.nodes) / self.attempts
 
     def extend(self, other: "SampleBatch") -> None:
         """Merge another batch produced under the same scheme."""
@@ -62,6 +73,7 @@ class SampleBatch:
         self.target_weights.extend(other.target_weights)
         self.query_cost = max(self.query_cost, other.query_cost)
         self.walk_steps += other.walk_steps
+        self.attempts += other.attempts
 
 
 class BurnInSampler:

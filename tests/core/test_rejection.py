@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rejection import RejectionSampler, ScaleFactorBootstrap
 from repro.errors import ConfigurationError, EstimationError
@@ -118,3 +120,79 @@ def test_rejection_corrects_distribution(rng):
             counts[node] += 1
     total = counts["A"] + counts["B"]
     assert abs(counts["A"] / total - 0.5) < 0.03
+
+
+# ----------------------------------------------------------------------
+# The scale factor is computed once per state of the ratio pool
+# ----------------------------------------------------------------------
+RATIOS = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.sampled_from([0.0, -1.0, float("inf"), float("-inf"), float("nan")]),
+)
+POOL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), RATIOS),
+        st.tuples(st.just("observe_many"), st.lists(RATIOS, max_size=6)),
+        st.tuples(st.just("ensure_ready"), st.sampled_from([1.0, 0.25])),
+    ),
+    max_size=25,
+)
+
+
+def _usable(ratios):
+    return [ratio for ratio in ratios if ratio > 0.0 and np.isfinite(ratio)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=POOL_OPS,
+    percentile=st.sampled_from([1.0, 10.0, 50.0, 90.0]),
+    minimum=st.integers(1, 6),
+)
+def test_scale_factor_is_the_pool_percentile_after_every_change(
+    ops, percentile, minimum
+):
+    bootstrap = ScaleFactorBootstrap(percentile, minimum_observations=minimum)
+    pool = []
+    for op, arg in ops:
+        if op == "observe":
+            bootstrap.observe(arg)
+            pool += _usable([arg])
+        elif op == "observe_many":
+            bootstrap.observe_many(np.asarray(arg, dtype=float))
+            pool += _usable(arg)
+        else:
+            bootstrap.ensure_ready(arg)
+            pool += [arg] * max(0, minimum - len(pool))
+        if len(pool) < minimum:
+            with pytest.raises(EstimationError):
+                bootstrap.scale_factor()
+            continue
+        expected = float(np.percentile(pool, percentile))
+        assert bootstrap.scale_factor() == expected
+        assert bootstrap.scale_factor() == expected
+
+
+def test_scale_factor_recomputes_only_when_a_ratio_is_added(monkeypatch):
+    computed = []
+    percentile = np.percentile
+
+    def counted(*args, **kwargs):
+        computed.append(args)
+        return percentile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "percentile", counted)
+    bootstrap = ScaleFactorBootstrap(minimum_observations=2)
+    bootstrap.observe_many([3.0, 1.0])
+    first = bootstrap.scale_factor()
+    assert bootstrap.scale_factor() == first and len(computed) == 1
+    bootstrap.observe_many([0.0, -2.0, np.nan, np.inf])  # all filtered out
+    bootstrap.observe(0.0)
+    assert bootstrap.scale_factor() == first and len(computed) == 1
+    bootstrap.observe(0.5)
+    assert bootstrap.scale_factor() == percentile([3.0, 1.0, 0.5], 10.0)
+    assert len(computed) == 2
+    bootstrap.observe_many([2.0])
+    bootstrap.ensure_ready()
+    assert bootstrap.scale_factor() == percentile([3.0, 1.0, 0.5, 2.0], 10.0)
+    assert len(computed) == 3
