@@ -9,8 +9,9 @@ Two modes share this file:
   BENCH_parallel.json``) — one self-contained record CI uploads: the
   scalar engine, the single-process batch engine, and the sharded engine
   at a sweep of worker counts (default 1/2/4/8), all on the same
-  benchmark graph.  Each sharded row reports steps/sec and its speedup
-  over the batch engine — the scaling curve the engine exists for.
+  benchmark graph.  Each sharded row's ``timing`` block reports
+  steps/sec and its speedup over the batch engine — the scaling curve
+  the engine exists for.
 
 Honesty note: the record carries ``host.cpu_count`` (scheduling
 affinity).  Walks are embarrassingly parallel, so on an unconstrained
@@ -21,8 +22,7 @@ the committed artifact against its recorded host, not the ideal.
 ``--quick`` shrinks the budget for smoke runs; ``--workers`` picks the
 sweep (CI smoke uses ``--workers 1 2``); ``--slab-storage file`` times the
 sharded rows over an mmap-backed slab file instead of ``/dev/shm`` (the
-storage rides in the envelope's host block, so cross-storage timing
-comparisons downgrade to warnings like any host mismatch).
+record's ``host`` block says which storage the timings were taken on).
 """
 
 import argparse
@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import host_metadata, write_artifact
+from repro.bench import write_artifact
 from repro.graphs.generators import barabasi_albert_graph
 from repro.rng import ensure_rng
 from repro.walks.batch import run_walk_batch
@@ -80,8 +80,7 @@ def _time_scalar(graph, design, walks, steps, seed) -> dict:
     elapsed = time.perf_counter() - begin
     return {
         "walks": walks,
-        "seconds": elapsed,
-        "steps_per_sec": walks * steps / elapsed,
+        "timing": {"seconds": elapsed, "steps_per_sec": walks * steps / elapsed},
     }
 
 
@@ -95,8 +94,10 @@ def _time_batch(csr, design, k, rounds, steps, seed) -> dict:
     return {
         "k": k,
         "rounds": rounds,
-        "seconds": elapsed,
-        "steps_per_sec": k * rounds * steps / elapsed,
+        "timing": {
+            "seconds": elapsed,
+            "steps_per_sec": k * rounds * steps / elapsed,
+        },
     }
 
 
@@ -120,8 +121,10 @@ def _time_sharded(
         "workers": workers,
         "k": k,
         "rounds": rounds,
-        "seconds": elapsed,
-        "steps_per_sec": k * rounds * steps / elapsed,
+        "timing": {
+            "seconds": elapsed,
+            "steps_per_sec": k * rounds * steps / elapsed,
+        },
     }
 
 
@@ -164,19 +167,18 @@ def run_comparison(
     for name, design in designs.items():
         scalar = _time_scalar(graph, design, scalar_walks, steps, seed)
         batch = _time_batch(csr, design, k, rounds, steps, seed)
-        batch["speedup_vs_scalar"] = batch["steps_per_sec"] / scalar["steps_per_sec"]
+        scalar_rate = scalar["timing"]["steps_per_sec"]
+        batch_rate = batch["timing"]["steps_per_sec"]
+        batch["timing"]["speedup_vs_scalar"] = batch_rate / scalar_rate
         sharded = {}
         for w in workers:
-            timing = _time_sharded(
+            row = _time_sharded(
                 csr, design, w, k, rounds, steps, seed, slab_storage, slab_dir
             )
-            timing["speedup_vs_batch"] = (
-                timing["steps_per_sec"] / batch["steps_per_sec"]
-            )
-            timing["speedup_vs_scalar"] = (
-                timing["steps_per_sec"] / scalar["steps_per_sec"]
-            )
-            sharded[str(w)] = timing
+            timing = row["timing"]
+            timing["speedup_vs_batch"] = timing["steps_per_sec"] / batch_rate
+            timing["speedup_vs_scalar"] = timing["steps_per_sec"] / scalar_rate
+            sharded[str(w)] = row
         record["designs"][name] = {
             "scalar": scalar,
             "batch": batch,
@@ -235,19 +237,15 @@ def main(argv=None) -> None:
             slab_storage=args.slab_storage,
             slab_dir=slab_dir if args.slab_storage == "file" else None,
         )
-    write_artifact(
-        record,
-        args.out,
-        scale="smoke" if args.quick else "full",
-        host={**host_metadata(), "slab_storage": args.slab_storage},
-    )
+    write_artifact(record, args.out, scale="smoke" if args.quick else "full")
     print(f"host cpus: {record['host']['cpu_count']}")
     for name, entry in record["designs"].items():
         print(
-            f"{name}: scalar {entry['scalar']['steps_per_sec']:,.0f} | "
-            f"batch {entry['batch']['steps_per_sec']:,.0f} steps/sec"
+            f"{name}: scalar {entry['scalar']['timing']['steps_per_sec']:,.0f} | "
+            f"batch {entry['batch']['timing']['steps_per_sec']:,.0f} steps/sec"
         )
-        for w, timing in entry["sharded"].items():
+        for w, row in entry["sharded"].items():
+            timing = row["timing"]
             print(
                 f"  workers={w}: {timing['steps_per_sec']:,.0f} steps/sec "
                 f"({timing['speedup_vs_batch']:.2f}x batch)"

@@ -9,9 +9,9 @@ Two modes share this file:
 * **CLI artifact mode** (``python benchmarks/bench_throughput.py --out
   BENCH_throughput.json``) — one self-contained comparison of the scalar
   walker against the vectorized batch engine at K ∈ {1, 64, 1024},
-  reporting walks/sec, steps/sec, and the batch/scalar speedup as a JSON
-  record CI uploads as an artifact.  ``--quick`` shrinks the budget for
-  smoke runs.
+  reporting walks/sec, steps/sec, and the batch/scalar speedup (each
+  row's ``timing`` block) as a JSON record CI uploads as an artifact.
+  ``--quick`` shrinks the budget for smoke runs.
 """
 
 import argparse
@@ -149,9 +149,11 @@ def _time_scalar(graph, design, walks, steps, seed) -> dict:
     elapsed = time.perf_counter() - begin
     return {
         "walks": walks,
-        "seconds": elapsed,
-        "walks_per_sec": walks / elapsed,
-        "steps_per_sec": walks * steps / elapsed,
+        "timing": {
+            "seconds": elapsed,
+            "walks_per_sec": walks / elapsed,
+            "steps_per_sec": walks * steps / elapsed,
+        },
     }
 
 
@@ -168,9 +170,11 @@ def _time_batch(csr, design, k, rounds, steps, seed, backend=None) -> dict:
         "k": k,
         "rounds": rounds,
         "walks": walks,
-        "seconds": elapsed,
-        "walks_per_sec": walks / elapsed,
-        "steps_per_sec": walks * steps / elapsed,
+        "timing": {
+            "seconds": elapsed,
+            "walks_per_sec": walks / elapsed,
+            "steps_per_sec": walks * steps / elapsed,
+        },
     }
 
 
@@ -221,13 +225,13 @@ def run_comparison(
             # Match total walk work to the scalar run where K allows it,
             # with at least one round per width.
             rounds = max(1, scalar_walks // k)
-            timing = _time_batch(
+            row = _time_batch(
                 csr, design, k, rounds, steps, seed, backend=kernel_backend
             )
-            timing["speedup_steps_per_sec"] = (
-                timing["steps_per_sec"] / scalar["steps_per_sec"]
+            row["timing"]["speedup_steps_per_sec"] = (
+                row["timing"]["steps_per_sec"] / scalar["timing"]["steps_per_sec"]
             )
-            batch[str(k)] = timing
+            batch[str(k)] = row
         record["designs"][name] = {"scalar": scalar, "batch": batch}
     return record
 
@@ -249,8 +253,8 @@ def main(argv=None) -> None:
         choices=("numpy", "native"),
         default="numpy",
         help="kernel backend timed in the batch rows (native needs numba; "
-        "the backend is recorded in the artifact's host block so the "
-        "regression checker only compares like with like)",
+        "the backend is recorded in the artifact's host block, next to "
+        "the CPU count the timing blocks were measured on)",
     )
     parser.add_argument(
         "--quick",
@@ -280,9 +284,10 @@ def main(argv=None) -> None:
     write_artifact(record, args.out, scale="smoke" if args.quick else "full")
     print(f"kernel backend: {args.backend}")
     for name, entry in record["designs"].items():
-        scalar = entry["scalar"]["steps_per_sec"]
+        scalar = entry["scalar"]["timing"]["steps_per_sec"]
         print(f"{name}: scalar {scalar:,.0f} steps/sec")
-        for k, timing in entry["batch"].items():
+        for k, row in entry["batch"].items():
+            timing = row["timing"]
             print(
                 f"  K={k:>5}: {timing['steps_per_sec']:,.0f} steps/sec "
                 f"({timing['speedup_steps_per_sec']:.1f}x)"

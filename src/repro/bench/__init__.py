@@ -10,11 +10,11 @@ Four pieces, one workflow (ROADMAP open item 5):
 * **Runner** (:mod:`repro.bench.runner`): ``python -m repro.bench run
   --suite smoke`` executes the whole suite at pinned scales through one
   entry point.
-* **Checker** (:mod:`repro.bench.diff` + :mod:`repro.bench.policy`):
-  ``python -m repro.bench check`` diffs fresh artifacts against the
-  committed ``BENCH_*.json`` baselines — deterministic metrics exactly,
-  timing metrics within a tolerance band, with host-mismatch downgrading
-  timing failures to warnings — and exits non-zero on regression.
+* **Checker** (:mod:`repro.bench.diff`): ``python -m repro.bench
+  check`` compares every metric of the fresh artifacts exactly against
+  the committed ``BENCH_*.json`` baselines and exits non-zero on any
+  drift.  Writers keep wall-clock numbers under ``timing`` keys, which
+  never become metrics.
 * **Trajectory** (:mod:`repro.bench.trajectory`): ``python -m repro.bench
   append`` folds each run into ``BENCH_TRAJECTORY.json``, the per-PR
   time series.
@@ -28,14 +28,6 @@ from repro.bench.diff import (
     compare_envelopes,
 )
 from repro.bench.io import atomic_write_json, load_json
-from repro.bench.policy import (
-    CheckPolicy,
-    Direction,
-    MetricKind,
-    TimingMode,
-    classify,
-    timing_regression,
-)
 from repro.bench.runner import (
     SUITES,
     BenchJob,
@@ -48,7 +40,6 @@ from repro.bench.schema import (
     Envelope,
     flatten_metrics,
     host_metadata,
-    hosts_match,
     load_artifact,
     make_envelope,
     write_artifact,
@@ -61,28 +52,21 @@ __all__ = [
     "ArtifactReport",
     "BenchJob",
     "BenchRunError",
-    "CheckPolicy",
     "CheckReport",
-    "Direction",
     "Envelope",
     "MetricDiff",
-    "MetricKind",
-    "TimingMode",
     "append_run",
     "artifacts_digest",
     "atomic_write_json",
     "check_directories",
-    "classify",
     "compare_envelopes",
     "flatten_metrics",
     "host_metadata",
-    "hosts_match",
     "load_artifact",
     "load_json",
     "load_trajectory",
     "make_envelope",
     "run_suite",
     "suite_artifacts",
-    "timing_regression",
     "write_artifact",
 ]

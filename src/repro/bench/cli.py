@@ -8,11 +8,9 @@ Three subcommands make up the regression-gating workflow::
         --trajectory BENCH_TRAJECTORY.json --label pr-7
 
 ``run`` executes every writer at the suite's pinned scale; ``check``
-diffs the fresh artifacts against the committed baselines (deterministic
-metrics exactly, timing metrics within tolerance, host-mismatch and
-``--timing warn`` downgrading timing failures to warnings) and exits
-non-zero on any failure; ``append`` folds the run into the per-PR
-trajectory time series.
+compares every metric of the fresh artifacts exactly against the
+committed baselines and exits non-zero on any failure; ``append`` folds
+the run into the per-PR trajectory time series.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.bench.diff import check_directories
-from repro.bench.policy import CheckPolicy, TimingMode
 from repro.bench.runner import SUITES, BenchRunError, run_suite, suite_artifacts
 from repro.bench.trajectory import append_run
 
@@ -84,32 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite whose artifact list is compared",
     )
     check.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        help="allowed relative regression for timing metrics (default 0.20)",
-    )
-    check.add_argument(
-        "--timing",
-        choices=[mode.value for mode in TimingMode],
-        default=TimingMode.GATE.value,
-        help=(
-            "'gate' fails on out-of-band timing metrics when hosts match; "
-            "'warn' never fails on timing (shared/noisy runners). "
-            "Deterministic metrics always gate."
-        ),
-    )
-    check.add_argument(
-        "--min-timing-seconds",
-        type=float,
-        default=0.01,
-        help=(
-            "noise floor: duration metrics with a baseline under this many "
-            "seconds warn instead of failing, even in gate mode (default "
-            "0.01; 0 disables)"
-        ),
-    )
-    check.add_argument(
         "--json",
         action="store_true",
         help="emit the full report as JSON instead of the readable table",
@@ -165,14 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             current = (
                 str(default_results) if default_results.is_dir() else args.baseline
             )
-        policy = CheckPolicy(
-            tolerance=args.tolerance,
-            timing_mode=TimingMode(args.timing),
-            min_timing_seconds=args.min_timing_seconds,
-        )
-        report = check_directories(
-            args.baseline, current, suite_artifacts(args.suite), policy
-        )
+        report = check_directories(args.baseline, current, suite_artifacts(args.suite))
         if args.json:
             print(json.dumps(report.to_dict(), indent=2))
         else:

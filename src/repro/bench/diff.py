@@ -1,11 +1,13 @@
 """Diff fresh benchmark envelopes against committed baselines.
 
 :func:`check_directories` is the regression gate: for every artifact in
-the suite it loads the committed baseline and the fresh run, diffs the
-flat metric maps under the exact/timing policy, and folds everything
-into one :class:`CheckReport` whose :attr:`~CheckReport.ok` decides the
-process exit code.  The report renders as a readable per-metric table —
-the thing a developer stares at when CI goes red.
+the suite it loads the committed baseline and the fresh run, compares
+every flat metric exactly, and folds everything into one
+:class:`CheckReport` whose :attr:`~CheckReport.ok` decides the process
+exit code.  Wall-clock numbers never reach it: writers keep them under
+``timing`` keys, which the envelope leaves out of the metric map.  The
+report renders as a readable per-metric table — the thing a developer
+stares at when CI goes red.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.io import PathLike
-from repro.bench.policy import (
-    CheckPolicy,
-    Direction,
-    MetricKind,
-    TimingMode,
-    classify,
-    timing_regression,
-)
-from repro.bench.schema import Envelope, hosts_match, load_artifact
+from repro.bench.schema import Envelope, load_artifact
 
 FAIL = "fail"
 WARN = "warn"
@@ -36,7 +30,7 @@ class MetricDiff:
 
     artifact: str
     key: str
-    kind: str  # "exact" | "timing" | "presence" | "structure"
+    kind: str  # "exact" | "presence" | "structure"
     severity: str  # FAIL | WARN | INFO
     baseline: Optional[object]
     current: Optional[object]
@@ -55,10 +49,7 @@ class ArtifactReport:
 
     artifact: str
     diffs: List[MetricDiff] = field(default_factory=list)
-    compared_exact: int = 0
-    compared_timing: int = 0
-    host_match: bool = False
-    host_note: str = ""
+    compared: int = 0
     scale: Optional[str] = None
 
     def add(
@@ -108,9 +99,8 @@ class CheckReport:
         for report in self.artifacts:
             lines.append(f"== {report.artifact} ==")
             lines.append(
-                f"  compared {report.compared_exact} exact + "
-                f"{report.compared_timing} timing metrics; "
-                f"scale={report.scale or 'unknown'}; {report.host_note}"
+                f"  compared {report.compared} metrics; "
+                f"scale={report.scale or 'unknown'}"
             )
             for diff in report.diffs:
                 lines.append(diff.render())
@@ -132,9 +122,7 @@ class CheckReport:
                 {
                     "artifact": report.artifact,
                     "scale": report.scale,
-                    "host_match": report.host_match,
-                    "compared_exact": report.compared_exact,
-                    "compared_timing": report.compared_timing,
+                    "compared": report.compared,
                     "diffs": [
                         {
                             "key": d.key,
@@ -159,24 +147,12 @@ def _format_value(value: object) -> str:
 
 
 def compare_envelopes(
-    artifact: str,
-    baseline: Envelope,
-    current: Envelope,
-    policy: CheckPolicy,
+    artifact: str, baseline: Envelope, current: Envelope
 ) -> ArtifactReport:
-    """Diff one baseline/current envelope pair under *policy*."""
+    """Diff one baseline/current envelope pair, every metric exactly."""
     report = ArtifactReport(artifact=artifact)
     report.scale = current.scale or baseline.scale
-    report.host_match, report.host_note = hosts_match(baseline.host, current.host)
 
-    if baseline.legacy:
-        report.add(
-            "",
-            "structure",
-            WARN,
-            "baseline is a pre-envelope artifact (no scale/host metadata); "
-            "timing metrics downgraded to warnings",
-        )
     if (
         baseline.scale is not None
         and current.scale is not None
@@ -225,69 +201,31 @@ def compare_envelopes(
             continue
         base_value = baseline.metrics[key]
         cur_value = current.metrics[key]
-        kind, direction = classify(key)
-        if kind is MetricKind.EXACT:
-            report.compared_exact += 1
-            if base_value != cur_value or (
-                isinstance(base_value, bool) is not isinstance(cur_value, bool)
-            ):
-                report.add(
-                    key,
-                    "exact",
-                    FAIL,
-                    f"deterministic metric drifted: "
-                    f"{_format_value(base_value)} -> {_format_value(cur_value)}",
-                    baseline=base_value,
-                    current=cur_value,
-                )
-            continue
-        report.compared_timing += 1
-        regression = timing_regression(float(base_value), float(cur_value), direction)
-        if regression <= policy.tolerance:
-            continue
-        # The noise floor: a sub-floor baseline duration is jitter, not
-        # signal, so its swings never gate — even on a matching host.
-        sub_floor = (
-            direction is Direction.LOWER_IS_BETTER
-            and float(base_value) < policy.min_timing_seconds
-        )
-        gate = (
-            policy.timing_mode is TimingMode.GATE
-            and report.host_match
-            and not sub_floor
-        )
-        if not report.host_match:
-            note = f" [warn-only: {report.host_note}]"
-        elif policy.timing_mode is TimingMode.WARN:
-            note = " [warn-only: timing_mode=warn]"
-        elif sub_floor:
-            note = (
-                f" [warn-only: baseline {_format_value(base_value)}s under "
-                f"the {policy.min_timing_seconds:g}s min_timing_seconds floor]"
+        report.compared += 1
+        if base_value != cur_value or (
+            isinstance(base_value, bool) is not isinstance(cur_value, bool)
+        ):
+            report.add(
+                key,
+                "exact",
+                FAIL,
+                f"deterministic metric drifted: "
+                f"{_format_value(base_value)} -> {_format_value(cur_value)}",
+                baseline=base_value,
+                current=cur_value,
             )
-        else:
-            note = ""
-        report.add(
-            key,
-            "timing",
-            FAIL if gate else WARN,
-            f"{_format_value(base_value)} -> {_format_value(cur_value)} "
-            f"({regression:+.1%} regression, tolerance {policy.tolerance:.0%})"
-            f"{note}",
-            baseline=base_value,
-            current=cur_value,
-        )
     return report
 
 
 def check_directories(
-    baseline_dir: PathLike,
-    current_dir: PathLike,
-    artifacts: Sequence[str],
-    policy: Optional[CheckPolicy] = None,
+    baseline_dir: PathLike, current_dir: PathLike, artifacts: Sequence[str]
 ) -> CheckReport:
-    """Compare every named artifact between two directories."""
-    policy = policy or CheckPolicy()
+    """Compare every named artifact between two directories.
+
+    A missing baseline *file* only warns — that is how a new writer is
+    introduced — but a missing baseline *directory* fails: it would
+    otherwise turn the whole gate into a warning-only no-op.
+    """
     baseline_root = Path(baseline_dir)
     current_root = Path(current_dir)
     report = CheckReport(baseline_dir=baseline_root, current_dir=current_root)
@@ -302,9 +240,14 @@ def check_directories(
                 FAIL,
                 f"current run produced no {artifact} (expected at {current_path})",
             )
-            report.artifacts.append(entry)
-            continue
-        if not baseline_path.is_file():
+        elif not baseline_root.is_dir():
+            entry.add(
+                "",
+                "presence",
+                FAIL,
+                f"baseline directory {baseline_root} does not exist",
+            )
+        elif not baseline_path.is_file():
             entry.add(
                 "",
                 "presence",
@@ -312,14 +255,9 @@ def check_directories(
                 f"no committed baseline at {baseline_path}; commit the fresh "
                 "artifact to start gating this benchmark",
             )
-            report.artifacts.append(entry)
-            continue
-        report.artifacts.append(
-            compare_envelopes(
-                artifact,
-                load_artifact(baseline_path),
-                load_artifact(current_path),
-                policy,
+        else:
+            entry = compare_envelopes(
+                artifact, load_artifact(baseline_path), load_artifact(current_path)
             )
-        )
+        report.artifacts.append(entry)
     return report

@@ -12,12 +12,12 @@ one normalized envelope before it hits disk::
       "record": {...}                        # the original nested record
     }
 
-The flat ``metrics`` map is what the regression checker diffs: dotted
-keys, numeric/boolean leaves only, host metadata excluded (host facts are
-environment, not results — they live in ``host`` and drive the timing
-warn-downgrade instead).  Pre-envelope artifacts (``schema_version``
-absent) still load: the whole document is treated as the record, the
-scale and host are unknown, and the checker downgrades accordingly.
+The flat ``metrics`` map is what the regression checker diffs, exactly:
+dotted keys, numeric/boolean leaves only.  Two kinds of value stay out
+of it.  Host facts are environment, not results: they live in ``host``.
+Wall-clock numbers depend on the machine: each writer declares them by
+putting them under a key named ``timing``, next to the counts they
+belong to, and they stay in ``record`` for people to read.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 import platform
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.bench.io import PathLike, atomic_write_json, load_json
 
@@ -36,8 +36,11 @@ SCHEMA_VERSION = 1
 #: Workload-size tags the runner pins (free-form tags also load fine).
 KNOWN_SCALES = ("smoke", "full")
 
-#: Top-level record keys that never become metrics.
-_EXCLUDED_SUBTREES = ("host",)
+#: Top-level record key whose subtree never becomes metrics.
+_HOST = "host"
+
+#: Key whose subtree never becomes metrics, at any depth.
+_TIMING = "timing"
 
 MetricValue = object  # int | float | bool at runtime; kept loose for JSON
 
@@ -51,13 +54,11 @@ def effective_cpu_count() -> int:
 
 
 def host_metadata() -> Dict[str, object]:
-    """The host facts the regression policy keys on.
+    """Where an artifact was measured: the context of its ``timing`` blocks.
 
     ``kernel_backend`` is the process-default walk-kernel backend
     (:mod:`repro.walks.kernels`) — an execution-environment fact, not a
-    result, so it rides in the host block: timings from differently
-    backed runs are no more comparable than timings from different CPUs,
-    and :func:`hosts_match` downgrades them to warn the same way.
+    result, so it rides in the host block next to the CPU count.
     """
     from repro.walks.kernels import default_backend_name
 
@@ -73,16 +74,17 @@ def host_metadata() -> Dict[str, object]:
 def flatten_metrics(record: object) -> Dict[str, MetricValue]:
     """Flatten *record* into dotted-key → numeric/bool leaf pairs.
 
-    Dicts flatten by key, lists by index; strings, ``None``, and the
-    excluded subtrees (host metadata) are skipped.  Booleans are kept as
-    booleans — they diff exactly, like any deterministic metric.
+    Dicts flatten by key, lists by index; strings, ``None``, the
+    top-level ``host`` block and every ``timing`` block are skipped.
+    Booleans are kept as booleans — they diff exactly, like any other
+    metric.
     """
     flat: Dict[str, MetricValue] = {}
 
     def visit(prefix: str, value: object) -> None:
         if isinstance(value, dict):
             for key, item in value.items():
-                if not prefix and key in _EXCLUDED_SUBTREES:
+                if key == _TIMING or (not prefix and key == _HOST):
                     continue
                 visit(f"{prefix}{key}." if prefix else f"{key}.", item)
             return
@@ -99,20 +101,15 @@ def flatten_metrics(record: object) -> Dict[str, MetricValue]:
 
 @dataclass(frozen=True)
 class Envelope:
-    """One loaded benchmark artifact, normalized or legacy."""
+    """One loaded benchmark artifact."""
 
     benchmark: str
     scale: Optional[str]
     host: Optional[Dict[str, object]]
     metrics: Dict[str, MetricValue]
     record: Dict[str, object]
-    schema_version: Optional[int] = SCHEMA_VERSION
+    schema_version: int = SCHEMA_VERSION
     path: Optional[Path] = field(default=None, compare=False)
-
-    @property
-    def legacy(self) -> bool:
-        """True for pre-envelope artifacts (bare nested records)."""
-        return self.schema_version is None
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -161,22 +158,11 @@ def write_artifact(
 
 
 def load_artifact(path: PathLike) -> Envelope:
-    """Load one artifact, accepting both envelope and legacy layouts."""
+    """Load one enveloped artifact; anything else raises ``ValueError``."""
     document = load_json(path)
     if not isinstance(document, dict):
         raise ValueError(f"{path}: benchmark artifacts must be JSON objects")
-    if "schema_version" not in document:
-        # Legacy bare record: unknown scale/host, metrics derived fresh.
-        return Envelope(
-            benchmark=str(document.get("benchmark", "unknown")),
-            scale=None,
-            host=None,
-            metrics=flatten_metrics(document),
-            record=document,
-            schema_version=None,
-            path=Path(path),
-        )
-    version = document["schema_version"]
+    version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported schema_version {version!r} "
@@ -197,44 +183,3 @@ def load_artifact(path: PathLike) -> Envelope:
         schema_version=version,
         path=Path(path),
     )
-
-
-def hosts_match(
-    baseline: Optional[Dict[str, object]], current: Optional[Dict[str, object]]
-) -> Tuple[bool, str]:
-    """Whether two host blocks are timing-comparable, with the reason.
-
-    Timing numbers only gate when the CPU budget and platform match; a
-    1-core CI container must never hard-fail a multi-core baseline.
-    Unknown hosts (legacy artifacts) never match.
-    """
-    if not baseline or not current:
-        return False, "host metadata unavailable on one side"
-    for key in ("cpu_count", "platform"):
-        if baseline.get(key) != current.get(key):
-            return False, (
-                f"host {key} differs: "
-                f"baseline={baseline.get(key)!r} current={current.get(key)!r}"
-            )
-    # Artifacts recorded before the backend field existed were all
-    # NumPy-backed — default the missing key so they keep host-matching
-    # numpy runs, while any cross-backend pair downgrades to warn.
-    base_backend = baseline.get("kernel_backend", "numpy")
-    cur_backend = current.get("kernel_backend", "numpy")
-    if base_backend != cur_backend:
-        return False, (
-            f"host kernel_backend differs: "
-            f"baseline={base_backend!r} current={cur_backend!r}"
-        )
-    # Same deal for the slab backend (shm vs mmap-file): page-cache
-    # walks time differently from /dev/shm walks, so cross-storage
-    # timings downgrade to warn.  Artifacts recorded before the axis
-    # existed were all shm-backed.
-    base_storage = baseline.get("slab_storage", "shm")
-    cur_storage = current.get("slab_storage", "shm")
-    if base_storage != cur_storage:
-        return False, (
-            f"host slab_storage differs: "
-            f"baseline={base_storage!r} current={cur_storage!r}"
-        )
-    return True, "hosts match"

@@ -23,7 +23,8 @@ job replaying ``repro.bench append`` on the same results under the same
 label finds its entry already present and skips, instead of inflating
 the series with duplicate sequence numbers.  The digest is computed over
 the canonical JSON of the entry's artifacts map, so any metric change —
-or a different label — still appends a genuinely new run.
+or a different label — still appends a genuinely new run.  Metrics hold
+no ``timing`` block, so a re-run of unchanged code digests the same.
 """
 
 from __future__ import annotations

@@ -175,9 +175,10 @@ class EngineConfig:
         sample (§6.1 future work) — selects the ``long_run_*`` twin of
         the chosen backend.  Not available for ``charged``.
     n_workers / mp_context:
-        Engine shape used when the *caller* asks :func:`estimate` to own
-        a sharded engine's lifetime (the CLI does); ignored when an
-        engine is passed in.
+        Engine shape for a caller that builds the sharded engine itself:
+        only the CLI's ``run_job_spec`` reads these fields.
+        :func:`estimate` never builds an engine, and it and
+        :mod:`repro.service` ignore them.
     slab_storage / slab_dir:
         Slab backend for a caller-owned sharded engine — ``"shm"``
         (default) or ``"file"`` with a slab directory (see

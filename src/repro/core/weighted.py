@@ -554,7 +554,10 @@ def ws_bw_batch(
        charged batched-backward regime should go through
        :func:`repro.core.estimate` with ``EngineConfig(backend="charged")``
        (the dispatcher forces ``batch_backward=True`` on the sampler,
-       which routes every backward loop here); this direct signature
+       which routes each candidate's top-up to its base backward
+       repetitions here; ``ProbabilityEstimator.refine`` still draws
+       every refinement walk through the scalar
+       :func:`weighted_backward_estimate`); this direct signature
        remains the internal building block.
     """
     if t < 0:

@@ -72,7 +72,8 @@ def test_load_json_reports_corrupt_file_with_path(tmp_path):
 def test_accepts_string_paths(tmp_path):
     target = str(tmp_path / "BENCH_x.json")
     atomic_write_json(target, [1, 2, 3])
-    assert json.loads(open(target).read()) == [1, 2, 3]
+    with open(target, encoding="utf-8") as handle:
+        assert json.load(handle) == [1, 2, 3]
 
 
 def test_indented_text_matches_json_dump(tmp_path):

@@ -23,7 +23,7 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["run", "--suite", "smoke"],
-            ["check", "--baseline", ".", "--timing", "warn"],
+            ["check", "--baseline", ".", "--json"],
             ["append", "--label", "x"],
         ):
             assert parser.parse_args(argv).command == argv[0]
@@ -111,9 +111,11 @@ class TestWalkNotWaitForwarding:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_bench_subcommand_propagates_exit_codes(self, tmp_path):
+    def test_bench_subcommand_propagates_exit_codes(self, tmp_path, monkeypatch):
         from repro import cli
 
+        # Without --current, check reads ./bench_results when it exists.
+        monkeypatch.chdir(tmp_path)
         assert (
             cli.main(["bench", "check", "--baseline", str(tmp_path / "empty")])
             != 0
@@ -142,4 +144,9 @@ class TestRealWriterIntegration:
         envelope = load_artifact(produced[0])
         assert envelope.benchmark == "walk_throughput"
         assert envelope.scale == "smoke"
-        assert any("steps_per_sec" in key for key in envelope.metrics)
+        # Wall-clock rates stay in the record's timing blocks, out of
+        # the exactly compared metrics.
+        scalar = envelope.record["designs"]["srw"]["scalar"]
+        assert scalar["timing"]["steps_per_sec"] > 0
+        assert envelope.metrics["designs.srw.scalar.walks"] == scalar["walks"]
+        assert not any("per_sec" in key for key in envelope.metrics)

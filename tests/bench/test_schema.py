@@ -1,4 +1,4 @@
-"""The normalized artifact envelope: flattening, round-trip, legacy load."""
+"""The normalized artifact envelope: flattening, round-trip, refusals."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.bench import (
     SCHEMA_VERSION,
     flatten_metrics,
     host_metadata,
-    hosts_match,
     load_artifact,
     make_envelope,
     write_artifact,
@@ -49,9 +48,9 @@ class TestFlatten:
         assert "benchmark" not in flat
 
     def test_host_subtree_excluded(self):
-        # Host facts are environment; they drive the timing downgrade,
-        # they never diff as metrics (a 2-core runner vs a 1-core
-        # baseline must not "fail" on host.cpu_count).
+        # Host facts are environment; they never diff as metrics (a
+        # 2-core runner vs a 1-core baseline must not "fail" on
+        # host.cpu_count).
         flat = flatten_metrics(RECORD)
         assert not any(key.startswith("host.") for key in flat)
 
@@ -59,6 +58,19 @@ class TestFlatten:
         # Only the top-level host block is environment metadata.
         flat = flatten_metrics({"sweep": {"host": {"cpu_count": 4}}})
         assert flat == {"sweep.host.cpu_count": 4}
+
+    def test_timing_subtrees_excluded_at_any_depth(self):
+        record = {
+            "timing": {"seconds": 1.5},
+            "rows": [{"walks": 3, "timing": {"steps_per_sec": 9.0}}],
+            "sweep": {"4": {"query_cost": 7, "timing": {"real_seconds": 0.2}}},
+        }
+        assert flatten_metrics(record) == {"rows.0.walks": 3, "sweep.4.query_cost": 7}
+
+    def test_timing_is_skipped_whatever_its_shape(self):
+        # A scalar or list under ``timing`` is as much wall-clock as a block.
+        record = {"walks": 2, "timing": 0.5, "sweep": {"timing": [1.0, 2.0]}}
+        assert flatten_metrics(record) == {"walks": 2}
 
 
 class TestEnvelope:
@@ -68,7 +80,6 @@ class TestEnvelope:
         assert envelope.scale == "smoke"
         assert envelope.schema_version == SCHEMA_VERSION
         assert envelope.host == host_metadata()
-        assert not envelope.legacy
 
     def test_rejects_non_dict_records(self):
         with pytest.raises(TypeError, match="dicts"):
@@ -99,14 +110,11 @@ class TestEnvelope:
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["record"]["designs"]["srw"]["scalar"]["walks"] == 200
 
-    def test_legacy_bare_record_loads_with_unknown_scale_and_host(self, tmp_path):
+    def test_bare_record_without_schema_version_is_rejected(self, tmp_path):
         path = tmp_path / "BENCH_legacy.json"
         path.write_text(json.dumps(RECORD))
-        loaded = load_artifact(path)
-        assert loaded.legacy
-        assert loaded.scale is None
-        assert loaded.host is None
-        assert loaded.metrics == flatten_metrics(RECORD)
+        with pytest.raises(ValueError, match="schema_version None"):
+            load_artifact(path)
 
     def test_future_schema_version_is_rejected(self, tmp_path):
         path = tmp_path / "BENCH_future.json"
@@ -125,45 +133,6 @@ class TestEnvelope:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="JSON objects"):
             load_artifact(path)
-
-
-class TestHostsMatch:
-    def test_same_host_matches(self):
-        host = {"cpu_count": 4, "platform": "linux-x86_64", "python": "3.12.1"}
-        ok, note = hosts_match(host, dict(host))
-        assert ok and note == "hosts match"
-
-    def test_cpu_count_difference_breaks_match(self):
-        a = {"cpu_count": 1, "platform": "linux-x86_64"}
-        b = {"cpu_count": 4, "platform": "linux-x86_64"}
-        ok, note = hosts_match(a, b)
-        assert not ok and "cpu_count" in note
-
-    def test_python_version_alone_does_not_break_match(self):
-        a = {"cpu_count": 2, "platform": "linux-x86_64", "python": "3.10.0"}
-        b = {"cpu_count": 2, "platform": "linux-x86_64", "python": "3.12.1"}
-        assert hosts_match(a, b)[0]
-
-    def test_unknown_host_never_matches(self):
-        assert not hosts_match(None, {"cpu_count": 1})[0]
-        assert not hosts_match({"cpu_count": 1}, None)[0]
-
-    def test_cross_backend_runs_never_host_match(self):
-        # Timings from differently backed runs must downgrade to warn —
-        # a JIT run gating against a NumPy baseline would be noise.
-        a = {"cpu_count": 2, "platform": "linux-x86_64", "kernel_backend": "numpy"}
-        b = {"cpu_count": 2, "platform": "linux-x86_64", "kernel_backend": "native"}
-        ok, note = hosts_match(a, b)
-        assert not ok and "kernel_backend" in note
-
-    def test_legacy_host_blocks_default_to_numpy_backend(self):
-        # Baselines committed before the backend field were NumPy-backed:
-        # they keep matching numpy runs and keep mismatching native ones.
-        legacy = {"cpu_count": 2, "platform": "linux-x86_64"}
-        numpy_run = dict(legacy, kernel_backend="numpy")
-        native_run = dict(legacy, kernel_backend="native")
-        assert hosts_match(legacy, numpy_run)[0]
-        assert not hosts_match(legacy, native_run)[0]
 
 
 def test_host_metadata_shape():

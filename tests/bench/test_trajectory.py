@@ -7,7 +7,7 @@ import pytest
 from repro.bench import append_run, load_trajectory, write_artifact
 from repro.bench.cli import main as bench_main
 
-RECORD = {"benchmark": "stub", "query_cost": 10, "steps_per_sec": 5.0}
+RECORD = {"benchmark": "stub", "query_cost": 10, "timing": {"steps_per_sec": 5.0}}
 
 
 @pytest.fixture
@@ -34,10 +34,8 @@ class TestAppendRun:
         assert entry["scale"] == "smoke"
         doc = json.loads(trajectory.read_text())
         assert doc["schema_version"] == 1
-        assert doc["runs"][0]["artifacts"]["BENCH_stub.json"]["metrics"] == {
-            "query_cost": 10,
-            "steps_per_sec": 5.0,
-        }
+        metrics = doc["runs"][0]["artifacts"]["BENCH_stub.json"]["metrics"]
+        assert metrics == {"query_cost": 10}
 
     def test_appends_grow_the_series_in_order(self, tmp_path, results):
         # Distinct labels = distinct runs, even over identical artifacts.
@@ -95,6 +93,22 @@ class TestAppendIdempotence:
         assert again["sequence"] == first["sequence"] == 1
         # The skip leaves the document byte-identical — no rewrite at all.
         assert trajectory.read_text() == before
+        assert len(load_trajectory(trajectory)["runs"]) == 1
+
+    def test_rerun_differing_only_in_timing_skips(self, tmp_path, results):
+        # A re-run of unchanged code measures new wall-clock numbers; they
+        # live in the record's timing block, so the digest is unchanged.
+        trajectory = tmp_path / "BENCH_TRAJECTORY.json"
+        append_run(trajectory, results, ["BENCH_stub.json"], label="ci-abc")
+        write_artifact(
+            {**RECORD, "timing": {"steps_per_sec": 15.0}},
+            results / "BENCH_stub.json",
+            scale="smoke",
+        )
+        _, appended = append_run(
+            trajectory, results, ["BENCH_stub.json"], label="ci-abc"
+        )
+        assert not appended
         assert len(load_trajectory(trajectory)["runs"]) == 1
 
     def test_different_label_appends_over_identical_results(
