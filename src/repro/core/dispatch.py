@@ -168,8 +168,9 @@ class EngineConfig:
         candidate's backward repetitions advance together, one accounting
         settlement per depth level); ``batch`` — the vectorized free-graph
         round over a compiled :class:`~repro.graphs.csr.CSRGraph`;
-        ``sharded`` — the same round fanned over a
-        :class:`~repro.walks.parallel.ShardedWalkEngine`.
+        ``sharded`` — the same round split into a shard plan and run on
+        an executor: a :class:`~repro.walks.parallel.ShardedWalkEngine`,
+        or in process (:mod:`repro.service` runs every round inline).
     long_run:
         Segment one (or K) continuous walks instead of restarting per
         sample (§6.1 future work) — selects the ``long_run_*`` twin of
@@ -484,7 +485,9 @@ def estimate(
 ) -> EstimateResult:
     """Run one estimation job on whichever engine its spec selects.
 
-    Exactly one resource matching the spec's backend must be supplied:
+    The resource matching the spec's backend must be supplied; the
+    others are ignored, so a caller serving several backends (the
+    serving layer) may pass them all:
 
     ========== =====================================================
     backend     required resource
@@ -493,8 +496,10 @@ def estimate(
     charged     ``api`` (the sampler runs with batched backward walks)
     batch       ``graph`` — a :class:`~repro.graphs.graph.Graph` or
                 compiled :class:`~repro.graphs.csr.CSRGraph`
-    sharded     ``engine`` — a live
-                :class:`~repro.walks.parallel.ShardedWalkEngine`
+    sharded     ``engine`` — an executor: a live
+                :class:`~repro.walks.parallel.ShardedWalkEngine`, or an
+                :class:`~repro.walks.parallel.InlineExecutor` running
+                the same shard plan in process
     ========== =====================================================
 
     *seed* overrides the spec's seed when given — the hook callers that

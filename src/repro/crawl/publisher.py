@@ -194,9 +194,10 @@ class TopologyPublisher:
         self._current: Optional[PublishedTopology] = None
         self._epoch = 0
         self._closed = False
-        #: Compactions actually performed by :meth:`publish` — gated
-        #: no-ops and :meth:`adopt` don't count.  The resume tests pin
-        #: this at zero when a persisted slab is re-attached.
+        #: Compactions actually performed by :meth:`publish` and
+        #: :meth:`rebuild` — gated no-ops and :meth:`adopt` don't count.
+        #: The resume tests pin this at zero when a persisted slab is
+        #: re-attached.
         self.compactions = 0
 
     # ------------------------------------------------------------------
@@ -270,18 +271,50 @@ class TopologyPublisher:
                 and rows - self._current.rows < self._min_new_rows
             ):
                 return None
-            self.compactions += 1
-            csr = slab.fetched_csr() if self._fetched_only else slab.csr
-            shared = SharedCSR.create(
-                csr, storage=self._storage, slab_dir=self._slab_dir
-            )
-            try:
-                topology = PublishedTopology(self._epoch + 1, shared, slab, rows)
-                self._install(topology)
-            except BaseException:
-                shared.close()
-                raise
-            return topology
+            return self._publish_slab(slab, rows, self._epoch + 1)
+
+    def rebuild(self, *, rows: int, epoch: int) -> PublishedTopology:
+        """Re-publish a lost epoch from the store's rows under its number.
+
+        The resume path for a slab that died with its process (every
+        ``/dev/shm`` slab; a file slab that went missing): compact the
+        restored rows exactly as :meth:`publish` would and install the
+        slab as epoch *epoch*, so the next publish is ``epoch + 1``,
+        gated on growth past *rows* — the numbering an uninterrupted
+        publisher continues with.  The store must hold exactly *rows*
+        fetched rows, or the rebuilt slab would not be that epoch's
+        graph.  Only valid while nothing has been published yet.
+        """
+        with self._lock:
+            if self._closed:
+                raise ConfigurationError("publisher is closed")
+            if self._current is not None or self._epoch:
+                raise ConfigurationError(
+                    "rebuild() requires a publisher that has not published yet"
+                )
+            slab = self._discovered.compact()
+            fetched = int(slab.fetched.sum())
+            if fetched != rows:
+                raise ConfigurationError(
+                    f"epoch {epoch} was published at {rows} fetched rows, "
+                    f"but the store holds {fetched}"
+                )
+            return self._publish_slab(slab, rows, int(epoch))
+
+    def _publish_slab(
+        self, slab: DiscoveredSlab, rows: int, epoch: int
+    ) -> PublishedTopology:
+        """Copy one compaction into a fresh slab and install it as *epoch*."""
+        self.compactions += 1
+        csr = slab.fetched_csr() if self._fetched_only else slab.csr
+        shared = SharedCSR.create(csr, storage=self._storage, slab_dir=self._slab_dir)
+        try:
+            topology = PublishedTopology(epoch, shared, slab, rows)
+            self._install(topology)
+        except BaseException:
+            shared.close()
+            raise
+        return topology
 
     def adopt(
         self, shared: SharedCSR, *, rows: int, epoch: Optional[int] = None

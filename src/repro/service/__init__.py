@@ -5,8 +5,8 @@ ROADMAP open item 1 made concrete: the §2.4 client-side cache
 asset.  One :class:`SamplingService` multiplexes many concurrent estimation
 jobs — each an :class:`~repro.core.dispatch.EstimationJobSpec`, each with
 its own tenant, error target, and unique-node budget — over a single
-charged API, a single crawler, a single topology publisher, and (for
-sharded jobs) a single persistent walk engine.  Rows any tenant pays for
+charged API, a single crawler and a single topology publisher, with every
+walk round run in process over the leased epoch.  Rows any tenant pays for
 are cached for everyone, so N concurrent tenants spend strictly fewer
 queries than N isolated runs at the same accuracy
 (``benchmarks/bench_service.py`` measures exactly this).

@@ -19,7 +19,7 @@ store's insertion order.  Documents are written through
 :func:`repro.bench.io.atomic_write_json`, so a crash mid-write leaves the
 previous checkpoint intact, never a torn one.
 
-**Format (version 4).**  The document is strict JSON on one line,
+**Format (version 5).**  The document is strict JSON on one line,
 serialized by CPython's C encoder (``indent=None``).  The two bulk
 payloads are written as bytes, not as numbers: each job's accepted
 ``values`` and ``weights`` are one base64 blob of little-endian float64
@@ -37,18 +37,22 @@ its first sample) is written as a one-value float64 blob, since strict
 JSON has no NaN or infinity.  The small lists — counter, ledger,
 crawler frontier, specs and partials — stay plain JSON.
 
-**Topology.**  What survives depends on the slab backend.  ``/dev/shm``
-slabs die with the machine, so they are *not* captured — the first
-post-resume publish rebuilds them from the restored rows (free, the rows
-are local, but it re-pays the compaction).  A **file-backed** slab
-(``ServiceConfig.slab_storage="file"``) outlives the process: the
-checkpoint records its path and sha256 content digest, and
-:func:`restore` re-attaches the persisted file instead of re-compacting —
-zero re-paid queries *and* zero re-compactions.  A missing file or a
-digest mismatch silently falls back to the rebuild-from-rows path: resume
-may repeat work, but never publishes a wrong graph.  Live stream
-subscriptions are never captured (a handle is a connection, not state;
-``partials`` history is preserved, replay is the caller's choice).
+**Topology.**  The ``topology`` record names the live epoch: its number
+and its row watermark, for every slab backend.  A ``/dev/shm`` slab dies
+with the machine, so :func:`restore` rebuilds it from the restored rows
+through :meth:`~repro.crawl.publisher.TopologyPublisher.rebuild` (free,
+the rows are local, but it re-pays the compaction) and installs it under
+the recorded number: partials streamed after a resume carry the epoch
+labels an uninterrupted run streams, and the next publish is N + 1 only
+if the graph grew.  A **file-backed** slab
+(``ServiceConfig.slab_storage="file"``) outlives the process: the record
+adds its path and sha256 content digest, and :func:`restore` re-attaches
+the persisted file instead of re-compacting — zero re-paid queries *and*
+zero re-compactions.  A missing file or a digest mismatch silently falls
+back to the rebuild: resume may repeat work, but never publishes a wrong
+graph.  Live stream subscriptions are never captured (a handle is a
+connection, not state; ``partials`` history is preserved, replay is the
+caller's choice).
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ import numpy as np
 
 from repro.bench.io import atomic_write_json, load_json
 from repro.core.dispatch import EstimationJobSpec
-from repro.errors import CheckpointError, GraphError
+from repro.errors import CheckpointError, ConfigurationError, GraphError
 from repro.graphs.shm import CSRSlabSpec, SharedCSR, compute_file_digest
 from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 
@@ -71,8 +75,9 @@ from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 #: added the ``topology`` record (persisted file-slab path + digest);
 #: version 3 dropped ``batch_backward`` from the job specs' engine config;
 #: version 4 writes samples and discovered rows as base64 blobs and
-#: non-finite estimates as one-value blobs.
-CHECKPOINT_VERSION = 4
+#: non-finite estimates as one-value blobs; version 5 records the live
+#: epoch's number and watermark for ``/dev/shm`` slabs too.
+CHECKPOINT_VERSION = 5
 
 #: Top-level keys every checkpoint document carries.
 CHECKPOINT_KEYS = frozenset(
@@ -224,39 +229,59 @@ def _rebuild_job(doc: Mapping[str, Any]) -> Job:
 
 
 def _topology_document(service) -> Optional[Dict[str, Any]]:
-    """The live epoch's persistence record, or ``None``.
+    """The live epoch's record, or ``None`` before the first publish.
 
-    Only a file-backed slab can be re-attached after the process dies, so
-    only that case is recorded: the attach spec (path included), the
-    epoch/watermark provenance, and a sha256 digest of the slab's bytes
+    Every record carries the epoch number and row watermark that
+    :func:`_restore_topology` re-installs.  Only a file-backed slab can
+    be re-attached after the process dies, so only that case adds the
+    attach spec (path included) and a sha256 digest of the slab's bytes
     for :func:`_adopt_topology` to validate against.
     """
     current = service.publisher.current
-    if current is None or current.retired or current.spec.storage != "file":
+    if current is None or current.retired:
         return None
-    return {
-        "storage": "file",
-        "path": current.spec.segment,
-        "digest": current.shared.content_digest(),
+    document: Dict[str, Any] = {
+        "storage": current.spec.storage,
         "epoch": int(current.epoch),
         "rows": int(current.rows),
-        "spec": current.spec.to_dict(),
     }
+    if current.spec.storage == "file":
+        document["path"] = current.spec.segment
+        document["digest"] = current.shared.content_digest()
+        document["spec"] = current.spec.to_dict()
+    return document
 
 
-def _adopt_topology(service, document: Optional[Mapping[str, Any]]) -> bool:
+def _restore_topology(service, document: Optional[Mapping[str, Any]]) -> None:
+    """Re-install the checkpoint's live epoch under its recorded number.
+
+    A persisted file slab is adopted as is; anything else — every
+    ``/dev/shm`` slab, a missing or tampered file — is rebuilt from the
+    restored rows.  Either way the service's standing lease pins it, as
+    it pinned the epoch at capture.
+    """
+    if document is None:
+        return
+    if not _adopt_topology(service, document):
+        try:
+            service.publisher.rebuild(
+                rows=int(document["rows"]), epoch=int(document["epoch"])
+            )
+        except ConfigurationError as exc:
+            raise CheckpointError(f"cannot rebuild the live epoch: {exc}") from exc
+    service._swap_lease()
+
+
+def _adopt_topology(service, document: Mapping[str, Any]) -> bool:
     """Re-attach the checkpoint's persisted slab; True when adopted.
 
     The happy path re-creates the pre-crash topology without a single
-    compaction: re-map the slab file, hand it to the publisher as the
-    restored epoch, and pin the service's standing lease to it.  Every
-    guard falls back to ``False`` — the first post-resume publish then
-    rebuilds from the restored rows exactly as a version-1 resume would.
-    A stale or tampered slab never becomes the published graph: the file
+    compaction: re-map the slab file and hand it to the publisher as the
+    restored epoch.  Every guard falls back to ``False`` —
+    :func:`_restore_topology` then rebuilds from the restored rows.  A
+    stale or tampered slab never becomes the published graph: the file
     digest must match what :func:`capture` recorded.
     """
-    if not document:
-        return False
     try:
         if document.get("storage") != "file":
             return False
@@ -272,7 +297,6 @@ def _adopt_topology(service, document: Optional[Mapping[str, Any]]) -> bool:
         service.publisher.adopt(
             shared, rows=int(document["rows"]), epoch=int(document["epoch"])
         )
-        service._swap_lease()
     except BaseException:
         shared.close()
         raise
@@ -405,7 +429,6 @@ def restore(service, document: Mapping[str, Any]) -> None:
     service.scheduler.pending.extend(service.jobs[job_id] for job_id in pending)
     service.scheduler.running.extend(service.jobs[job_id] for job_id in running)
     service.scheduler._driver_cursor = int(document["driver_cursor"])
-    # Last, once rows and jobs are in place: re-attach a persisted file
-    # slab if the checkpoint carried one (best-effort; on fallback the
-    # first publish rebuilds the topology from the rows restored above).
-    _adopt_topology(service, document.get("topology"))
+    # Last, once rows and jobs are in place: re-install the live epoch,
+    # from its persisted file slab or rebuilt from the rows restored above.
+    _restore_topology(service, document["topology"])

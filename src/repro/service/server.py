@@ -4,8 +4,7 @@
 built: one charged :class:`~repro.osn.api.SocialNetworkAPI` feeding one
 shared :class:`~repro.graphs.discovered.DiscoveredGraph`, compacted into
 ``/dev/shm`` epochs by a :class:`~repro.crawl.publisher.TopologyPublisher`,
-walked by either zero-copy in-process rounds or one persistent
-:class:`~repro.walks.parallel.ShardedWalkEngine` — multiplexed across every
+and walked in process over the leased epoch — multiplexed across every
 admitted job.  §2.4 is the whole economics: a row any tenant pays for is
 cached forever, so concurrent tenants are strictly cheaper than isolated
 ones (the property ``benchmarks/bench_service.py`` measures).
@@ -17,12 +16,17 @@ ones (the property ``benchmarks/bench_service.py`` measures).
    discovered graph by one chunk, attributed to that tenant's ledger
    account and capped at its remaining budget;
 3. publishes a fresh topology epoch when the graph grew, and swaps the
-   service's *standing lease* onto it (re-pointing the walk engine) —
-   the old epoch's slab retires the moment the swap completes;
+   service's *standing lease* onto it — the old epoch's slab retires the
+   moment the swap completes;
 4. runs one WALK-ESTIMATE round per running job through the unified
    :func:`repro.core.estimate` dispatcher (the service never calls a
-   front end directly), folds the accepted samples into the job's
-   running importance estimate, and streams a
+   front end directly), in process over the leased epoch's graph: a
+   ``batch`` job as one shard, a ``sharded`` job as the shard plan of
+   ``config.n_workers`` shards on an
+   :class:`~repro.walks.parallel.InlineExecutor`.  The plan, not the
+   executor, fixes a round's result, so the service starts no worker
+   process.  It then folds the accepted samples into the job's running
+   importance estimate and streams a
    :class:`~repro.service.jobs.PartialEstimate`;
 5. resolves jobs whose error target is met, whose round limit is
    reached, or whose tenant budget is exhausted past the grace window
@@ -35,7 +39,7 @@ streams, so every interleaving (admission, preemption, epoch swap under
 running jobs) replays bit for bit.
 
 **Hygiene.**  The service *holds a lease between rounds* (the standing
-lease pinning the current epoch for the persistent engine).  On
+lease pinning the epoch its rounds walk).  On
 :meth:`SamplingService.close` that lease is released **before**
 ``publisher.close()`` — otherwise the close would defer the unlink to a
 lease nobody will ever release again and the ``/dev/shm`` segment would
@@ -71,7 +75,7 @@ from repro.service import checkpoint as checkpoint_module
 from repro.service.jobs import Job, JobHandle, JobResult, JobState, PartialEstimate
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import JobScheduler
-from repro.walks.parallel import ShardedWalkEngine
+from repro.walks.parallel import InlineExecutor
 
 #: Backends the service can run over the shared free topology.  Scalar and
 #: charged backends issue per-sample API queries of their own and would
@@ -106,9 +110,14 @@ class ServiceConfig:
     monitor_interval:
         Simulated seconds between background monitor samples; ``None``
         disables the monitor worker.
-    n_workers / mp_context:
-        Shape of the lazily created persistent walk engine used by
-        sharded-backend jobs.
+    n_workers:
+        Shard count of ``sharded`` jobs.  It fixes their shard plan and
+        so their RNG streams (:func:`~repro.walks.parallel.shard_rngs`);
+        the shards run in process, one after another.  ``batch`` jobs
+        always run as one shard.
+    mp_context:
+        Ignored: the service starts no worker process.  Kept so existing
+        configs and checkpoint documents still construct.
     checkpoint_path:
         Where the service writes periodic checkpoints (atomic JSON; see
         :mod:`repro.service.checkpoint`); ``None`` disables them.
@@ -195,8 +204,7 @@ class SamplingService:
         submission order).
 
     Use as a context manager or call :meth:`close`; the service holds a
-    standing topology lease, a publisher segment, and (for sharded jobs)
-    a live process pool until released.
+    standing topology lease and a publisher segment until released.
     """
 
     def __init__(
@@ -236,7 +244,6 @@ class SamplingService:
             slab_dir=self.config.slab_dir,
         )
         self._rng = ensure_rng(seed)
-        self._engine: Optional[ShardedWalkEngine] = None
         self._lease: Optional[TopologyLease] = None
         self._job_sequence = 0
         self.jobs: Dict[str, Job] = {}
@@ -465,26 +472,11 @@ class SamplingService:
         return new_rows > 0
 
     def _swap_lease(self) -> None:
-        """Pin the newest epoch; re-point the engine; release the old pin.
-
-        Order matters: the engine moves to the new slab *before* the old
-        lease is released, so no round can ever observe a retired segment.
-        """
+        """Pin the newest epoch, then release the old pin."""
         new_lease = self.publisher.acquire()
-        if self._engine is not None:
-            self._engine.update_topology(new_lease.topology.shared)
         if self._lease is not None:
             self._lease.release()
         self._lease = new_lease
-
-    def _ensure_engine(self) -> ShardedWalkEngine:
-        if self._engine is None:
-            self._engine = ShardedWalkEngine.from_shared(
-                self._lease.topology.shared,
-                n_workers=self.config.n_workers,
-                mp_context=self.config.mp_context,
-            )
-        return self._engine
 
     def _run_round(self, job: Job) -> bool:
         """One WALK-ESTIMATE round for *job* over the pinned epoch."""
@@ -498,10 +490,11 @@ class SamplingService:
                 return True
             return False  # wait for coverage to reach the start
         clock_before = self.clock.now
-        if spec.engine.backend == "sharded":
-            result = estimate(spec, engine=self._ensure_engine(), seed=job.rng)
-        else:
-            result = estimate(spec, graph=graph, seed=job.rng)
+        # One in-process path: the dispatcher runs a batch job over
+        # graph= as one shard and a sharded job over engine=, its
+        # n_workers-shard plan on the same graph.
+        executor = InlineExecutor(graph, self.config.n_workers)
+        result = estimate(spec, graph=graph, engine=executor, seed=job.rng)
         # The estimand: true discovered degrees — every accepted node's row
         # is paid for, so this gather is free (§2.4).
         values = self.api.discovered.degrees_of(result.nodes).astype(np.float64)
@@ -673,20 +666,16 @@ class SamplingService:
     # Lifetime
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release engine, standing lease, publisher — in that order.
+        """Release the standing lease, then the publisher.
 
-        The engine's worker pool detaches first; then the standing lease
-        is released *before* ``publisher.close()`` so the final epoch's
-        segment is actually unlinked rather than deferred to a lease
-        nobody holds anymore — the ``/dev/shm`` hygiene contract.
+        The lease goes *before* ``publisher.close()`` so the final
+        epoch's segment is actually unlinked rather than deferred to a
+        lease nobody holds anymore — the ``/dev/shm`` hygiene contract.
         Idempotent.
         """
         if self._closed:
             return
         self._closed = True
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
         if self._lease is not None:
             self._lease.release()
             self._lease = None

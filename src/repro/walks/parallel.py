@@ -12,9 +12,10 @@ interface (``graph``, ``n_workers``, ``map_shards(fn, per_shard_args)``):
   topology (:mod:`repro.graphs.shm`).
 
 Whether the pool beats one process depends on the host, K, and the
-kernel backend.  On a 2-core container it ran slower than one process
-at every K measured, and two workers ran slower than one; see the
-ROADMAP's "Picking K and worker count" before choosing.
+kernel backend.  On a 2-core host, for whole WE rounds, it loses at
+K = 512 and starts to pay near K = 4096; the ROADMAP's "Picking K and
+worker count" holds that table.  Time both executors on your shape
+before choosing.
 
 **The shard plan is data.**  :func:`shard_slices` splits K walks into
 ``min(n_workers, K)`` contiguous shards of near-equal size, and

@@ -76,6 +76,44 @@ class TestPublish:
             publisher.publish()
 
 
+class TestRebuild:
+    """The resume path: a lost epoch re-published under its number."""
+
+    def test_rebuild_installs_the_recorded_epoch(self, api):
+        crawl_rows(api, 20)
+        rows = api.discovered.fetched_count
+        with TopologyPublisher(api.discovered) as publisher:
+            topology = publisher.rebuild(rows=rows, epoch=7)
+            reference = api.discovered.compact().fetched_csr()
+            assert np.array_equal(topology.graph.indices, reference.indices)
+            assert np.array_equal(topology.graph.node_ids, reference.node_ids)
+            assert (topology.epoch, topology.rows) == (7, rows)
+            assert publisher.current_epoch == 7
+            assert publisher.compactions == 1
+
+    def test_next_publish_is_gated_then_numbered_after_it(self, api):
+        crawler = crawl_rows(api, 20)
+        with TopologyPublisher(api.discovered) as publisher:
+            publisher.rebuild(rows=api.discovered.fetched_count, epoch=3)
+            assert publisher.publish() is None
+            crawler.crawl(max_new_rows=5)
+            assert publisher.publish().epoch == 4
+
+    def test_rebuild_refuses_a_watermark_the_rows_do_not_match(self, api):
+        crawl_rows(api, 20)
+        with TopologyPublisher(api.discovered) as publisher:
+            with pytest.raises(ConfigurationError, match="fetched rows"):
+                publisher.rebuild(rows=api.discovered.fetched_count - 1, epoch=2)
+            assert publisher.current is None
+
+    def test_rebuild_refuses_after_a_publish(self, api):
+        crawl_rows(api, 20)
+        with TopologyPublisher(api.discovered) as publisher:
+            publisher.publish()
+            with pytest.raises(ConfigurationError, match="not published"):
+                publisher.rebuild(rows=api.discovered.fetched_count, epoch=2)
+
+
 class TestEpochRetirement:
     def test_unleased_epoch_retires_on_swap(self, api):
         crawler = crawl_rows(api, 15)

@@ -1,7 +1,7 @@
 """Regression: the service's standing lease must not leak /dev/shm segments.
 
 :class:`~repro.service.server.SamplingService` pins the current topology
-epoch with a *standing lease* between rounds (the persistent engine walks
+epoch with a *standing lease* between rounds (its in-process rounds walk
 that slab).  ``TopologyPublisher.close()`` defers the unlink of any epoch
 with outstanding leases to the last release — correct for ordinary
 clients, fatal for the service if it closed the publisher while still
@@ -11,14 +11,17 @@ will ever release again, and the segment would outlive the process.
 ``SamplingService.close()`` therefore releases the standing lease
 *before* ``publisher.close()``.  These tests pin that ordering from the
 outside: after any service shutdown path, nothing the service created is
-left in ``/dev/shm``.
+left in ``/dev/shm``, and no path — ``sharded`` jobs included — leaves a
+worker process behind.
 """
 
+import multiprocessing
 import os
 
 import pytest
 
 from repro.core import EngineConfig, EstimationJobSpec, WalkEstimateConfig
+from repro.errors import ConfigurationError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.shm import _LIVE_SEGMENTS
 from repro.osn.api import SocialNetworkAPI
@@ -27,6 +30,10 @@ from repro.service import SamplingService, ServiceConfig
 
 def _dev_shm(segment: str) -> str:
     return os.path.join("/dev/shm", segment)
+
+
+def _child_pids() -> set:
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 WALK = WalkEstimateConfig(
@@ -77,18 +84,25 @@ class TestStandingLeaseHygiene:
             assert not os.path.exists(_dev_shm(segment))
         assert set(_LIVE_SEGMENTS) == before
 
-    def test_close_with_sharded_engine_attached(self, service):
+    def test_close_after_sharded_run_leaves_nothing_behind(self, service):
         before = set(_LIVE_SEGMENTS)
+        children = _child_pids()
         with service:
             service.run([spec(backend="sharded")])
             created = set(_LIVE_SEGMENTS) - before
             assert created
-        # Engine detached, lease released, publisher closed — in order.
-        assert service._engine is None
+            # Sharded rounds run in process: no worker was ever started.
+            assert _child_pids() <= children
+            lease = service._lease
+            assert lease is not None
+        # Lease released, publisher closed, segments unlinked.
         assert service._lease is None
+        with pytest.raises(ConfigurationError, match="released"):
+            lease.topology
         for segment in created:
             assert not os.path.exists(_dev_shm(segment))
         assert set(_LIVE_SEGMENTS) == before
+        assert _child_pids() <= children
 
     def test_close_before_any_epoch_is_clean(self, service):
         before = set(_LIVE_SEGMENTS)

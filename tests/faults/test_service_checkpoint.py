@@ -38,7 +38,7 @@ def hidden():
     return barabasi_albert_graph(200, 4, seed=9).relabeled()
 
 
-def job_spec(tenant, budget=120):
+def job_spec(tenant, budget=120, backend="batch"):
     return EstimationJobSpec(
         tenant=tenant,
         query_budget=budget,
@@ -46,7 +46,7 @@ def job_spec(tenant, budget=120):
         design="srw",
         samples=30,
         walk=WALK,
-        engine=EngineConfig(backend="batch"),
+        engine=EngineConfig(backend=backend),
     )
 
 
@@ -98,6 +98,41 @@ def campaign_fingerprint(service):
     )
 
 
+def exact(value):
+    """Floats by their bits, so a NaN compares equal to itself."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def exact_fields(record):
+    if record is None:
+        return None
+    return tuple(exact(v) for v in vars(record).values())
+
+
+def exact_fingerprint(service):
+    """Every partial (epoch label included) and result, bit for bit."""
+    return (
+        [
+            (
+                job_id,
+                job.state.value,
+                [exact_fields(partial) for partial in job.partials],
+                exact_fields(job.result),
+            )
+            for job_id, job in sorted(service.jobs.items())
+        ],
+        service.api.counter.state(),
+        service.ledger.charges(),
+    )
+
+
+def partial_epochs(service):
+    return {
+        job_id: [partial.epoch for partial in job.partials]
+        for job_id, job in sorted(service.jobs.items())
+    }
+
+
 class TestResumeParity:
     def test_resumed_campaign_is_bit_identical_and_repays_nothing(self, hidden):
         # Reference: the same two-tenant campaign, never interrupted.
@@ -126,6 +161,36 @@ class TestResumeParity:
             finish(resumed)
             assert campaign_fingerprint(resumed) == expected
             resumed.ledger.assert_balanced()
+        finally:
+            resumed.close()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_resume_keeps_epoch_labels_with_a_sharded_tenant(self, hidden, n_workers):
+        # A rebuilt /dev/shm epoch keeps its number: partials streamed
+        # after the resume carry the labels an uninterrupted run streams.
+        config = ServiceConfig(rows_per_epoch=30, n_workers=n_workers)
+        specs = [job_spec("alice"), job_spec("bob", backend="sharded")]
+        with make_service(hidden, config=config) as reference:
+            reference.run(specs)
+            expected = exact_fingerprint(reference)
+            expected_epochs = partial_epochs(reference)
+        assert expected_epochs["job-2"][:5] == [1, 2, 3, 4, 5]
+
+        with make_service(hidden, config=config) as service:
+            for spec in specs:
+                service.submit_nowait(spec)
+            step(service)
+            step(service)
+            document = json.loads(json.dumps(service.checkpoint()))
+
+        resumed = SamplingService.resume(
+            SocialNetworkAPI(hidden), document, latency=LATENCY
+        )
+        try:
+            assert resumed.publisher.current_epoch == 2
+            finish(resumed)
+            assert partial_epochs(resumed) == expected_epochs
+            assert exact_fingerprint(resumed) == expected
         finally:
             resumed.close()
 
@@ -211,6 +276,28 @@ class TestValidation:
         document["version"] = 3
         with pytest.raises(CheckpointError, match="version 3"):
             SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
+
+    def test_version_4_document_refused(self, hidden):
+        # Version 4 recorded no topology for /dev/shm slabs, so a resume
+        # renumbered the epochs from 1; such a document must fail loudly,
+        # never half-load.
+        document = self._document(hidden)
+        document["topology"] = None
+        document["version"] = 4
+        with pytest.raises(CheckpointError, match="version 4"):
+            SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
+
+    def test_topology_watermark_must_match_the_rows(self, hidden):
+        # The rebuilt epoch must be the recorded graph: a watermark that
+        # disagrees with the restored rows refuses instead.
+        document = self._document(hidden)
+        document["topology"]["rows"] += 1
+        fresh = make_service(hidden)
+        try:
+            with pytest.raises(CheckpointError, match="rebuild"):
+                checkpoint_module.restore(fresh, document)
+        finally:
+            fresh.close()
 
     def test_corrupt_blob_refused(self, hidden):
         document = self._document(hidden)
@@ -381,12 +468,46 @@ class TestFileSlabResume:
             resumed.close()
             crashed.close()
 
-    def test_shm_checkpoint_records_no_topology(self, hidden):
+    def test_shm_checkpoint_records_epoch_and_rows(self, hidden):
+        with make_service(hidden) as service:
+            service.submit_nowait(job_spec("alice"))
+            assert service.checkpoint()["topology"] is None
+            step(service)
+            step(service)
+            current = service.publisher.current
+            document = service.checkpoint()
+        # Epoch and watermark only: a /dev/shm slab dies with the
+        # process, so there is no path to re-attach or digest to check.
+        assert document["topology"] == {
+            "storage": "shm",
+            "epoch": current.epoch,
+            "rows": current.rows,
+        }
+        assert current.epoch == 2
+
+    def test_resumed_shm_epoch_is_rebuilt_under_its_number(self, hidden):
         with make_service(hidden) as service:
             service.submit_nowait(job_spec("alice"))
             step(service)
+            step(service)
+            # Copies: the slab's zero-copy views die with the service.
+            graph = service.publisher.current.graph
+            expected = [a.copy() for a in (graph.node_ids, graph.indptr, graph.indices)]
             document = service.checkpoint()
-            assert document["topology"] is None
+        resumed = SamplingService.resume(
+            SocialNetworkAPI(hidden), document, latency=LATENCY
+        )
+        try:
+            current = resumed.publisher.current
+            assert current.epoch == document["topology"]["epoch"]
+            assert current.rows == document["topology"]["rows"]
+            assert resumed.publisher.compactions == 1
+            assert resumed._lease.epoch == current.epoch
+            graph = current.graph
+            rebuilt = [graph.node_ids, graph.indptr, graph.indices]
+            assert all(map(np.array_equal, rebuilt, expected))
+        finally:
+            resumed.close()
 
 
 def bits(values):
@@ -489,36 +610,6 @@ class TestBlobFormat:
                 step(service)
                 service.checkpoint(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def exact(value):
-    """Floats by their bits, so a NaN compares equal to itself."""
-    return struct.pack("<d", value) if isinstance(value, float) else value
-
-
-def exact_fields(record, skip=()):
-    if record is None:
-        return None
-    return tuple(exact(v) for k, v in vars(record).items() if k not in skip)
-
-
-def exact_fingerprint(service):
-    return (
-        [
-            (
-                job_id,
-                job.state.value,
-                # A resumed service rebuilds its /dev/shm slab and numbers
-                # the rebuilt topology epoch 1, so partials streamed after
-                # a resume carry a different epoch label.
-                [exact_fields(partial, skip=("epoch",)) for partial in job.partials],
-                exact_fields(job.result),
-            )
-            for job_id, job in sorted(service.jobs.items())
-        ],
-        service.api.counter.state(),
-        service.ledger.charges(),
-    )
 
 
 class TestNonFiniteEstimates:

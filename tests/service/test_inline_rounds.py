@@ -1,0 +1,249 @@
+"""Service rounds run in process, pinned to the previous worker-pool path.
+
+``PoolService`` below keeps the previous round path of
+:class:`SamplingService` verbatim: ``_ensure_engine`` forks one persistent
+:class:`ShardedWalkEngine` on the first ``sharded`` round,
+``_swap_lease`` re-points it at every new epoch, ``_run_round`` sends
+``sharded`` jobs to it through ``engine=``, and ``close`` shuts it down.
+The current service runs every round in process instead: a ``sharded``
+job's ``n_workers``-shard plan on an :class:`InlineExecutor` over the
+leased graph.  The shard plan, not the executor, fixes a round's result,
+so the tests here demand the same partials, results, counter state and
+ledger charges from both, bit for bit — and that the current service
+starts no process while a campaign runs.
+
+One plan differs on purpose: with one shard, the round consumes the
+job's own generator (:func:`~repro.walks.parallel.shard_rngs`).  The
+pool pickled that generator, so the job's stream never advanced and every
+round replayed the first one; in process it advances, and a one-shard
+``sharded`` job runs exactly as a ``batch`` job does.
+"""
+
+import multiprocessing
+import struct
+from dataclasses import replace
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from repro.core import EngineConfig, EstimationJobSpec, WalkEstimateConfig
+from repro.core.dispatch import estimate
+from repro.crawl.clock import drive
+from repro.graphs.generators import barabasi_albert_graph
+from repro.osn.api import SocialNetworkAPI
+from repro.service import JobState, SamplingService, ServiceConfig
+from repro.service.jobs import Job
+from repro.walks.parallel import ShardedWalkEngine
+
+LATENCY = [1.0, 0.25, 0.5, 2.0, 0.75]
+
+WALK = WalkEstimateConfig(
+    walk_length=5,
+    crawl_hops=0,
+    backward_repetitions=3,
+    refine_repetitions=0,
+    calibration_walks=4,
+)
+
+
+class PoolService(SamplingService):
+    """The previous round path: sharded jobs on one persistent pool."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._engine: Optional[ShardedWalkEngine] = None
+
+    def _swap_lease(self) -> None:
+        """Pin the newest epoch; re-point the engine; release the old pin.
+
+        Order matters: the engine moves to the new slab *before* the old
+        lease is released, so no round can ever observe a retired segment.
+        """
+        new_lease = self.publisher.acquire()
+        if self._engine is not None:
+            self._engine.update_topology(new_lease.topology.shared)
+        if self._lease is not None:
+            self._lease.release()
+        self._lease = new_lease
+
+    def _ensure_engine(self) -> ShardedWalkEngine:
+        if self._engine is None:
+            self._engine = ShardedWalkEngine.from_shared(
+                self._lease.topology.shared,
+                n_workers=self.config.n_workers,
+                mp_context=self.config.mp_context,
+            )
+        return self._engine
+
+    def _run_round(self, job: Job) -> bool:
+        """One WALK-ESTIMATE round for *job* over the pinned epoch."""
+        spec = job.spec
+        graph = self._lease.graph
+        if spec.start not in graph or graph.degree(spec.start) == 0:
+            if self.crawler.finished:
+                self._resolve(
+                    job, JobState.FAILED, met=False, reason="start-not-walkable"
+                )
+                return True
+            return False  # wait for coverage to reach the start
+        clock_before = self.clock.now
+        if spec.engine.backend == "sharded":
+            result = estimate(spec, engine=self._ensure_engine(), seed=job.rng)
+        else:
+            result = estimate(spec, graph=graph, seed=job.rng)
+        # The estimand: true discovered degrees — every accepted node's row
+        # is paid for, so this gather is free (§2.4).
+        values = self.api.discovered.degrees_of(result.nodes).astype(np.float64)
+        with np.errstate(divide="ignore"):
+            weights = 1.0 / result.weights
+        job.absorb(values, weights)
+        job.rounds += 1
+        self.metrics.rounds.inc()
+        self.metrics.round_seconds.observe(self.clock.now - clock_before)
+        self._stream_partial(job)
+        self._check_completion(job)
+        return True
+
+    def close(self) -> None:
+        """Shut the pool down first, then the lease and the publisher."""
+        if self._engine is not None:
+            self._engine.close()
+            self._engine = None
+        super().close()
+
+
+@pytest.fixture(scope="module")
+def hidden():
+    return barabasi_albert_graph(200, 4, seed=9).relabeled()
+
+
+def tenant(design, backend, **engine):
+    return EstimationJobSpec(
+        tenant=f"{design}-{backend}",
+        design=design,
+        samples=24,
+        query_budget=120,
+        error_target=None,
+        walk=WALK,
+        engine=EngineConfig(backend=backend, **engine),
+    )
+
+
+#: The benchmark's tenant mix: {SRW, MHRW} × {batch, sharded}.
+TENANTS = [
+    tenant(design, backend)
+    for design in ("srw", "mhrw")
+    for backend in ("batch", "sharded")
+]
+
+
+def service_config(n_workers, storage, tmp_path):
+    return ServiceConfig(
+        rows_per_epoch=30,
+        max_rounds_per_job=5,
+        monitor_interval=None,
+        n_workers=n_workers,
+        slab_storage=storage,
+        slab_dir=str(tmp_path) if storage == "file" else None,
+    )
+
+
+def exact(value):
+    """Floats by their bits, so a NaN compares equal to itself."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def exact_fields(record):
+    if record is None:
+        return None
+    return tuple(exact(v) for v in vars(record).values())
+
+
+def child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def campaign(service_cls, hidden, config, specs):
+    """Run *specs* to the end, one step at a time; the bit-level outcome.
+
+    Also returns the worker processes that appeared while the campaign
+    ran, checked after every epoch and before ``close()``.
+    """
+    before = child_pids()
+    started = set()
+    with service_cls(
+        SocialNetworkAPI(hidden), 0, config=config, latency=LATENCY, seed=5
+    ) as service:
+        for spec in specs:
+            service.submit_nowait(spec)
+        while service.scheduler.has_work:
+            drive(service.clock, service.step())
+            started |= child_pids() - before
+        jobs = sorted(service.jobs.items())
+        assert all(job.state is JobState.COMPLETED for _, job in jobs)
+        outcome = (
+            [
+                (
+                    job_id,
+                    [exact_fields(partial) for partial in job.partials],
+                    exact_fields(job.result),
+                )
+                for job_id, job in jobs
+            ],
+            service.api.counter.state(),
+            service.ledger.charges(),
+        )
+    return outcome, started
+
+
+class TestInlineMatchesPool:
+    @pytest.mark.parametrize("storage", ["shm", "file"])
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_four_tenant_campaign_is_bit_identical(
+        self, hidden, tmp_path, n_workers, storage
+    ):
+        cfg = service_config(n_workers, storage, tmp_path)
+        expected, forked = campaign(PoolService, hidden, cfg, TENANTS)
+        assert forked, "the reference must run sharded rounds on its pool"
+        outcome, started = campaign(SamplingService, hidden, cfg, TENANTS)
+        assert outcome == expected
+        assert not started
+
+    @pytest.mark.parametrize("storage", ["shm", "file"])
+    def test_one_shard_sharded_jobs_run_as_batch_jobs(self, hidden, tmp_path, storage):
+        cfg = service_config(1, storage, tmp_path)
+        batch = EngineConfig(backend="batch")
+        as_batch = [replace(spec, engine=batch) for spec in TENANTS]
+        expected, _ = campaign(SamplingService, hidden, cfg, as_batch)
+        outcome, started = campaign(SamplingService, hidden, cfg, TENANTS)
+        assert outcome == expected
+        assert not started
+        # The pool replayed each sharded job's first round instead.
+        replayed, _ = campaign(PoolService, hidden, cfg, TENANTS)
+        assert replayed != expected
+
+    def test_long_run_sharded_campaign_is_bit_identical(self, hidden, tmp_path):
+        long_run = replace(
+            tenant("srw", "sharded", long_run=True),
+            tenant="srw-long-run",
+            samples=6,
+            segments=4,
+        )
+        specs = [long_run, TENANTS[1]]
+        cfg = service_config(2, "shm", tmp_path)
+        expected, _ = campaign(PoolService, hidden, cfg, specs)
+        outcome, started = campaign(SamplingService, hidden, cfg, specs)
+        assert outcome == expected
+        assert not started
+
+    def test_n_workers_fixes_the_sharded_streams(self, hidden, tmp_path):
+        # n_workers keeps its meaning: it is the shard count, and so the
+        # RNG streams, of sharded jobs; batch jobs do not depend on it.
+        partials = []
+        for n_workers in (1, 2):
+            cfg = service_config(n_workers, "shm", tmp_path)
+            (jobs, _, _), _ = campaign(SamplingService, hidden, cfg, TENANTS)
+            partials.append([job_partials for _, job_partials, _ in jobs])
+        for spec, one, two in zip(TENANTS, *partials):
+            assert (one == two) is (spec.engine.backend == "batch")

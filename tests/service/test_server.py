@@ -273,21 +273,6 @@ class TestMonitor:
             assert service.metrics.samples == []
 
 
-class TestShardedBackend:
-    def test_sharded_jobs_share_one_engine(self, hidden):
-        with make_service(hidden) as service:
-            results = service.run(
-                [
-                    job_spec("alice", backend="sharded", samples=20),
-                    job_spec("bob", backend="sharded", samples=20),
-                ]
-            )
-            assert all(r.state is JobState.COMPLETED for r in results)
-            engine = service._engine
-            assert engine is not None and engine.rounds_dispatched > 0
-        assert engine.closed
-
-
 class TestLifecycle:
     def test_serve_reentrancy_refused(self, hidden):
         with make_service(hidden) as service:
