@@ -417,7 +417,8 @@ class EstimateResult:
     accessors below give every backend one shape: accepted sample nodes,
     their target weights, and the cost/effort counters that exist for the
     backend (zero where the regime has none, e.g. query cost on free
-    graphs).
+    graphs).  Both raw types answer the same accessors, so each one
+    delegates without asking which type it holds.
     """
 
     spec: EstimationJobSpec
@@ -432,8 +433,6 @@ class EstimateResult:
     def weights(self) -> np.ndarray:
         """Target weights aligned to :attr:`nodes` (feed
         :func:`~repro.estimators.aggregates.average_estimate_arrays`)."""
-        if isinstance(self.raw, SampleBatch):
-            return np.asarray(self.raw.target_weights, dtype=np.float64)
         return np.asarray(self.raw.weights, dtype=np.float64)
 
     @property
@@ -454,21 +453,15 @@ class EstimateResult:
     @property
     def query_cost(self) -> int:
         """Unique-node queries the round charged (0 on free graphs)."""
-        if isinstance(self.raw, SampleBatch):
-            return int(self.raw.query_cost)
-        return 0
+        return int(self.raw.query_cost)
 
     @property
     def walk_steps(self) -> int:
         """Forward + backward transitions taken."""
-        if isinstance(self.raw, SampleBatch):
-            return int(self.raw.walk_steps)
-        return int(self.raw.forward_steps + self.raw.backward_steps)
+        return int(self.raw.walk_steps)
 
     def to_sample_batch(self) -> SampleBatch:
         """The result as a :class:`SampleBatch` (scalar-era tooling)."""
-        if isinstance(self.raw, SampleBatch):
-            return self.raw
         return self.raw.to_sample_batch()
 
 

@@ -16,6 +16,7 @@ describes.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -77,15 +78,28 @@ class ScaleFactorBootstrap:
         shares: when calibration produced no usable ratios (e.g. every
         estimate was 0), a neutral scale lets sampling proceed while the
         pool keeps filling with real observations.
+
+        Raises
+        ------
+        ConfigurationError
+            If *neutral* is not a positive finite ratio: :meth:`observe`
+            would drop it, and the pool would never fill.
         """
+        if not (neutral > 0.0 and math.isfinite(neutral)):
+            raise ConfigurationError(
+                f"neutral ratio must be positive and finite, got {neutral}"
+            )
         while not self.ready:
             self.observe(neutral)
 
     def scale_factor(self) -> float:
         """The bootstrapped stand-in for ``min_v p(v)/q̃(v)``.
 
-        The percentile is computed once per state of the ratio pool and
-        reused until :meth:`observe` or :meth:`observe_many` adds a ratio.
+        NumPy's default (linear) percentile of the pool, bit for bit, read
+        off the sorted pool by :func:`_linear_percentile` without
+        :func:`numpy.percentile`'s per-call overhead.  It is computed once
+        per state of the ratio pool and reused until :meth:`observe` or
+        :meth:`observe_many` adds a ratio.
 
         Raises
         ------
@@ -99,8 +113,28 @@ class ScaleFactorBootstrap:
                 raise EstimationError(
                     f"need {self.minimum_observations} ratios, have {len(self._ratios)}"
                 )
-            self._scale = float(np.percentile(self._ratios, self.percentile))
+            self._scale = _linear_percentile(np.sort(self._ratios), self.percentile)
         return self._scale
+
+
+def _linear_percentile(ordered: np.ndarray, percentile: float) -> float:
+    """``np.percentile(ordered, percentile)`` for an ascending 1-d array.
+
+    The same arithmetic as NumPy's default ``linear`` method, in Python
+    floats: the virtual index ``(n − 1)·(p/100)``, the largest value at or
+    past the last index, and otherwise NumPy's two-sided interpolation
+    between the neighbours ``a ≤ b`` with ``γ`` the index's fraction
+    (``numpy.lib._function_base_impl._lerp``).
+    """
+    index = (ordered.size - 1) * (percentile / 100)
+    if index >= ordered.size - 1:
+        return float(ordered[-1])
+    below = math.floor(index)
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    gamma = index - below
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
 
 
 class RejectionSampler:

@@ -291,13 +291,23 @@ class BatchWalkEstimateResult:
             return 0.0
         return float(self.accepted.mean())
 
+    @property
+    def query_cost(self) -> int:
+        """Unique-node queries charged: always 0, a free graph charges none."""
+        return 0
+
+    @property
+    def walk_steps(self) -> int:
+        """Forward + backward transitions taken."""
+        return self.forward_steps + self.backward_steps
+
     def to_sample_batch(self, sampler: str = "we-batch") -> SampleBatch:
         """Repackage as a :class:`SampleBatch` for the scalar-era tooling."""
         return SampleBatch(
             nodes=[int(n) for n in self.nodes],
             target_weights=[float(w) for w in self.weights],
-            query_cost=0,
-            walk_steps=self.forward_steps + self.backward_steps,
+            query_cost=self.query_cost,
+            walk_steps=self.walk_steps,
             sampler=sampler,
             attempts=self.attempts,
         )

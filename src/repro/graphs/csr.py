@@ -107,7 +107,6 @@ class CSRGraph:
         self._attributes: Dict[str, Dict[Node, float]] = {
             attr: dict(values) for attr, values in (attributes or {}).items()
         }
-        self._position: Optional[Dict[Node, int]] = None
         self._mhrw_selfloop: Optional[np.ndarray] = None
         self._backward_tables: Dict[Tuple, Tuple] = {}
 
@@ -168,7 +167,6 @@ class CSRGraph:
         self._attributes = {
             attr: dict(values) for attr, values in (attributes or {}).items()
         }
-        self._position = None
         self._mhrw_selfloop = None
         self._backward_tables = {}
         return self
@@ -194,17 +192,20 @@ class CSRGraph:
     # Position <-> id maps
     # ------------------------------------------------------------------
     def position_of(self, node: Node) -> int:
-        """Position (CSR row) of original node id *node*."""
+        """Position (CSR row) of original node id *node*.
+
+        The identity on a :attr:`contiguous` graph, otherwise one binary
+        search of the sorted :attr:`node_ids` — no per-graph id map, so a
+        graph asked once (``start in graph``) never pays for one.
+        """
         if self.contiguous:
             if 0 <= node < self.number_of_nodes():
                 return int(node)
             raise NodeNotFoundError(node)
-        if self._position is None:
-            self._position = {int(n): p for p, n in enumerate(self.node_ids)}
-        try:
-            return self._position[node]
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        position = int(np.searchsorted(self.node_ids, node))
+        if position < self.node_ids.size and self.node_ids[position] == node:
+            return position
+        raise NodeNotFoundError(node)
 
     def positions_of(self, nodes) -> np.ndarray:
         """Vectorized :meth:`position_of` for an array of node ids."""
@@ -324,6 +325,10 @@ class CSRGraph:
     #   candidate tables (every C(u) row with its |C(u)|·T(x, u)
     #   factors), one per design structure, keyed by the flattened
     #   :func:`repro.walks.kernels.compile_design`.
+    #
+    # Id lookups are not memoized: the service publishes a new graph each
+    # epoch and asks it a handful of questions, so :meth:`position_of`
+    # binary-searches ``node_ids`` rather than build a map per graph.
     def mhrw_selfloop_mass(self) -> np.ndarray:
         """Per-position MHRW self-loop mass, ``1 - Σ_v (1/dᵤ)·min(1, dᵤ/dᵥ)``.
 

@@ -11,11 +11,13 @@ explicit and shared: it accumulates every neighbor list a charged
   gather, never a second charge;
 * *membership* (every node id the crawler has ever seen — fetched nodes,
   their listed neighbors, and profile-only fetches) is available as a
-  sorted array, which is what lets the batch accounting layer decide
-  "new or already paid for?" for K nodes in one :func:`numpy.searchsorted`
-  instead of K set probes;
+  sorted array, and "already paid for?" is one id → slot table gather
+  for K nodes (a sorted-array search once an id leaves the table's dense
+  range) instead of K set probes;
 * the fetched region re-compacts cheaply into a frozen
-  :class:`~repro.graphs.csr.CSRGraph` slab (:meth:`compact`), so any
+  :class:`~repro.graphs.csr.CSRGraph` slab (:meth:`compact`): the cached
+  edges are renumbered to member positions through a rank table (one
+  scatter, one gather) whenever every member id is dense, so any
   vectorized machinery built for free in-memory graphs can run over the
   part of the network that has already been paid for.
 
@@ -506,9 +508,11 @@ class DiscoveredGraph:
         listed neighbors are members by construction, so every index
         resolves.  Compaction is array work only, O(members + cached
         edges): one membership lookup, one :meth:`rows_flat` gather over
-        the row pool for the edge array, and one
-        :func:`numpy.searchsorted` to renumber it.  The slab is reused
-        until the store grows.
+        the row pool for the edge array, and one renumbering of it: a
+        gather through a rank table (member positions scattered by id)
+        when every member id lies in the slot table's dense range
+        ``[0, 2^22)``, one :func:`numpy.searchsorted` otherwise.  The slab
+        is reused until the store grows.
 
         Safe against a concurrent producer: the whole compaction holds the
         store lock, so the slab reflects one well-defined generation —
@@ -527,7 +531,14 @@ class DiscoveredGraph:
             degrees[fetched] = lengths
             indptr = np.zeros(members.size + 1, dtype=np.int64)
             np.cumsum(degrees, out=indptr[1:])
-            indices = np.searchsorted(members, flat)
+            if members.size and members[0] >= 0 and members[-1] < _DENSE_ID_LIMIT:
+                # Only member slots are written, and only they are read:
+                # every listed id is a member.
+                rank = np.empty(int(members[-1]) + 1, dtype=np.int64)
+                rank[members] = np.arange(members.size, dtype=np.int64)
+                indices = rank[flat]
+            else:
+                indices = np.searchsorted(members, flat)
             csr = CSRGraph(indptr, indices, node_ids=members.copy(), name=self.name)
             self._slab = DiscoveredSlab(csr=csr, fetched=fetched)
             self._slab_generation = self._generation

@@ -211,9 +211,9 @@ def _rebuild_job(doc: Mapping[str, Any]) -> Job:
     job.submitted_at = float(doc["submitted_at"])
     first_partial = doc["first_partial_at"]
     job.first_partial_at = None if first_partial is None else float(first_partial)
-    # One absorb of the concatenated samples: current_estimate()
-    # concatenates the chunks anyway, so it sees the identical float64
-    # sequence the original service would have.
+    # One absorb of the concatenated samples: the job keeps every absorbed
+    # round in one contiguous buffer, so current_estimate() sums the
+    # identical float64 sequence the original service would have.
     job.absorb(_decode(doc["values"], _FLOAT64), _decode(doc["weights"], _FLOAT64))
     job.partials = [
         PartialEstimate(**_record_fields(partial)) for partial in doc["partials"]

@@ -108,8 +108,10 @@ class Job:
         self.exhausted_rounds = 0
         self.submitted_at = 0.0
         self.first_partial_at: Optional[float] = None
-        self._values: List[np.ndarray] = []
-        self._weights: List[np.ndarray] = []
+        # One growing buffer per array; the first ``_samples`` entries
+        # are every absorbed sample, in order.
+        self._values = np.empty(0, dtype=np.float64)
+        self._weights = np.empty(0, dtype=np.float64)
         self._samples = 0
         self._stream: asyncio.Queue = asyncio.Queue()
         self._done = asyncio.Event()
@@ -137,17 +139,28 @@ class Job:
             raise ConfigurationError(
                 f"values/weights shape mismatch: {values.shape} vs {weights.shape}"
             )
-        if values.size:
-            self._values.append(values)
-            self._weights.append(weights)
-            self._samples += int(values.size)
+        end = self._samples + values.size
+        if end > self._values.size:
+            capacity = max(2 * self._values.size, end)
+            self._values = _grown(self._values, self._samples, capacity)
+            self._weights = _grown(self._weights, self._samples, capacity)
+        self._values[self._samples : end] = values.ravel()
+        self._weights[self._samples : end] = weights.ravel()
+        self._samples = end
 
     def sample_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every absorbed ``(values, weights)`` pair, concatenated in order."""
-        if not self._values:
-            empty = np.zeros(0, dtype=np.float64)
-            return empty, empty
-        return np.concatenate(self._values), np.concatenate(self._weights)
+        """Every absorbed ``(values, weights)`` pair, in absorb order.
+
+        Read-only views of the job's buffers, not copies, so no caller
+        can write into the job's state.  :meth:`absorb` never rewrites
+        the filled prefix, so a view keeps its contents after later
+        rounds.
+        """
+        values = self._values[: self._samples]
+        weights = self._weights[: self._samples]
+        values.flags.writeable = False
+        weights.flags.writeable = False
+        return values, weights
 
     def current_estimate(self) -> tuple[float, float]:
         """``(estimate, stderr)`` over everything absorbed so far.
@@ -155,7 +168,10 @@ class Job:
         The self-normalized importance mean ``Σ w·f / Σ w`` with the
         linearized standard error ``sqrt(Σ w²(f − μ)²) / Σ w`` — the
         statistic the service compares against the spec's
-        ``error_target``.  ``(nan, inf)`` before any sample.
+        ``error_target``.  ``(nan, inf)`` before any sample.  The sums
+        run over the contiguous sample buffer, the same float64 sequence
+        however the samples arrived, so the partials are bit-identical to
+        summing the concatenation of every absorbed round.
         """
         if not self._samples:
             return float("nan"), float("inf")
@@ -211,6 +227,13 @@ class Job:
             f"state={self.state.value}, rounds={self.rounds}, "
             f"samples={self._samples})"
         )
+
+
+def _grown(buffer: np.ndarray, used: int, capacity: int) -> np.ndarray:
+    """A *capacity*-entry copy of *buffer* holding its first *used* entries."""
+    grown = np.empty(capacity, dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
 
 
 class JobHandle:

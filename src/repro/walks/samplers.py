@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from repro.errors import ConfigurationError, QueryBudgetExceededError
 from repro.osn.api import SocialNetworkAPI
 from repro.rng import RngLike, ensure_rng
@@ -66,6 +68,15 @@ class SampleBatch:
         if self.attempts == 0:
             return 0.0
         return len(self.nodes) / self.attempts
+
+    @property
+    def weights(self) -> np.ndarray:
+        """:attr:`target_weights` as a float64 array, aligned to :attr:`nodes`."""
+        return np.asarray(self.target_weights, dtype=np.float64)
+
+    def to_sample_batch(self) -> "SampleBatch":
+        """This batch itself: every estimation result converts to one."""
+        return self
 
     def extend(self, other: "SampleBatch") -> None:
         """Merge another batch produced under the same scheme."""

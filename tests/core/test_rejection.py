@@ -1,10 +1,13 @@
 """Acceptance-rejection with the bootstrapped scale factor."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import rejection
 from repro.core.rejection import RejectionSampler, ScaleFactorBootstrap
 from repro.errors import ConfigurationError, EstimationError
 
@@ -146,7 +149,10 @@ def _usable(ratios):
 @settings(max_examples=200, deadline=None)
 @given(
     ops=POOL_OPS,
-    percentile=st.sampled_from([1.0, 10.0, 50.0, 90.0]),
+    percentile=st.one_of(
+        st.sampled_from([1.0, 10.0, 25.0, 50.0, 90.0]),
+        st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+    ),
     minimum=st.integers(1, 6),
 )
 def test_scale_factor_is_the_pool_percentile_after_every_change(
@@ -175,24 +181,60 @@ def test_scale_factor_is_the_pool_percentile_after_every_change(
 
 def test_scale_factor_recomputes_only_when_a_ratio_is_added(monkeypatch):
     computed = []
-    percentile = np.percentile
+    percentile = rejection._linear_percentile
 
-    def counted(*args, **kwargs):
-        computed.append(args)
-        return percentile(*args, **kwargs)
+    def counted(ordered, p):
+        computed.append(ordered.tolist())
+        return percentile(ordered, p)
 
-    monkeypatch.setattr(np, "percentile", counted)
+    monkeypatch.setattr(rejection, "_linear_percentile", counted)
     bootstrap = ScaleFactorBootstrap(minimum_observations=2)
     bootstrap.observe_many([3.0, 1.0])
     first = bootstrap.scale_factor()
-    assert bootstrap.scale_factor() == first and len(computed) == 1
+    assert bootstrap.scale_factor() == first and computed == [[1.0, 3.0]]
     bootstrap.observe_many([0.0, -2.0, np.nan, np.inf])  # all filtered out
     bootstrap.observe(0.0)
     assert bootstrap.scale_factor() == first and len(computed) == 1
     bootstrap.observe(0.5)
-    assert bootstrap.scale_factor() == percentile([3.0, 1.0, 0.5], 10.0)
+    assert bootstrap.scale_factor() == np.percentile([3.0, 1.0, 0.5], 10.0)
     assert len(computed) == 2
     bootstrap.observe_many([2.0])
     bootstrap.ensure_ready()
-    assert bootstrap.scale_factor() == percentile([3.0, 1.0, 0.5, 2.0], 10.0)
-    assert len(computed) == 3
+    assert bootstrap.scale_factor() == np.percentile([3.0, 1.0, 0.5, 2.0], 10.0)
+    assert len(computed) == 3 and computed[-1] == [0.5, 1.0, 2.0, 3.0]
+
+
+def test_linear_percentile_is_numpys_on_random_pools():
+    """Ties, one-element pools, magnitudes far apart, any percentile."""
+    rng = np.random.default_rng(20)
+    for trial in range(3000):
+        size = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            pool = rng.choice([0.25, 1.0, 2.0, 1e-300, 1e300], size)
+        else:
+            pool = np.exp(rng.normal(0.0, 20.0, size))
+        p = float(rng.choice([1.0, 10.0, 25.0, 50.0, rng.uniform(0.0, 100.0)]))
+        got = rejection._linear_percentile(np.sort(pool), p)
+        assert got == float(np.percentile(pool, p))
+
+
+# ----------------------------------------------------------------------
+# ensure_ready refuses a neutral ratio the pool would drop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("neutral", [0.0, -1.0, float("nan"), float("inf")])
+def test_ensure_ready_refuses_a_neutral_it_would_drop(neutral):
+    outcome = []
+
+    def pad():
+        try:
+            ScaleFactorBootstrap().ensure_ready(neutral=neutral)
+        except Exception as exc:  # reported to the test thread below
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=pad, daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "ensure_ready never returned"
+    assert len(outcome) == 1 and isinstance(outcome[0], ConfigurationError)

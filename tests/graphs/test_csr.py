@@ -126,6 +126,53 @@ class TestPositions:
             csr.positions_of([3, 8])
 
 
+class TestScalarLookupOnGappyIds:
+    """``position_of`` binary-searches ``node_ids``; it builds no id map."""
+
+    @pytest.fixture
+    def gappy(self):
+        g = Graph()
+        g.add_edges_from([(3, 7), (7, 10), (10, 42), (42, 3)])
+        csr = g.compile()
+        assert not csr.contiguous
+        return csr
+
+    def test_hits(self, gappy):
+        for position, node in enumerate((3, 7, 10, 42)):
+            assert gappy.position_of(node) == position
+            assert type(gappy.position_of(node)) is int
+            assert node in gappy
+        assert gappy.neighbors(42) == (3, 10)
+        assert gappy.degree(7) == 2
+
+    @pytest.mark.parametrize("node", [-5, 0, 2, 4, 8, 41, 43, 10**6, 2**70, -(2**70)])
+    def test_misses_below_between_and_above(self, gappy, node):
+        with pytest.raises(NodeNotFoundError):
+            gappy.position_of(node)
+        assert node not in gappy
+        assert not gappy.has_node(node)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16, np.intp])
+    def test_numpy_integers(self, gappy, kind):
+        assert gappy.position_of(kind(10)) == 2
+        assert kind(10) in gappy
+        assert kind(11) not in gappy
+
+    def test_no_id_map_after_lookups(self, gappy):
+        for node in (3, 7, 10, 42, 99):
+            assert (node in gappy) == (node != 99)
+        assert gappy.neighbors(10) == (7, 42)
+        for value in vars(gappy).values():
+            assert not (isinstance(value, dict) and 42 in value)
+
+    def test_attached_parts_search_the_same_way(self, gappy):
+        attached = CSRGraph.from_validated_parts(
+            gappy.indptr, gappy.indices, gappy.degrees, gappy.node_ids
+        )
+        assert [attached.position_of(n) for n in (3, 7, 10, 42)] == [0, 1, 2, 3]
+        assert 8 not in attached
+
+
 class TestAttributes:
     def test_values_survive_compilation(self, triangle):
         triangle.set_attribute("x", {0: 1.0, 1: 2.0, 2: 3.0})
