@@ -34,7 +34,7 @@ from repro.core.config import CrawlPipelineConfig
 from repro.crawl import AsyncCrawler, CrawlWalkPipeline, FakeClock, TopologyPublisher
 from repro.graphs.generators import barabasi_albert_graph
 from repro.osn.api import SocialNetworkAPI
-from repro.walks.parallel import ShardedWalkEngine
+from repro.walks.batch import run_walk_batch
 from repro.walks.transitions import SimpleRandomWalk
 
 LATENCY_SCRIPT = [1.0, 0.25, 0.5, 2.0, 0.75, 1.5]
@@ -61,13 +61,10 @@ def time_serial_baseline(
     )
     crawler.crawl()
     with TopologyPublisher(api.discovered) as publisher:
-        topology = publisher.publish()
-        with publisher.acquire():
-            with ShardedWalkEngine.from_shared(
-                topology.shared, n_workers=1, mp_context="fork"
-            ) as engine:
-                starts = np.zeros(walks, dtype=np.int64)
-                engine.run_walk_batch(SimpleRandomWalk(), starts, steps, seed=seed)
+        publisher.publish()
+        with publisher.acquire() as lease:
+            starts = np.zeros(walks, dtype=np.int64)
+            run_walk_batch(lease.graph, SimpleRandomWalk(), starts, steps, seed=seed)
     elapsed = time.perf_counter() - began
     return {
         "mode": "serial_crawl_then_walk",
@@ -104,8 +101,6 @@ def time_pipeline(
         api,
         0,
         config=config,
-        n_workers=1,
-        mp_context="fork",
         clock=clock,
         latency=LATENCY_SCRIPT,
         seed=seed,

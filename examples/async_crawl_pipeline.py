@@ -4,9 +4,9 @@ The async crawl pipeline applies the paper's "walk, not wait" premise to
 the crawl phase itself: an AsyncCrawler keeps several neighbor-list
 fetches in flight against the charged API, a TopologyPublisher
 periodically compacts everything discovered so far into a fresh
-shared-memory CSR slab, and a sharded walk engine runs estimation rounds
-over each published epoch — so the estimate refines while the network is
-still answering, instead of waiting for the crawl to finish.
+shared-memory CSR slab, and an in-process walk round runs over each
+published epoch — so the estimate refines while the network is still
+answering, instead of waiting for the crawl to finish.
 
 All waiting happens on a simulated clock (scripted per-batch latency plus
 rate-limit waits), so the run is deterministic and the wall-clock numbers
@@ -46,7 +46,6 @@ def run_campaign(concurrency: int) -> None:
         api,
         0,
         config=config,
-        n_workers=1,
         clock=clock,
         latency=[0.8, 0.3, 1.2, 0.5],  # scripted per-batch network latency
         seed=42,

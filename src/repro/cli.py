@@ -231,11 +231,7 @@ def run_job_spec(spec, *, dataset="ba_synthetic", dataset_seed=0, seed=None):
         result = estimate(spec, api=api, seed=seed)
     elif backend == "sharded":
         engine = ShardedWalkEngine(
-            graph.compile(),
-            n_workers=spec.engine.n_workers or 1,
-            mp_context=spec.engine.mp_context,
-            slab_storage=spec.engine.slab_storage,
-            slab_dir=spec.engine.slab_dir,
+            graph.compile(), n_workers=spec.engine.n_workers or 1
         )
         with engine:
             result = estimate(spec, engine=engine, seed=seed)

@@ -14,8 +14,7 @@ This module is the unification:
 
 * :class:`EngineConfig` names the regime — ``backend`` (``scalar`` /
   ``charged`` / ``batch`` / ``sharded``) × ``long_run`` — plus the
-  engine-shape knobs (worker count, start method, slab storage, kernel
-  backend);
+  worker count and the kernel backend;
 * :class:`EstimationJobSpec` is one complete, JSON-round-trippable job
   description: transition design, sample count, estimand, error target,
   query budget, tenant, seed, walk knobs, engine config.  It is the wire
@@ -54,7 +53,6 @@ from repro.core.walk_estimate import (
 from repro.errors import ConfigurationError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
-from repro.graphs.shm import STORAGES as SLAB_STORAGES
 from repro.rng import RngLike
 from repro.walks.kernels import require_backend as require_kernel_backend
 from repro.walks.samplers import SampleBatch
@@ -175,16 +173,12 @@ class EngineConfig:
         Segment one (or K) continuous walks instead of restarting per
         sample (§6.1 future work) — selects the ``long_run_*`` twin of
         the chosen backend.  Not available for ``charged``.
-    n_workers / mp_context:
-        Engine shape for a caller that builds the sharded engine itself:
-        only the CLI's ``run_job_spec`` reads these fields.
-        :func:`estimate` never builds an engine, and it and
-        :mod:`repro.service` ignore them.
-    slab_storage / slab_dir:
-        Slab backend for a caller-owned sharded engine — ``"shm"``
-        (default) or ``"file"`` with a slab directory (see
-        :mod:`repro.graphs.shm`).  Like ``n_workers``, ignored when an
-        engine is passed in: a live engine's slab already exists.
+    n_workers:
+        Worker count for a caller that builds the sharded engine itself:
+        only the CLI's ``run_job_spec`` reads it.  :func:`estimate` never
+        builds an engine, and it and :mod:`repro.service` ignore this
+        field (the service takes its shard count from
+        ``ServiceConfig.n_workers``).
     kernel_backend:
         Kernel backend for the batch forward-walk trajectory loop —
         ``numpy`` (reference), ``native`` (Numba JIT), or ``python``
@@ -201,10 +195,7 @@ class EngineConfig:
     backend: str = "batch"
     long_run: bool = False
     n_workers: Optional[int] = None
-    mp_context: str = "spawn"
     kernel_backend: str = "numpy"
-    slab_storage: str = "shm"
-    slab_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -216,13 +207,6 @@ class EngineConfig:
             raise ConfigurationError(
                 f"n_workers must be >= 1 or None, got {self.n_workers}"
             )
-        if self.slab_storage not in SLAB_STORAGES:
-            raise ConfigurationError(
-                f"unknown slab_storage {self.slab_storage!r}; "
-                f"valid: {', '.join(SLAB_STORAGES)}"
-            )
-        if self.slab_storage == "file" and self.slab_dir is None:
-            raise ConfigurationError("slab_storage='file' requires slab_dir")
         if self.backend == "charged" and self.long_run:
             raise ConfigurationError(
                 "the charged (batch_backward) regime has no long-run form; "

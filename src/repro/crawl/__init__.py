@@ -12,11 +12,11 @@ network answers one neighbor-list request, the frontier keeps moving.
   concurrency 1);
 * :class:`~repro.crawl.publisher.TopologyPublisher` — periodic
   ``compact()`` of the discovered graph into shared-memory CSR slabs,
-  swapped atomically under running walk engines with epoch/lease
+  swapped atomically under running walk rounds with epoch/lease
   retirement (no torn reads, no leaked ``/dev/shm`` segments);
 * :class:`~repro.crawl.pipeline.CrawlWalkPipeline` — the front end that
-  interleaves crawl epochs with sharded walk rounds so estimates refine
-  as the graph grows.
+  interleaves crawl epochs with in-process walk rounds so estimates
+  refine as the graph grows.
 """
 
 from repro.crawl.clock import FakeClock, drive, resolve_latency

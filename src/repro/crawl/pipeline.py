@@ -4,13 +4,14 @@
 pieces: an :class:`~repro.crawl.crawler.AsyncCrawler` fetches the next
 chunk of the hidden graph concurrently, a
 :class:`~repro.crawl.publisher.TopologyPublisher` compacts the discovered
-rows into a fresh shared-memory slab, and a swap-capable
-:class:`~repro.walks.parallel.ShardedWalkEngine` fans a walk round out
-over it — one *epoch*.  Each epoch's walks run over strictly more of the
-network than the last, so the per-epoch estimate converges to the
-full-graph value as coverage completes, while the crawler (not the
-walkers) absorbs all the network latency — "walk, not wait" applied to
-the crawl phase itself.
+rows into a fresh shared-memory slab, and one in-process walk round
+(:func:`~repro.walks.batch.run_walk_batch`) runs over the leased graph —
+one *epoch*.  Each epoch's walks run over strictly more of the network
+than the last, so the per-epoch estimate converges to the full-graph
+value as coverage completes, while the crawler (not the walkers) absorbs
+all the network latency — "walk, not wait" applied to the crawl phase
+itself.  The rounds are small (tens to a few hundred walks), far below
+the width at which a process pool pays for its dispatch.
 
 **What is estimated.**  Each epoch runs ``walks_per_epoch`` walks of
 ``steps_per_walk`` transitions from the crawl start over the published
@@ -29,8 +30,9 @@ per-node function of already-discovered data.
 
 **Determinism.**  Everything stochastic flows from one seed (crawl
 interleavings from the scripted latency under the
-:class:`~repro.crawl.clock.FakeClock`; walks from the engine's
-``(seed, n_workers)`` contract), so a pipeline run replays bit for bit.
+:class:`~repro.crawl.clock.FakeClock`; walks from the pipeline's one
+generator, which every walked epoch advances), so a pipeline run replays
+bit for bit.
 
 **Query accounting** is untouched by all of this: only the crawler
 touches the API, through the ordinary charged batch path; walks run over
@@ -53,8 +55,7 @@ from repro.crawl.publisher import TopologyPublisher
 from repro.errors import ConfigurationError, QueryBudgetExceededError
 from repro.graphs.csr import CSRGraph
 from repro.rng import RngLike, ensure_rng
-from repro.walks.batch import target_weights_batch
-from repro.walks.parallel import ShardedWalkEngine
+from repro.walks.batch import run_walk_batch, target_weights_batch
 from repro.walks.transitions import Node, SimpleRandomWalk, TransitionDesign
 
 
@@ -112,7 +113,7 @@ class PipelineResult:
 
 
 class CrawlWalkPipeline:
-    """Interleave concurrent crawling with sharded walk rounds.
+    """Interleave concurrent crawling with in-process walk rounds.
 
     Parameters
     ----------
@@ -125,9 +126,6 @@ class CrawlWalkPipeline:
         Walk transition design (batch-kernel designs only); SRW default.
     config:
         :class:`~repro.core.config.CrawlPipelineConfig` knobs.
-    n_workers / mp_context:
-        Sharded walk engine shape (see
-        :class:`~repro.walks.parallel.ShardedWalkEngine`).
     clock / latency:
         Simulated-time plumbing handed to the crawler — see
         :class:`~repro.crawl.clock.FakeClock` and
@@ -137,12 +135,9 @@ class CrawlWalkPipeline:
         defaults to true discovered degrees (average-degree estimation).
     seed:
         One seed for the whole run's randomness.
-    slab_storage / slab_dir:
-        Backend for published topology slabs — ``"shm"`` (default) or
-        ``"file"`` under *slab_dir* (see :mod:`repro.graphs.shm`).
 
-    Use as a context manager (the engine holds processes and the
-    publisher a slab until :meth:`close`).
+    Use as a context manager (the publisher holds a slab until
+    :meth:`close`).
     """
 
     def __init__(
@@ -152,14 +147,10 @@ class CrawlWalkPipeline:
         *,
         design: Optional[TransitionDesign] = None,
         config: Optional[CrawlPipelineConfig] = None,
-        n_workers: Optional[int] = None,
-        mp_context: str = "spawn",
         clock: Optional[FakeClock] = None,
         latency: LatencyLike = None,
         attribute: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         seed: RngLike = None,
-        slab_storage: str = "shm",
-        slab_dir: Optional[str] = None,
     ) -> None:
         self.api = api
         self.start = start
@@ -175,15 +166,7 @@ class CrawlWalkPipeline:
             clock=self.clock,
             latency=latency,
         )
-        self.publisher = TopologyPublisher(
-            api.discovered,
-            fetched_only=True,
-            storage=slab_storage,
-            slab_dir=slab_dir,
-        )
-        self._n_workers = n_workers
-        self._mp_context = mp_context
-        self._engine: Optional[ShardedWalkEngine] = None
+        self.publisher = TopologyPublisher(api.discovered, fetched_only=True)
         self._attribute = attribute
         self._rng = ensure_rng(seed)
         self.epochs: List[CrawlEpochRecord] = []
@@ -193,11 +176,6 @@ class CrawlWalkPipeline:
     # ------------------------------------------------------------------
     # Epochs
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> Optional[ShardedWalkEngine]:
-        """The walk engine (spawned lazily at the first epoch)."""
-        return self._engine
-
     def _values_of(self, nodes: np.ndarray) -> np.ndarray:
         if self._attribute is not None:
             return np.asarray(self._attribute(nodes), dtype=np.float64)
@@ -206,13 +184,11 @@ class CrawlWalkPipeline:
         return self.api.discovered.degrees_of(nodes).astype(np.float64)
 
     def _walk_estimate(self, graph: CSRGraph) -> float:
-        """One walk round over *graph*; NaN when the start is not walkable."""
+        """One walk round over *graph*, from the pipeline's own generator."""
         cfg = self.config
-        if self.start not in graph or graph.degree(self.start) == 0:
-            return float("nan")
         starts = np.full(cfg.walks_per_epoch, self.start, dtype=np.int64)
-        result = self._engine.run_walk_batch(
-            self.design, starts, cfg.steps_per_walk, seed=self._rng
+        result = run_walk_batch(
+            graph, self.design, starts, cfg.steps_per_walk, seed=self._rng
         )
         nodes = result.paths[:, 1:].ravel()
         weights = 1.0 / target_weights_batch(graph, self.design, nodes)
@@ -253,16 +229,10 @@ class CrawlWalkPipeline:
         if published is None and self.epochs:
             return None
         with self.publisher.acquire() as lease:
-            if self._engine is None:
-                self._engine = ShardedWalkEngine.from_shared(
-                    lease.topology.shared,
-                    n_workers=self._n_workers,
-                    mp_context=self._mp_context,
-                )
-            else:
-                self._engine.update_topology(lease.topology.shared)
             graph = lease.graph
-            estimate = self._walk_estimate(graph)
+            # An epoch whose start is unpublished or isolated walks nothing.
+            walked = self.start in graph and graph.degree(self.start) > 0
+            estimate = self._walk_estimate(graph) if walked else float("nan")
             record = CrawlEpochRecord(
                 epoch=lease.epoch,
                 new_rows=new_rows,
@@ -271,8 +241,8 @@ class CrawlWalkPipeline:
                 member_nodes=self.api.discovered.membership_size,
                 walk_nodes=graph.number_of_nodes(),
                 walk_edges=graph.number_of_edges(),
-                walks=cfg.walks_per_epoch,
-                steps=cfg.steps_per_walk,
+                walks=cfg.walks_per_epoch if walked else 0,
+                steps=cfg.steps_per_walk if walked else 0,
                 estimate=estimate,
                 query_cost=self.api.query_cost,
                 raw_calls=self.api.raw_calls,
@@ -301,13 +271,10 @@ class CrawlWalkPipeline:
     # Lifetime
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the engine (pool) then the publisher (segment). Idempotent."""
+        """Release the publisher (and its segment). Idempotent."""
         if self._closed:
             return
         self._closed = True
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
         self.publisher.close()
 
     def __enter__(self) -> "CrawlWalkPipeline":

@@ -1,12 +1,12 @@
 """Topology publication: compact the discovered graph into swappable slabs.
 
 The crawler appends rows to a :class:`~repro.graphs.discovered.DiscoveredGraph`;
-the sharded walk engine wants a frozen zero-copy
-:class:`~repro.graphs.shm.SharedCSR` slab.  :class:`TopologyPublisher` is
-the hand-off between them: each :meth:`~TopologyPublisher.publish` call
-``compact()``s the discovered region into a fresh shared-memory slab (one
-*epoch*) and atomically swaps it in as the current topology, while readers
-pinned to the previous epoch keep a consistent view until they let go.
+walk rounds want a frozen graph that no append can move under them.
+:class:`TopologyPublisher` is the hand-off between them: each
+:meth:`~TopologyPublisher.publish` call ``compact()``s the discovered
+region into a fresh shared-memory slab (one *epoch*) and atomically swaps
+it in as the current topology, while readers pinned to the previous epoch
+keep a consistent view until they let go.
 
 **Epoch/lease retirement.**  Readers never touch :attr:`current` bare —
 they :meth:`~TopologyPublisher.acquire` a :class:`TopologyLease` (a
@@ -81,7 +81,7 @@ class PublishedTopology:
 
     @property
     def spec(self) -> CSRSlabSpec:
-        """Picklable attach recipe (ships to walk workers)."""
+        """Attach recipe of the epoch's slab (a checkpoint records it)."""
         return self.shared.spec
 
     @property

@@ -19,7 +19,7 @@ store's insertion order.  Documents are written through
 :func:`repro.bench.io.atomic_write_json`, so a crash mid-write leaves the
 previous checkpoint intact, never a torn one.
 
-**Format (version 5).**  The document is strict JSON on one line,
+**Format (version 6).**  The document is strict JSON on one line,
 serialized by CPython's C encoder (``indent=None``).  The two bulk
 payloads are written as bytes, not as numbers: each job's accepted
 ``values`` and ``weights`` are one base64 blob of little-endian float64
@@ -76,8 +76,10 @@ from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 #: version 3 dropped ``batch_backward`` from the job specs' engine config;
 #: version 4 writes samples and discovered rows as base64 blobs and
 #: non-finite estimates as one-value blobs; version 5 records the live
-#: epoch's number and watermark for ``/dev/shm`` slabs too.
-CHECKPOINT_VERSION = 5
+#: epoch's number and watermark for ``/dev/shm`` slabs too; version 6
+#: dropped ``mp_context``, ``slab_storage`` and ``slab_dir`` from the job
+#: specs' engine config.
+CHECKPOINT_VERSION = 6
 
 #: Top-level keys every checkpoint document carries.
 CHECKPOINT_KEYS = frozenset(

@@ -116,8 +116,9 @@ class ServiceConfig:
         the shards run in process, one after another.  ``batch`` jobs
         always run as one shard.
     mp_context:
-        Ignored: the service starts no worker process.  Kept so existing
-        configs and checkpoint documents still construct.
+        Ignored: the service starts no worker process.  The field stays
+        because existing callers pass it, and checkpoint documents
+        record it with the rest of the config.
     checkpoint_path:
         Where the service writes periodic checkpoints (atomic JSON; see
         :mod:`repro.service.checkpoint`); ``None`` disables them.

@@ -49,7 +49,7 @@ from repro.walks.gelman_rubin import (
     ParallelBurnInSampler,
     psrf_matrix,
 )
-from repro.walks.parallel import RoundEvent, ShardedWalkEngine, default_worker_count
+from repro.walks.parallel import ShardedWalkEngine, default_worker_count
 from repro.walks.raftery_lewis import RafteryLewisResult, raftery_lewis
 from repro.walks.nonbacktracking import NonBacktrackingSampler, run_nbrw_walk
 from repro.walks.autocorr import (
@@ -86,7 +86,6 @@ __all__ = [
     "target_weights_batch",
     "walk_attribute_matrix",
     "ShardedWalkEngine",
-    "RoundEvent",
     "default_worker_count",
     "BurnInSampler",
     "LongRunSampler",

@@ -39,19 +39,6 @@ unlinks the slab, so no ``/dev/shm`` entry or slab file survives a closed
 engine.  Creating an engine costs one topology copy plus worker startup;
 amortize it by running many batches per engine, not one.
 
-**Growing topologies.**  Every task ships the slab *spec* it must run
-against, and workers re-attach lazily whenever the spec changes — so one
-persistent pool can chase a topology that grows between rounds.  Build
-the engine over an externally owned slab with
-:meth:`ShardedWalkEngine.from_shared` and re-point it with
-:meth:`ShardedWalkEngine.update_topology`; slab lifetime (create, retire,
-unlink) then belongs to the caller — in the async crawl pipeline, to the
-epoch/lease machinery of
-:class:`repro.crawl.publisher.TopologyPublisher`, which keeps a
-superseded slab alive until the last round holding it completes.  An
-in-flight round is pinned to the spec its tasks carried: a concurrent
-swap never tears it.
-
 **Crash transparency.**  A worker process dying mid-round breaks the
 whole :class:`~concurrent.futures.ProcessPoolExecutor`; the engine treats
 that as a recoverable event.  Completed shards keep their results (and
@@ -73,7 +60,6 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import multiprocessing
@@ -111,45 +97,16 @@ def _worker_close() -> None:
         _WORKER_SLAB = None
 
 
-def _ensure_worker_slab(spec: CSRSlabSpec) -> SharedCSR:
-    """Attach (or re-attach) the worker to the slab *spec* names.
-
-    The swap hook: when a task arrives carrying a different segment than
-    the one currently mapped, the worker detaches the stale mapping first
-    — so a retired epoch's memory is released as soon as every worker has
-    moved on, and a worker never reads one epoch's arrays against
-    another's spec.
-    """
-    global _WORKER_SLAB
-    if (
-        _WORKER_SLAB is None
-        or _WORKER_SLAB.closed
-        or _WORKER_SLAB.spec.segment != spec.segment
-    ):
-        if _WORKER_SLAB is not None:
-            _WORKER_SLAB.close()
-        _WORKER_SLAB = SharedCSR.attach(spec)
-    return _WORKER_SLAB
-
-
 def _worker_init(spec: CSRSlabSpec) -> None:
-    """Pool initializer: register cleanup and warm-attach the initial slab.
-
-    The warm attach is best-effort: a worker spawned after the engine's
-    topology moved on (possible once slabs are externally owned and
-    retired) finds the initial segment gone — harmless, because every
-    task re-attaches from its own spec via :func:`_ensure_worker_slab`.
-    """
+    """Pool initializer: attach the engine's slab once, detach at exit."""
+    global _WORKER_SLAB
     atexit.register(_worker_close)
-    try:
-        _ensure_worker_slab(spec)
-    except FileNotFoundError:  # pragma: no cover - retired before spawn
-        pass
+    _WORKER_SLAB = SharedCSR.attach(spec)
 
 
-def _run_shard(spec: CSRSlabSpec, fn: Callable, args: tuple):
-    """Trampoline executed in the worker: hand *fn* the task's slab graph."""
-    return fn(_ensure_worker_slab(spec).graph, *args)
+def _run_shard(fn: Callable, args: tuple):
+    """Trampoline executed in the worker: hand *fn* the attached graph."""
+    return fn(_WORKER_SLAB.graph, *args)
 
 
 def _crash_shard(csr: CSRGraph, *args) -> int:
@@ -284,24 +241,6 @@ class InlineExecutor:
         return [fn(self.graph, *args) for args in per_shard_args]
 
 
-@dataclass(frozen=True)
-class RoundEvent:
-    """One fan-out dispatched by a :class:`ShardedWalkEngine`.
-
-    Delivered to round hooks (:meth:`ShardedWalkEngine.add_round_hook`)
-    synchronously, just before the round's tasks are submitted — the
-    observation point schedulers and metrics layers (the serving layer's
-    gauges) attach to without wrapping every front end.
-    """
-
-    #: 1-based ordinal of this round within the engine's lifetime.
-    round_index: int
-    #: Number of shard tasks the round fans out.
-    shards: int
-    #: Backing segment of the topology the round is pinned to.
-    segment: str
-
-
 class ShardedWalkEngine:
     """Persistent multiprocess fan-out for the batch-walk front ends.
 
@@ -320,11 +259,8 @@ class ShardedWalkEngine:
         portable and genuinely exercises the attach path; ``"fork"``
         starts faster on Linux.
     slab_storage / slab_dir:
-        Backend for the engine-owned slab — ``"shm"`` (default) or
+        Backend for the engine's slab — ``"shm"`` (default) or
         ``"file"`` with a slab directory (see :mod:`repro.graphs.shm`).
-        Ignored when *shared* is given: a borrowed slab's storage was
-        chosen by whoever created it, and workers attach either kind
-        from the spec alone.
 
     Use as a context manager, or call :meth:`close` — the engine holds a
     slab and live processes until released.
@@ -332,19 +268,13 @@ class ShardedWalkEngine:
 
     def __init__(
         self,
-        graph: Optional[GraphLike] = None,
+        graph: GraphLike,
         n_workers: Optional[int] = None,
         mp_context: str = "spawn",
         *,
-        shared: Optional[SharedCSR] = None,
         slab_storage: str = "shm",
         slab_dir: Optional[str] = None,
     ) -> None:
-        if (graph is None) == (shared is None):
-            raise ConfigurationError(
-                "provide exactly one of graph (engine-owned slab) or "
-                "shared (externally owned slab)"
-            )
         if n_workers is not None and n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers if n_workers is not None else default_worker_count()
@@ -352,17 +282,9 @@ class ShardedWalkEngine:
         # segment — a bad start method must not leave a half-constructed
         # engine holding a /dev/shm entry until GC.
         context = multiprocessing.get_context(mp_context)
-        if shared is not None:
-            if shared.closed:
-                raise ConfigurationError("cannot build an engine on a closed slab")
-            self._shared = shared
-            self._owns_slab = False
-        else:
-            csr = as_csr(graph)
-            self._shared = SharedCSR.create(
-                csr, storage=slab_storage, slab_dir=slab_dir
-            )
-            self._owns_slab = True
+        self._shared = SharedCSR.create(
+            as_csr(graph), storage=slab_storage, slab_dir=slab_dir
+        )
         self._context = context
         self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
             max_workers=self.n_workers,
@@ -370,7 +292,6 @@ class ShardedWalkEngine:
             initializer=_worker_init,
             initargs=(self._shared.spec,),
         )
-        self._round_hooks: List[Callable[[RoundEvent], None]] = []
         self._rounds_dispatched = 0
         #: Respawn cycles allowed per round before giving up.
         self.max_shard_retries = 2
@@ -379,42 +300,6 @@ class ShardedWalkEngine:
         #: Shard tasks re-executed after a worker death.
         self.shard_retries = 0
         self._scheduled_crashes: Set[Tuple[int, int]] = set()
-
-    @classmethod
-    def from_shared(
-        cls,
-        shared: SharedCSR,
-        n_workers: Optional[int] = None,
-        mp_context: str = "spawn",
-    ) -> "ShardedWalkEngine":
-        """Engine over an externally owned slab (swap-capable, borrow-only).
-
-        The engine never closes or unlinks *shared* — the caller (e.g. a
-        :class:`~repro.crawl.publisher.TopologyPublisher`) keeps slab
-        lifetime, and may re-point the engine at successive epochs via
-        :meth:`update_topology` without restarting the worker pool.
-        """
-        return cls(shared=shared, n_workers=n_workers, mp_context=mp_context)
-
-    def update_topology(self, shared: SharedCSR) -> None:
-        """Point subsequent rounds at a different externally owned slab.
-
-        Only valid for engines built with :meth:`from_shared` — an engine
-        that owns its slab has nobody else to manage the old one's
-        lifetime.  In-flight rounds are unaffected (their tasks carry the
-        spec they started with); the caller must keep the old slab alive
-        until those rounds complete, which the publisher's lease machinery
-        does.
-        """
-        if self.closed:
-            raise ConfigurationError("engine is closed")
-        if self._owns_slab:
-            raise ConfigurationError(
-                "engine owns its slab; topology swaps require from_shared(...)"
-            )
-        if shared.closed:
-            raise ConfigurationError("cannot swap to a closed slab")
-        self._shared = shared
 
     # ------------------------------------------------------------------
     # Introspection
@@ -434,32 +319,10 @@ class ShardedWalkEngine:
         """True once :meth:`close` has released pool and segment."""
         return self._pool is None
 
-    # ------------------------------------------------------------------
-    # Round scheduling hooks
-    # ------------------------------------------------------------------
     @property
     def rounds_dispatched(self) -> int:
         """Fan-out rounds this engine has dispatched over its lifetime."""
         return self._rounds_dispatched
-
-    def add_round_hook(self, hook: Callable[[RoundEvent], None]) -> None:
-        """Subscribe *hook* to every subsequent round dispatch.
-
-        Hooks fire synchronously in :meth:`map_shards`, in registration
-        order, *before* the round's tasks are submitted — deterministic
-        relative to the round's work.  A hook must not raise: an exception
-        aborts the round before any task is scheduled.
-        """
-        if not callable(hook):
-            raise ConfigurationError("round hook must be callable")
-        self._round_hooks.append(hook)
-
-    def remove_round_hook(self, hook: Callable[[RoundEvent], None]) -> None:
-        """Unsubscribe *hook*; unknown hooks raise."""
-        try:
-            self._round_hooks.remove(hook)
-        except ValueError:
-            raise ConfigurationError("round hook is not registered") from None
 
     # ------------------------------------------------------------------
     # Fan-out
@@ -487,7 +350,7 @@ class ShardedWalkEngine:
         self._scheduled_crashes.add((round_index, shard_index))
 
     def _respawn_pool(self) -> None:
-        """Replace a broken pool with a fresh one over the current slab."""
+        """Replace a broken pool with a fresh one over the engine's slab."""
         assert self._pool is not None
         self._pool.shutdown(wait=True)
         self._pool = ProcessPoolExecutor(
@@ -518,17 +381,8 @@ class ShardedWalkEngine:
         """
         if self._pool is None:
             raise ConfigurationError("engine is closed")
-        spec = self._shared.spec
         self._rounds_dispatched += 1
         round_index = self._rounds_dispatched
-        if self._round_hooks:
-            event = RoundEvent(
-                round_index=round_index,
-                shards=len(per_shard_args),
-                segment=spec.segment,
-            )
-            for hook in list(self._round_hooks):
-                hook(event)
         results: list = [None] * len(per_shard_args)
         pending = list(range(len(per_shard_args)))
         cycles = 0
@@ -540,7 +394,7 @@ class ShardedWalkEngine:
                 task_fn = _crash_shard if crash in self._scheduled_crashes else fn
                 try:
                     future = self._pool.submit(
-                        _run_shard, spec, task_fn, per_shard_args[index]
+                        _run_shard, task_fn, per_shard_args[index]
                     )
                 except BrokenProcessPool:
                     # An earlier shard's crash broke the pool before this
@@ -662,18 +516,15 @@ class ShardedWalkEngine:
     # Lifetime
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down, then unlink an engine-owned segment.  Idempotent.
+        """Shut the pool down, then unlink the engine's segment.  Idempotent.
 
         Order matters: workers must detach before the owner unlinks, or
         their mappings would pin a nameless segment until process exit.
-        Borrowed slabs (:meth:`from_shared`) are left untouched — their
-        owner retires them.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._owns_slab:
-            self._shared.close()
+        self._shared.close()
 
     def __enter__(self) -> "ShardedWalkEngine":
         return self

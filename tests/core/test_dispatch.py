@@ -138,6 +138,10 @@ class TestEngineConfig:
     def test_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
             EngineConfig.from_dict({"backend": "batch", "worker_count": 4})
+        # The process-layout keys that version 5 checkpoints carried.
+        for key in ("mp_context", "slab_storage", "slab_dir"):
+            with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
+                EngineConfig.from_dict({"backend": "batch", key: None})
 
     def test_charged_implies_batch_backward(self):
         def folded(backend, walk=WalkEstimateConfig()):

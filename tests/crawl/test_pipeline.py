@@ -1,5 +1,7 @@
 """CrawlWalkPipeline end-to-end: epochs, convergence, determinism, hygiene."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.shm import _LIVE_SEGMENTS
 from repro.osn.accounting import QueryBudget
 from repro.osn.api import SocialNetworkAPI
+from repro.walks.batch import run_walk_batch, target_weights_batch
 from repro.walks.transitions import MetropolisHastingsWalk
 
 LATENCY_SCRIPT = [1.0, 0.25, 0.5, 2.0, 0.75]
@@ -34,8 +37,6 @@ def build(hidden, concurrency, seed=42, budget=None, **overrides):
         api,
         0,
         config=config,
-        n_workers=1,
-        mp_context="fork",
         latency=LATENCY_SCRIPT,
         seed=seed,
     )
@@ -117,8 +118,6 @@ class TestEndToEnd:
             0,
             design=MetropolisHastingsWalk(),
             config=config,
-            n_workers=1,
-            mp_context="fork",
             seed=5,
         ) as pipeline:
             result = pipeline.run()
@@ -182,8 +181,6 @@ class TestBudgetAndEdges:
             api,
             0,
             config=config,
-            n_workers=1,
-            mp_context="fork",
             attribute=lambda nodes: np.array([values[int(n)] for n in nodes]),
             seed=3,
         ) as pipeline:
@@ -212,8 +209,6 @@ class TestBudgetAndEdges:
             api,
             0,
             config=config,
-            n_workers=1,
-            mp_context="fork",
             clock=clock,
             latency=1.0,
             seed=1,
@@ -238,6 +233,47 @@ class TestHygiene:
         assert set(_LIVE_SEGMENTS) == live_before
 
 
+class TestInProcessRounds:
+    def test_generator_advances_with_every_walked_epoch(self, hidden):
+        # Each epoch walks its leased graph from the pipeline's one
+        # generator, continuing where the previous epoch stopped: the
+        # estimates equal a replay that walks every epoch's graph from
+        # one continuing stream.
+        replay_rng = np.random.default_rng(7)
+        estimates, replayed = [], []
+        with build(hidden, concurrency=4, seed=7) as pipeline:
+            cfg, design = pipeline.config, pipeline.design
+            while (record := pipeline.run_epoch()) is not None:
+                estimates.append(record.estimate)
+                with pipeline.publisher.acquire() as lease:
+                    assert lease.epoch == record.epoch
+                    starts = np.zeros(cfg.walks_per_epoch, dtype=np.int64)
+                    paths = run_walk_batch(
+                        lease.graph,
+                        design,
+                        starts,
+                        cfg.steps_per_walk,
+                        seed=replay_rng,
+                    ).paths
+                    nodes = paths[:, 1:].ravel()
+                    weights = 1.0 / target_weights_batch(lease.graph, design, nodes)
+                values = pipeline.api.discovered.degrees_of(nodes).astype(np.float64)
+                replayed.append(float(np.sum(values * weights) / np.sum(weights)))
+        assert len(estimates) >= 3
+        assert estimates == replayed
+
+    def test_run_starts_no_child_process(self, hidden):
+        def child_pids():
+            return {child.pid for child in multiprocessing.active_children()}
+
+        children = child_pids()
+        with build(hidden, concurrency=4) as pipeline:
+            while pipeline.run_epoch() is not None:
+                assert child_pids() <= children
+            assert len(pipeline.epochs) >= 3
+        assert child_pids() <= children
+
+
 class TestSmallSurfaces:
     def test_unwalkable_first_epoch_yields_nan_then_recovers(self, hidden):
         # rows_per_epoch=1: epoch 1 publishes only the start node (its
@@ -252,15 +288,35 @@ class TestSmallSurfaces:
             walks_per_epoch=8,
             steps_per_walk=5,
         )
-        with CrawlWalkPipeline(
-            api, 0, config=config, n_workers=1, mp_context="fork", seed=4
-        ) as pipeline:
+        with CrawlWalkPipeline(api, 0, config=config, seed=4) as pipeline:
             first = pipeline.run_epoch()
             assert np.isnan(first.estimate)
             assert first.walk_nodes == 1 and first.walk_edges == 0
             for _ in range(30):
                 record = pipeline.run_epoch()
             assert np.isfinite(record.estimate)
+
+    def test_unwalked_epoch_reports_no_walks(self, hidden):
+        # The same unwalkable first epoch must not report the round it
+        # skipped: zero walks of zero steps, while walked epochs report
+        # the configured round.
+        api = SocialNetworkAPI(hidden)
+        config = CrawlPipelineConfig(
+            concurrency=1,
+            batch_size=1,
+            rows_per_epoch=1,
+            walks_per_epoch=8,
+            steps_per_walk=5,
+        )
+        with CrawlWalkPipeline(api, 0, config=config, seed=4) as pipeline:
+            result = pipeline.run(max_epochs=10)
+        first = result.epochs[0]
+        assert np.isnan(first.estimate) and first.walk_nodes == 1
+        assert (first.walks, first.steps) == (0, 0)
+        for record in result.epochs:
+            walked = bool(np.isfinite(record.estimate))
+            assert (record.walks, record.steps) == ((8, 5) if walked else (0, 0))
+        assert np.isfinite(result.final_estimate)
 
     def test_reprs_and_properties(self, hidden):
         from repro.crawl import AsyncCrawler, TopologyPublisher
@@ -284,7 +340,6 @@ class TestSmallSurfaces:
         assert publisher.closed
         assert "closed" in repr(publisher)
         pipeline = build(hidden, concurrency=2)
-        assert pipeline.engine is None
         assert "CrawlWalkPipeline" in repr(pipeline)
         pipeline.close()
 

@@ -13,7 +13,6 @@ from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.shm import _LIVE_SEGMENTS
 from repro.osn.api import SocialNetworkAPI
 from repro.walks.batch import run_walk_batch
-from repro.walks.parallel import ShardedWalkEngine
 from repro.walks.transitions import SimpleRandomWalk
 
 
@@ -191,38 +190,33 @@ class TestEpochRetirement:
         assert not os.path.exists(_dev_shm(second.spec.segment))
 
 
-class TestSwapUnderRunningEngine:
+class TestSwapUnderRunningRounds:
     def test_pinned_round_sees_the_leased_epoch_exactly(self, api):
         crawler = crawl_rows(api, 20)
         publisher = TopologyPublisher(api.discovered)
         publisher.publish()
         lease = publisher.acquire()
-        frozen = lease.graph
-        # Reference trajectories over a frozen snapshot of epoch 1.
+        pinned_nodes = lease.graph.number_of_nodes()
+        # Reference trajectories over epoch 1, before any swap.
         starts = np.zeros(16, dtype=np.int64)
-        reference = run_walk_batch(frozen, SimpleRandomWalk(), starts, 40, seed=7)
-        with ShardedWalkEngine.from_shared(
-            lease.topology.shared, n_workers=1, mp_context="fork"
-        ) as engine:
-            # Swap epochs *while the engine is pinned to epoch 1*.
-            crawler.crawl(max_new_rows=20)
-            publisher.publish()
-            result = engine.run_walk_batch(SimpleRandomWalk(), starts, 40, seed=7)
-            assert np.array_equal(result.paths, reference.paths)
-            # Moving to the new epoch changes the topology under the
-            # same pool.
-            lease.release()
-            with publisher.acquire() as fresh:
-                engine.update_topology(fresh.topology.shared)
-                grown = engine.run_walk_batch(SimpleRandomWalk(), starts, 40, seed=7)
-                assert engine.graph.number_of_nodes() > frozen.number_of_nodes()
-                assert grown.k == 16
+        reference = run_walk_batch(lease.graph, SimpleRandomWalk(), starts, 40, seed=7)
+        # Swap epochs *while the lease pins epoch 1*.
+        crawler.crawl(max_new_rows=20)
+        publisher.publish()
+        result = run_walk_batch(lease.graph, SimpleRandomWalk(), starts, 40, seed=7)
+        assert np.array_equal(result.paths, reference.paths)
+        # A new lease walks the new epoch's larger topology.
+        lease.release()
+        with publisher.acquire() as fresh:
+            grown = run_walk_batch(fresh.graph, SimpleRandomWalk(), starts, 40, seed=7)
+            assert fresh.graph.number_of_nodes() > pinned_nodes
+            assert grown.k == 16
         publisher.close()
 
     def test_concurrent_publish_during_round_is_never_torn(self, api):
-        # A publisher thread swaps epochs as fast as it can while the
-        # engine walks rounds pinned to one lease: every round must match
-        # the single-process reference over that lease's slab.
+        # A publisher thread swaps epochs as fast as it can while rounds
+        # walk one lease's graph: every round must match the reference
+        # round over that lease's slab.
         crawler = AsyncCrawler(api, 0, concurrency=2, batch_size=8)
         crawler.crawl(max_new_rows=25)
         publisher = TopologyPublisher(api.discovered)
@@ -242,25 +236,23 @@ class TestSwapUnderRunningEngine:
         starts = np.zeros(32, dtype=np.int64)
         thread = threading.Thread(target=churn)
         try:
-            with ShardedWalkEngine.from_shared(
-                lease.topology.shared, n_workers=2, mp_context="fork"
-            ) as engine:
-                # Reference round over the pinned epoch, before any churn.
-                reference = engine.run_walk_batch(
-                    SimpleRandomWalk(), starts, 30, seed=11
+            # Reference round over the pinned epoch, before any churn.
+            reference = run_walk_batch(
+                lease.graph, SimpleRandomWalk(), starts, 30, seed=11
+            )
+            thread.start()
+            for _ in range(5):
+                result = run_walk_batch(
+                    lease.graph, SimpleRandomWalk(), starts, 30, seed=11
                 )
-                thread.start()
-                for _ in range(5):
-                    result = engine.run_walk_batch(
-                        SimpleRandomWalk(), starts, 30, seed=11
-                    )
-                    # Deterministic per (seed, n_workers) over one slab:
-                    # any divergence would mean a torn/overwritten slab.
-                    assert np.array_equal(result.paths, reference.paths)
+                # Deterministic per seed over one slab: any divergence
+                # would mean a torn/overwritten slab.
+                assert np.array_equal(result.paths, reference.paths)
         finally:
             stop.set()
             if thread.ident is not None:
-                thread.join()
+                thread.join(timeout=60)
+        assert not thread.is_alive()
         lease.release()
         publisher.close()
 

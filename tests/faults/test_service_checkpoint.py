@@ -287,6 +287,18 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="version 4"):
             SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
 
+    def test_version_5_document_refused(self, hidden):
+        # Version 5 job specs carried engine.mp_context, slab_storage and
+        # slab_dir; such a document must fail loudly, never half-load.
+        document = self._document(hidden)
+        for job in document["jobs"]:
+            job["spec"]["engine"].update(
+                mp_context="spawn", slab_storage="shm", slab_dir=None
+            )
+        document["version"] = 5
+        with pytest.raises(CheckpointError, match="version 5"):
+            SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
+
     def test_topology_watermark_must_match_the_rows(self, hidden):
         # The rebuilt epoch must be the recorded graph: a watermark that
         # disagrees with the restored rows refuses instead.

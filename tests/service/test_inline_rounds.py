@@ -1,16 +1,16 @@
 """Service rounds run in process, pinned to the previous worker-pool path.
 
 ``PoolService`` below keeps the previous round path of
-:class:`SamplingService` verbatim: ``_ensure_engine`` forks one persistent
-:class:`ShardedWalkEngine` on the first ``sharded`` round,
-``_swap_lease`` re-points it at every new epoch, ``_run_round`` sends
-``sharded`` jobs to it through ``engine=``, and ``close`` shuts it down.
-The current service runs every round in process instead: a ``sharded``
-job's ``n_workers``-shard plan on an :class:`InlineExecutor` over the
-leased graph.  The shard plan, not the executor, fixes a round's result,
-so the tests here demand the same partials, results, counter state and
-ledger charges from both, bit for bit — and that the current service
-starts no process while a campaign runs.
+:class:`SamplingService`: ``_run_round`` sends ``sharded`` jobs through
+``engine=`` to a forked :class:`ShardedWalkEngine` that owns a copy of
+the leased epoch's graph.  ``_ensure_engine`` forks that pool on an
+epoch's first ``sharded`` round, and ``_swap_lease`` and ``close`` shut
+it down.  The current service runs every round in process instead: a
+``sharded`` job's ``n_workers``-shard plan on an :class:`InlineExecutor`
+over the leased graph.  The shard plan, not the executor, fixes a
+round's result, so the tests here demand the same partials, results,
+counter state and ledger charges from both, bit for bit — and that the
+current service starts no process while a campaign runs.
 
 One plan differs on purpose: with one shard, the round consumes the
 job's own generator (:func:`~repro.walks.parallel.shard_rngs`).  The
@@ -48,29 +48,27 @@ WALK = WalkEstimateConfig(
 
 
 class PoolService(SamplingService):
-    """The previous round path: sharded jobs on one persistent pool."""
+    """The previous round path: sharded jobs on a forked worker pool."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._engine: Optional[ShardedWalkEngine] = None
 
-    def _swap_lease(self) -> None:
-        """Pin the newest epoch; re-point the engine; release the old pin.
-
-        Order matters: the engine moves to the new slab *before* the old
-        lease is released, so no round can ever observe a retired segment.
-        """
-        new_lease = self.publisher.acquire()
+    def _close_engine(self) -> None:
         if self._engine is not None:
-            self._engine.update_topology(new_lease.topology.shared)
-        if self._lease is not None:
-            self._lease.release()
-        self._lease = new_lease
+            self._engine.close()
+            self._engine = None
+
+    def _swap_lease(self) -> None:
+        """Retire the old epoch's pool, then pin the newest epoch."""
+        self._close_engine()
+        super()._swap_lease()
 
     def _ensure_engine(self) -> ShardedWalkEngine:
+        """A pool over its own copy of the pinned epoch's graph."""
         if self._engine is None:
-            self._engine = ShardedWalkEngine.from_shared(
-                self._lease.topology.shared,
+            self._engine = ShardedWalkEngine(
+                self._lease.graph,
                 n_workers=self.config.n_workers,
                 mp_context=self.config.mp_context,
             )
@@ -107,9 +105,7 @@ class PoolService(SamplingService):
 
     def close(self) -> None:
         """Shut the pool down first, then the lease and the publisher."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        self._close_engine()
         super().close()
 
 

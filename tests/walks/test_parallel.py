@@ -15,7 +15,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.estimators.metrics import empirical_distribution, l_infinity_bias
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
-from repro.graphs.shm import _LIVE_SEGMENTS, SharedCSR
+from repro.graphs.shm import _LIVE_SEGMENTS
 from repro.walks import kernels
 from repro.walks.batch import (
     run_nbrw_walk_batch,
@@ -289,81 +289,6 @@ class TestSegmentHygiene:
         assert _LIVE_SEGMENTS == {engine1.segment_name, engine2.segment_name}
 
 
-class TestBorrowedSlabsAndSwap:
-    """from_shared / update_topology: one pool, a topology that moves."""
-
-    def test_from_shared_matches_owned_engine(self, csr):
-        from repro.graphs.shm import SharedCSR
-
-        starts = np.zeros(16, dtype=np.int64)
-        shared = SharedCSR.create(csr)
-        try:
-            with ShardedWalkEngine.from_shared(shared, n_workers=1) as engine:
-                borrowed = engine.run_walk_batch(
-                    SimpleRandomWalk(), starts, 20, seed=3
-                )
-            reference = run_walk_batch(csr, SimpleRandomWalk(), starts, 20, seed=3)
-            assert np.array_equal(borrowed.paths, reference.paths)
-            # Engine close left the borrowed slab alone.
-            assert not shared.closed
-            assert os.path.exists(os.path.join("/dev/shm", shared.spec.segment))
-        finally:
-            shared.close()
-        assert not os.path.exists(os.path.join("/dev/shm", shared.spec.segment))
-
-    def test_update_topology_moves_subsequent_rounds(self, csr):
-        from repro.graphs.shm import SharedCSR
-
-        other = watts_strogatz_graph(120, 4, 0.1, seed=5).relabeled().compile()
-        first, second = SharedCSR.create(csr), SharedCSR.create(other)
-        try:
-            with ShardedWalkEngine.from_shared(first, n_workers=2) as engine:
-                starts = np.zeros(8, dtype=np.int64)
-                engine.run_walk_batch(SimpleRandomWalk(), starts, 5, seed=1)
-                assert engine.graph.number_of_nodes() == csr.number_of_nodes()
-                engine.update_topology(second)
-                moved = engine.run_walk_batch(SimpleRandomWalk(), starts, 5, seed=1)
-                assert engine.graph.number_of_nodes() == other.number_of_nodes()
-                reference = run_walk_batch(
-                    other, SimpleRandomWalk(), starts, 5, seed=1
-                )
-                # n_workers=2 still deterministic per (seed, workers):
-                with ShardedWalkEngine.from_shared(second, n_workers=2) as twin:
-                    twin_result = twin.run_walk_batch(
-                        SimpleRandomWalk(), starts, 5, seed=1
-                    )
-                assert np.array_equal(moved.paths, twin_result.paths)
-                assert moved.paths.shape == reference.paths.shape
-        finally:
-            first.close()
-            second.close()
-
-    def test_constructor_and_swap_validation(self, csr):
-        from repro.graphs.shm import SharedCSR
-
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            ShardedWalkEngine()
-        shared = SharedCSR.create(csr)
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            ShardedWalkEngine(csr, shared=shared)
-        with ShardedWalkEngine(csr, n_workers=1) as owned:
-            with pytest.raises(ConfigurationError, match="from_shared"):
-                owned.update_topology(shared)
-        shared.close()
-        with pytest.raises(ConfigurationError, match="closed slab"):
-            ShardedWalkEngine.from_shared(shared)
-
-    def test_swap_to_closed_slab_rejected(self, csr):
-        from repro.graphs.shm import SharedCSR
-
-        live, dead = SharedCSR.create(csr), SharedCSR.create(csr)
-        dead.close()
-        with ShardedWalkEngine.from_shared(live, n_workers=1) as engine:
-            with pytest.raises(ConfigurationError, match="closed slab"):
-                engine.update_topology(dead)
-        live.close()
-
-
 class TestFileSlabParity:
     """Walks over an mmap-file slab are bit-identical to /dev/shm walks."""
 
@@ -372,16 +297,13 @@ class TestFileSlabParity:
         starts = np.arange(24, dtype=np.int64)
         results = {}
         for storage in ("shm", "file"):
-            shared = SharedCSR.create(
+            with ShardedWalkEngine(
                 csr,
-                storage=storage,
+                n_workers=2,
+                slab_storage=storage,
                 slab_dir=tmp_path if storage == "file" else None,
-            )
-            with shared:
-                with ShardedWalkEngine.from_shared(shared, n_workers=2) as engine:
-                    results[storage] = engine.run_walk_batch(
-                        design, starts, 50, seed=404
-                    )
+            ) as engine:
+                results[storage] = engine.run_walk_batch(design, starts, 50, seed=404)
         assert np.array_equal(results["shm"].paths, results["file"].paths)
 
     def test_engine_owned_file_slab_cleans_up(self, csr, tmp_path):
