@@ -60,11 +60,12 @@ def time_serial_baseline(
         latency=LATENCY_SCRIPT,
     )
     crawler.crawl()
-    with TopologyPublisher(api.discovered) as publisher:
-        publisher.publish()
-        with publisher.acquire() as lease:
-            starts = np.zeros(walks, dtype=np.int64)
-            run_walk_batch(lease.graph, SimpleRandomWalk(), starts, steps, seed=seed)
+    publisher = TopologyPublisher(api.discovered)
+    publisher.publish()
+    starts = np.zeros(walks, dtype=np.int64)
+    run_walk_batch(
+        publisher.acquire().graph, SimpleRandomWalk(), starts, steps, seed=seed
+    )
     elapsed = time.perf_counter() - began
     return {
         "mode": "serial_crawl_then_walk",

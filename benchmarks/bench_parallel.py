@@ -20,14 +20,11 @@ core-limited CI runner the curve flattens at the core count — interpret
 the committed artifact against its recorded host, not the ideal.
 
 ``--quick`` shrinks the budget for smoke runs; ``--workers`` picks the
-sweep (CI smoke uses ``--workers 1 2``); ``--slab-storage file`` times the
-sharded rows over an mmap-backed slab file instead of ``/dev/shm`` (the
-record's ``host`` block says which storage the timings were taken on).
+sweep (CI smoke uses ``--workers 1 2``).
 """
 
 import argparse
 import os
-import tempfile
 import time
 
 import numpy as np
@@ -101,13 +98,9 @@ def _time_batch(csr, design, k, rounds, steps, seed) -> dict:
     }
 
 
-def _time_sharded(
-    csr, design, workers, k, rounds, steps, seed, slab_storage, slab_dir
-) -> dict:
+def _time_sharded(csr, design, workers, k, rounds, steps, seed) -> dict:
     starts = np.zeros(k, dtype=np.int64)
-    with ShardedWalkEngine(
-        csr, n_workers=workers, slab_storage=slab_storage, slab_dir=slab_dir
-    ) as engine:
+    with ShardedWalkEngine(csr, n_workers=workers) as engine:
         # Warm the pool (worker spawn + first-task import) outside the
         # timed region: the engine is a persistent resource, and the
         # steady state is what the scaling claim is about.
@@ -137,8 +130,6 @@ def run_comparison(
     scalar_walks: int = 200,
     workers=(1, 2, 4, 8),
     seed: int = 42,
-    slab_storage: str = "shm",
-    slab_dir=None,
 ) -> dict:
     """Scalar vs. batch vs. sharded throughput on the benchmark graph."""
     graph = barabasi_albert_graph(nodes, attach, seed=seed).relabeled()
@@ -158,7 +149,6 @@ def run_comparison(
         "host": {
             "cpu_count": default_worker_count(),
             "pid_cpu_count": os.cpu_count(),
-            "slab_storage": slab_storage,
         },
         "steps_per_walk": steps,
         "k": k,
@@ -172,9 +162,7 @@ def run_comparison(
         batch["timing"]["speedup_vs_scalar"] = batch_rate / scalar_rate
         sharded = {}
         for w in workers:
-            row = _time_sharded(
-                csr, design, w, k, rounds, steps, seed, slab_storage, slab_dir
-            )
+            row = _time_sharded(csr, design, w, k, rounds, steps, seed)
             timing = row["timing"]
             timing["speedup_vs_batch"] = timing["steps_per_sec"] / batch_rate
             timing["speedup_vs_scalar"] = timing["steps_per_sec"] / scalar_rate
@@ -200,20 +188,6 @@ def main(argv=None) -> None:
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4, 8])
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--slab-storage",
-        choices=("shm", "file"),
-        default="shm",
-        help="slab backend the sharded engine publishes through",
-    )
-    parser.add_argument(
-        "--slab-dir",
-        default=None,
-        help=(
-            "directory for --slab-storage file slabs "
-            "(default: a temporary directory, removed afterwards)"
-        ),
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="tiny budget for CI smoke runs (overrides nodes/steps/k)",
@@ -224,19 +198,15 @@ def main(argv=None) -> None:
     if args.quick:
         args.nodes, args.steps, args.k = 500, 50, 512
         args.rounds, args.scalar_walks = 2, 50
-    with tempfile.TemporaryDirectory(prefix="bench-slabs-") as scratch:
-        slab_dir = args.slab_dir or scratch
-        record = run_comparison(
-            nodes=args.nodes,
-            steps=args.steps,
-            k=args.k,
-            rounds=args.rounds,
-            scalar_walks=args.scalar_walks,
-            workers=tuple(args.workers),
-            seed=args.seed,
-            slab_storage=args.slab_storage,
-            slab_dir=slab_dir if args.slab_storage == "file" else None,
-        )
+    record = run_comparison(
+        nodes=args.nodes,
+        steps=args.steps,
+        k=args.k,
+        rounds=args.rounds,
+        scalar_walks=args.scalar_walks,
+        workers=tuple(args.workers),
+        seed=args.seed,
+    )
     write_artifact(record, args.out, scale="smoke" if args.quick else "full")
     print(f"host cpus: {record['host']['cpu_count']}")
     for name, entry in record["designs"].items():

@@ -3,8 +3,8 @@
 The async crawl pipeline applies the paper's "walk, not wait" premise to
 the crawl phase itself: an AsyncCrawler keeps several neighbor-list
 fetches in flight against the charged API, a TopologyPublisher
-periodically compacts everything discovered so far into a fresh
-shared-memory CSR slab, and an in-process walk round runs over each
+periodically compacts everything discovered so far into a fresh CSR
+graph (one epoch), and an in-process walk round runs over each
 published epoch — so the estimate refines while the network is still
 answering, instead of waiting for the crawl to finish.
 

@@ -176,7 +176,7 @@ class CrawlPipelineConfig:
     rows_per_epoch:
         New neighbor rows to crawl before each compact→publish→walk
         round.  Smaller epochs refine estimates more often but pay the
-        compaction and slab swap more often.
+        compaction more often.
     walks_per_epoch:
         Walks launched over each published topology.
     steps_per_walk:

@@ -11,9 +11,9 @@ network answers one neighbor-list request, the frontier keeps moving.
   accounting identical to the serial crawl (parity-pinned at
   concurrency 1);
 * :class:`~repro.crawl.publisher.TopologyPublisher` — periodic
-  ``compact()`` of the discovered graph into shared-memory CSR slabs,
-  swapped atomically under running walk rounds with epoch/lease
-  retirement (no torn reads, no leaked ``/dev/shm`` segments);
+  ``compact()`` of the discovered graph into frozen CSR epochs, swapped
+  under running walk rounds without tearing them (a reader keeps the
+  epoch it took until it lets go);
 * :class:`~repro.crawl.pipeline.CrawlWalkPipeline` — the front end that
   interleaves crawl epochs with in-process walk rounds so estimates
   refine as the graph grows.
@@ -22,7 +22,7 @@ network answers one neighbor-list request, the frontier keeps moving.
 from repro.crawl.clock import FakeClock, drive, resolve_latency
 from repro.crawl.crawler import CRAWLER_STATE_KEYS, AsyncCrawler, CrawlChunkStats
 from repro.crawl.pipeline import CrawlEpochRecord, CrawlWalkPipeline, PipelineResult
-from repro.crawl.publisher import PublishedTopology, TopologyLease, TopologyPublisher
+from repro.crawl.publisher import PublishedTopology, TopologyPublisher
 
 __all__ = [
     "AsyncCrawler",
@@ -33,7 +33,6 @@ __all__ = [
     "FakeClock",
     "PipelineResult",
     "PublishedTopology",
-    "TopologyLease",
     "TopologyPublisher",
     "drive",
     "resolve_latency",

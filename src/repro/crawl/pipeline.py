@@ -4,9 +4,9 @@
 pieces: an :class:`~repro.crawl.crawler.AsyncCrawler` fetches the next
 chunk of the hidden graph concurrently, a
 :class:`~repro.crawl.publisher.TopologyPublisher` compacts the discovered
-rows into a fresh shared-memory slab, and one in-process walk round
-(:func:`~repro.walks.batch.run_walk_batch`) runs over the leased graph —
-one *epoch*.  Each epoch's walks run over strictly more of the network
+rows into a fresh epoch graph, and one in-process walk round
+(:func:`~repro.walks.batch.run_walk_batch`) runs over that graph — one
+*epoch*.  Each epoch's walks run over strictly more of the network
 than the last, so the per-epoch estimate converges to the full-graph
 value as coverage completes, while the crawler (not the walkers) absorbs
 all the network latency — "walk, not wait" applied to the crawl phase
@@ -136,8 +136,8 @@ class CrawlWalkPipeline:
     seed:
         One seed for the whole run's randomness.
 
-    Use as a context manager (the publisher holds a slab until
-    :meth:`close`).
+    Use as a context manager, or call :meth:`close`; a closed pipeline
+    runs no further epoch.
     """
 
     def __init__(
@@ -166,7 +166,7 @@ class CrawlWalkPipeline:
             clock=self.clock,
             latency=latency,
         )
-        self.publisher = TopologyPublisher(api.discovered, fetched_only=True)
+        self.publisher = TopologyPublisher(api.discovered)
         self._attribute = attribute
         self._rng = ensure_rng(seed)
         self.epochs: List[CrawlEpochRecord] = []
@@ -228,26 +228,26 @@ class CrawlWalkPipeline:
         published = self.publisher.publish(force=not self.epochs)
         if published is None and self.epochs:
             return None
-        with self.publisher.acquire() as lease:
-            graph = lease.graph
-            # An epoch whose start is unpublished or isolated walks nothing.
-            walked = self.start in graph and graph.degree(self.start) > 0
-            estimate = self._walk_estimate(graph) if walked else float("nan")
-            record = CrawlEpochRecord(
-                epoch=lease.epoch,
-                new_rows=new_rows,
-                crawl_seconds=crawl_seconds,
-                fetched_nodes=self.api.discovered.fetched_count,
-                member_nodes=self.api.discovered.membership_size,
-                walk_nodes=graph.number_of_nodes(),
-                walk_edges=graph.number_of_edges(),
-                walks=cfg.walks_per_epoch if walked else 0,
-                steps=cfg.steps_per_walk if walked else 0,
-                estimate=estimate,
-                query_cost=self.api.query_cost,
-                raw_calls=self.api.raw_calls,
-                clock_seconds=self.clock.now,
-            )
+        topology = self.publisher.acquire()
+        graph = topology.graph
+        # An epoch whose start is unpublished or isolated walks nothing.
+        walked = self.start in graph and graph.degree(self.start) > 0
+        estimate = self._walk_estimate(graph) if walked else float("nan")
+        record = CrawlEpochRecord(
+            epoch=topology.epoch,
+            new_rows=new_rows,
+            crawl_seconds=crawl_seconds,
+            fetched_nodes=self.api.discovered.fetched_count,
+            member_nodes=self.api.discovered.membership_size,
+            walk_nodes=graph.number_of_nodes(),
+            walk_edges=graph.number_of_edges(),
+            walks=cfg.walks_per_epoch if walked else 0,
+            steps=cfg.steps_per_walk if walked else 0,
+            estimate=estimate,
+            query_cost=self.api.query_cost,
+            raw_calls=self.api.raw_calls,
+            clock_seconds=self.clock.now,
+        )
         self.epochs.append(record)
         return record
 
@@ -271,11 +271,8 @@ class CrawlWalkPipeline:
     # Lifetime
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the publisher (and its segment). Idempotent."""
-        if self._closed:
-            return
+        """Refuse further epochs. Idempotent."""
         self._closed = True
-        self.publisher.close()
 
     def __enter__(self) -> "CrawlWalkPipeline":
         return self

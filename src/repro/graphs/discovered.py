@@ -96,8 +96,8 @@ class DiscoveredSlab:
         symmetric whenever the hidden graph is (an edge survives iff both
         endpoints were fetched), and it converges to the hidden graph as
         the crawl completes.  This is the graph the
-        :class:`~repro.crawl.publisher.TopologyPublisher` ships to the
-        walk engine each epoch.
+        :class:`~repro.crawl.publisher.TopologyPublisher` publishes as
+        each epoch.
         """
         csr, fetched = self.csr, self.fetched
         fetched_positions = np.flatnonzero(fetched)

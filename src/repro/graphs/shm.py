@@ -1,35 +1,19 @@
-"""Shared CSR slabs: one topology, any number of processes, two storages.
+"""Shared CSR slabs: one topology, any number of processes.
 
 A frozen :class:`~repro.graphs.csr.CSRGraph` is four int64 arrays — which
 makes it mmap-friendly by construction.  This module packs those arrays
-back-to-back into a single *slab* so that N worker processes can *attach*
+back-to-back into a single POSIX shared-memory segment
+(``/dev/shm/psm_…``), the *slab*, so that N worker processes can *attach*
 the same topology with zero per-worker copies: every attached graph's
 ``indptr`` / ``indices`` / ``degrees`` / ``node_ids`` are NumPy views
 straight into one kernel mapping.  This is the substrate
 :class:`repro.walks.parallel.ShardedWalkEngine` fans its walk batches over.
 
-Two storage backends share one spec, one attach path, and one lifetime
-discipline (``CSRSlabSpec.storage`` selects; nothing above this layer
-forks on the choice):
-
-* ``"shm"`` — a POSIX shared-memory segment (``/dev/shm/psm_…``).  Fast,
-  anonymous-ish, RAM-backed; dies with the machine and must be rebuilt
-  after a restart.
-* ``"file"`` — a single mmap-backed ``*.slab`` file under a caller-chosen
-  ``slab_dir``, created with the same write-temp-fsync-rename discipline
-  as :mod:`repro.bench.io` (a crash mid-create leaves at most a
-  ``.*.tmp``, never a half-written slab a later attach could map).
-  Owner and attachers map it ``ACCESS_READ``: views are read-only and
-  walk straight from the page cache, so slabs can exceed RAM and —
-  paired with the checkpoint's path+digest record — outlive the process
-  that built them.
-
 Round trip::
 
-    shared = SharedCSR.create(csr)          # owner process (storage="shm")
-    shared = SharedCSR.create(csr, storage="file", slab_dir="slabs/")
+    shared = SharedCSR.create(csr)          # owner process
     spec = shared.spec                      # picklable, ships to workers
-    attached = SharedCSR.attach(spec)       # worker process, either storage
+    attached = SharedCSR.attach(spec)       # worker process
     attached.graph                          # zero-copy CSRGraph
     ...
     attached.close()                        # worker: drop the mapping
@@ -40,17 +24,16 @@ name, and per-node attributes as the original (attributes ride along in
 the picklable spec as plain dicts — they are metadata-sized and are
 *copied*, not shared; only the four topology arrays are zero-copy).
 
-**Lifetime and cleanup.**  Both storages are kernel objects with a
-filesystem name that outlives every process mapping them until someone
-unlinks it.  The rules are identical for both:
+**Lifetime and cleanup.**  A segment is a kernel object with a
+filesystem name that outlives every process mapping it until someone
+unlinks it:
 
 * The **creating** process owns the slab.  Its :meth:`SharedCSR.close`
   both closes the local mapping and unlinks the name — after that no new
   attach can succeed, and the memory is freed once the last extant
   mapping closes.  ``SharedCSR`` is a context manager, and a garbage
   collection finalizer backstops ``close`` so an abandoned handle does
-  not leak ``/dev/shm`` entries (or stray ``*.slab`` files) for the life
-  of the machine.
+  not leak ``/dev/shm`` entries for the life of the machine.
 * **Attaching** processes must not unlink; their :meth:`close` only drops
   the local mapping.  (Workers share the owner's ``resource_tracker``
   process, whose cache is a set — the attach-side auto-registration that
@@ -61,46 +44,29 @@ unlinks it.  The rules are identical for both:
   they pin the kernel mapping until the last of them is garbage
   collected — but the slab name is gone, so the memory is reclaimed the
   moment they die.
-* :meth:`SharedCSR.adopt` is the resume-side exception: it re-attaches a
-  slab that already exists on disk (a persisted file slab recorded in a
-  checkpoint) *as owner*, taking over unlink duty from the process that
-  crashed.
 
-Names never collide: the stdlib randomizes shm segment names and file
-slabs get a fresh uuid per create.  Tests assert no ``/dev/shm`` entry
-and no ``*.slab`` file survives an engine's close.
+Names never collide: the stdlib randomizes segment names.  Tests assert
+no ``/dev/shm`` entry survives an engine's close.
 """
 
 from __future__ import annotations
 
-import hashlib
-import mmap
 import os
-import tempfile
-import uuid
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, GraphError
+from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph, Node
 
-#: Names of every slab created by this process and not yet unlinked —
-#: shm segment names and file-slab paths alike.  Tests read this to
-#: assert engines clean up after themselves.
+#: Names of every segment created by this process and not yet unlinked.
+#: Tests read this to assert engines clean up after themselves.
 _LIVE_SEGMENTS: Set[str] = set()
 
 _FIELDS = ("indptr", "indices", "degrees", "node_ids")
-
-#: The storage backends ``CSRSlabSpec.storage`` may name.
-STORAGES = ("shm", "file")
-
-#: File-backed slabs end with this; hygiene checks grep for it.
-SLAB_SUFFIX = ".slab"
 
 _ITEMSIZE = np.dtype(np.int64).itemsize
 
@@ -109,17 +75,15 @@ _ITEMSIZE = np.dtype(np.int64).itemsize
 class CSRSlabSpec:
     """Picklable recipe for attaching one shared CSR slab.
 
-    Everything a worker needs to rebuild the graph: the slab's name (an
-    shm segment name or a file path, per :attr:`storage`), the per-array
-    element offsets/lengths inside the slab's one int64 carpet, and the
-    (copied) graph metadata.
+    Everything a worker needs to rebuild the graph: the segment name, the
+    per-array element offsets/lengths inside the slab's one int64 carpet,
+    and the (copied) graph metadata.
     """
 
     segment: str
     lengths: Tuple[int, int, int, int]
     name: str
     attributes: Dict[str, Dict[Node, float]]
-    storage: str = field(default="shm")
 
     @property
     def offsets(self) -> Tuple[int, ...]:
@@ -139,37 +103,6 @@ class CSRSlabSpec:
         """Size of the carpet in bytes (always positive: indptr >= 1)."""
         return self.total_elements * _ITEMSIZE
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (checkpoints persist file-slab specs)."""
-        return {
-            "segment": self.segment,
-            "lengths": list(self.lengths),
-            "name": self.name,
-            "attributes": {
-                attr: {str(node): float(value) for node, value in values.items()}
-                for attr, values in self.attributes.items()
-            },
-            "storage": self.storage,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, object]) -> "CSRSlabSpec":
-        """Inverse of :meth:`to_dict`; re-coerces the node keys JSON
-        stringified back to ints."""
-        lengths = tuple(int(n) for n in document["lengths"])
-        if len(lengths) != len(_FIELDS):
-            raise GraphError(f"slab spec needs {len(_FIELDS)} lengths, got {lengths}")
-        return cls(
-            segment=str(document["segment"]),
-            lengths=lengths,
-            name=str(document["name"]),
-            attributes={
-                str(attr): {int(node): float(value) for node, value in values.items()}
-                for attr, values in dict(document["attributes"]).items()
-            },
-            storage=str(document.get("storage", "shm")),
-        )
-
 
 def _views(spec: CSRSlabSpec, buf) -> Dict[str, np.ndarray]:
     """The four field views over one slab buffer, zero-copy."""
@@ -180,9 +113,6 @@ def _views(spec: CSRSlabSpec, buf) -> Dict[str, np.ndarray]:
     return views
 
 
-# ----------------------------------------------------------------------
-# Storage blocks: one buffer + close/unlink per backend
-# ----------------------------------------------------------------------
 def _defuse_shared_memory(shm: shared_memory.SharedMemory) -> None:
     """Neutralize a ``SharedMemory`` handle whose ``close()`` raised
     ``BufferError`` (outstanding numpy views still pin the mapping).
@@ -231,135 +161,21 @@ def _unregister_tracker(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-class _ShmBlock:
-    """A POSIX shared-memory segment behind the uniform block interface."""
-
-    def __init__(self, shm: shared_memory.SharedMemory) -> None:
-        self._shm = shm
-
-    @property
-    def buf(self):
-        return self._shm.buf
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except BufferError:
-            _defuse_shared_memory(self._shm)
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            _unregister_tracker(self._shm)
-
-
-class _FileBlock:
-    """An mmap-backed slab file behind the uniform block interface."""
-
-    def __init__(self, path: str, mapping: mmap.mmap) -> None:
-        self._path = path
-        self._mmap: Optional[mmap.mmap] = mapping
-
-    @property
-    def buf(self):
-        if self._mmap is None:  # pragma: no cover - guarded by SharedCSR.closed
-            raise GraphError(f"slab file {self._path!r} is no longer mapped")
-        return self._mmap
-
-    def close(self) -> None:
-        if self._mmap is None:
-            return
-        mapping, self._mmap = self._mmap, None
-        try:
-            mapping.close()
-        except BufferError:
-            # Leaked views pin the mapping.  Dropping our reference is
-            # the whole defusal: the arrays keep the mmap object alive
-            # until they die, then the OS reclaims the pages.  (The file
-            # descriptor was closed right after mapping — an mmap needs
-            # no fd once constructed.)
-            pass
-
-    def unlink(self) -> None:
-        try:
-            os.unlink(self._path)
-        except FileNotFoundError:
-            pass
-
-
-def _write_slab_file(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write *chunks* to *path* via temp-file + fsync + atomic rename.
-
-    Same discipline as :func:`repro.bench.io.atomic_write_json`: readers
-    only ever see a complete slab, and a crash mid-write leaves at most a
-    ``.{name}.*.tmp`` orphan (swept by hygiene checks), never a torn
-    ``*.slab``.
-    """
-    fd, tmp_path = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:  # pragma: no cover - temp already gone
-            pass
-        raise
-
-
-def _open_slab_file(path: str, expected_bytes: int) -> _FileBlock:
-    """Map *path* read-only, validating it can hold the spec's carpet."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        size = os.fstat(fd).st_size
-        if size < expected_bytes:
-            raise GraphError(
-                f"slab file {path!r} holds {size} bytes; "
-                f"spec expects {expected_bytes}"
-            )
-        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-    finally:
-        os.close(fd)
-    return _FileBlock(path, mapping)
-
-
-def compute_file_digest(path: Union[str, Path]) -> str:
-    """sha256 hex digest of a slab file's bytes.
-
-    The checkpoint records this at capture time; resume recomputes it
-    before re-attaching, so a tampered or torn slab falls back to
-    rebuild-from-rows instead of publishing a wrong graph.
-    """
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class SharedCSR:
-    """Handle on one shared CSR slab (owner or attached, either storage).
+    """Handle on one shared CSR slab (owner or attached).
 
-    Build with :meth:`create` in the owning process, :meth:`attach` in a
-    worker, or :meth:`adopt` when resuming onto a persisted file slab;
-    never construct directly.  See the module docstring for the lifetime
-    rules.
+    Build with :meth:`create` in the owning process or :meth:`attach` in
+    a worker; never construct directly.  See the module docstring for the
+    lifetime rules.
     """
 
     def __init__(
         self,
-        block: Union[_ShmBlock, _FileBlock],
+        shm: shared_memory.SharedMemory,
         spec: CSRSlabSpec,
         owner: bool,
     ) -> None:
-        self._block = block
+        self._shm = shm
         self._spec = spec
         self._owner = owner
         self._graph: Optional[CSRGraph] = None
@@ -367,33 +183,20 @@ class SharedCSR:
         # Finalizer (not __del__): runs the cleanup even if this handle
         # dies in a reference cycle, and never resurrects the object.
         self._finalizer = weakref.finalize(
-            self, SharedCSR._cleanup, block, owner, spec.segment
+            self, SharedCSR._cleanup, shm, owner, spec.segment
         )
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        csr: CSRGraph,
-        *,
-        storage: str = "shm",
-        slab_dir: Optional[Union[str, Path]] = None,
-    ) -> "SharedCSR":
-        """Copy *csr*'s arrays into a fresh slab (the one-time cost).
+    def create(cls, csr: CSRGraph) -> "SharedCSR":
+        """Copy *csr*'s arrays into a fresh segment (the one-time cost).
 
         The returned handle owns the slab; its :attr:`graph` is a
         zero-copy view usable in this process, and :attr:`spec` ships to
-        workers.  ``storage="file"`` writes one ``*.slab`` file under
-        *slab_dir* (created if missing) and maps it read-only —
-        ``storage="shm"`` keeps today's ``/dev/shm`` semantics, where the
-        owner's views are writable.
+        workers.
         """
-        if storage not in STORAGES:
-            raise ConfigurationError(
-                f"unknown slab storage {storage!r}; expected one of {STORAGES}"
-            )
         arrays = {
             "indptr": csr.indptr,
             "indices": csr.indices,
@@ -404,69 +207,26 @@ class SharedCSR:
             if array.dtype != np.int64:  # pragma: no cover - CSRGraph invariant
                 raise GraphError(f"{field_name} must be int64, got {array.dtype}")
         lengths = tuple(int(arrays[f].size) for f in _FIELDS)
-        attributes = {
-            attr: csr.attribute_values(attr) for attr in csr.attribute_names()
-        }
-        if storage == "shm":
-            # A zero-length segment is illegal; an empty graph still
-            # shares its one-element indptr, so size is always positive.
-            nbytes = max(1, sum(lengths) * _ITEMSIZE)
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            spec = CSRSlabSpec(
-                segment=shm.name,
-                lengths=lengths,
-                name=csr.name,
-                attributes=attributes,
-                storage="shm",
-            )
-            for field_name, view in _views(spec, shm.buf).items():
-                view[...] = arrays[field_name]
-            block: Union[_ShmBlock, _FileBlock] = _ShmBlock(shm)
-        else:
-            if slab_dir is None:
-                raise ConfigurationError("storage='file' requires a slab_dir")
-            directory = Path(slab_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"csr-{uuid.uuid4().hex}{SLAB_SUFFIX}"
-            _write_slab_file(path, (arrays[f].tobytes() for f in _FIELDS))
-            spec = CSRSlabSpec(
-                segment=str(path),
-                lengths=lengths,
-                name=csr.name,
-                attributes=attributes,
-                storage="file",
-            )
-            block = _open_slab_file(str(path), spec.total_bytes)
+        # A zero-length segment is illegal; an empty graph still shares
+        # its one-element indptr, so size is always positive.
+        nbytes = max(1, sum(lengths) * _ITEMSIZE)
+        shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        spec = CSRSlabSpec(
+            segment=shm.name,
+            lengths=lengths,
+            name=csr.name,
+            attributes={
+                attr: csr.attribute_values(attr) for attr in csr.attribute_names()
+            },
+        )
+        for field_name, view in _views(spec, shm.buf).items():
+            view[...] = arrays[field_name]
         _LIVE_SEGMENTS.add(spec.segment)
-        return cls(block, spec, owner=True)
+        return cls(shm, spec, owner=True)
 
     @classmethod
     def attach(cls, spec: CSRSlabSpec) -> "SharedCSR":
         """Map an existing slab (worker side); never unlinks on close."""
-        return cls(cls._open_block(spec), spec, owner=False)
-
-    @classmethod
-    def adopt(cls, spec: CSRSlabSpec) -> "SharedCSR":
-        """Re-attach an existing slab **as owner**, taking unlink duty.
-
-        The resume path: a checkpoint recorded a persisted file slab, the
-        process that created it is gone, and whoever re-attaches must
-        also retire it.  The slab joins this process's live-segment
-        ledger exactly as if :meth:`create` had built it.
-        """
-        block = cls._open_block(spec)
-        _LIVE_SEGMENTS.add(spec.segment)
-        return cls(block, spec, owner=True)
-
-    @classmethod
-    def _open_block(cls, spec: CSRSlabSpec) -> Union[_ShmBlock, _FileBlock]:
-        """Open *spec*'s slab; the single fork on storage kind."""
-        if spec.storage == "file":
-            return _open_slab_file(spec.segment, spec.total_bytes)
-        if spec.storage != "shm":
-            raise ConfigurationError(
-                f"unknown slab storage {spec.storage!r}; expected one of {STORAGES}"
-            )
         shm = shared_memory.SharedMemory(name=spec.segment, create=False)
         # Python 3.11 registers the segment with the resource tracker on
         # attach as well as create.  Workers share the owner's tracker
@@ -475,7 +235,7 @@ class SharedCSR:
         # is an idempotent no-op, and the owner's unlink unregisters the
         # name exactly once.  Unregistering here instead would strip the
         # owner's crash-cleanup guarantee.
-        return _ShmBlock(shm)
+        return cls(shm, spec, owner=False)
 
     # ------------------------------------------------------------------
     # Access
@@ -484,16 +244,6 @@ class SharedCSR:
     def spec(self) -> CSRSlabSpec:
         """The picklable attach recipe for this slab."""
         return self._spec
-
-    @property
-    def storage(self) -> str:
-        """Which backend holds the slab: ``"shm"`` or ``"file"``."""
-        return self._spec.storage
-
-    @property
-    def owner(self) -> bool:
-        """True in the process that created (and must unlink) the slab."""
-        return self._owner
 
     @property
     def closed(self) -> bool:
@@ -509,7 +259,7 @@ class SharedCSR:
                 "its arrays would view freed memory"
             )
         if self._graph is None:
-            views = _views(self._spec, self._block.buf)
+            views = _views(self._spec, self._shm.buf)
             self._graph = CSRGraph.from_validated_parts(
                 views["indptr"],
                 views["indices"],
@@ -520,36 +270,23 @@ class SharedCSR:
             )
         return self._graph
 
-    def content_digest(self) -> str:
-        """sha256 over the slab's carpet bytes (the four arrays in order).
-
-        Matches :func:`compute_file_digest` of the backing file for
-        file-backed slabs — the checkpoint invariant resume validates.
-        """
-        if self._closed:
-            raise GraphError(
-                f"shared CSR slab {self._spec.segment!r} is closed; "
-                "nothing left to digest"
-            )
-        view = memoryview(self._block.buf)[: self._spec.total_bytes]
-        try:
-            return hashlib.sha256(view).hexdigest()
-        finally:
-            view.release()
-
     # ------------------------------------------------------------------
     # Lifetime
     # ------------------------------------------------------------------
     @staticmethod
-    def _cleanup(
-        block: Union[_ShmBlock, _FileBlock], owner: bool, segment: str
-    ) -> None:
-        # Block.close() absorbs BufferError from leaked views (each
-        # backend defuses its own way); the owner's unlink below still
-        # frees the slab *name* immediately.
-        block.close()
+    def _cleanup(shm: shared_memory.SharedMemory, owner: bool, segment: str) -> None:
+        # Leaked views make close() raise BufferError; defusing drops the
+        # handle's references instead, and the owner's unlink below still
+        # frees the segment *name* immediately.
+        try:
+            shm.close()
+        except BufferError:
+            _defuse_shared_memory(shm)
         if owner:
-            block.unlink()
+            try:
+                shm.unlink()
+            except FileNotFoundError:
+                _unregister_tracker(shm)
             _LIVE_SEGMENTS.discard(segment)
 
     def close(self) -> None:
@@ -572,7 +309,4 @@ class SharedCSR:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else ("owner" if self._owner else "attached")
-        return (
-            f"SharedCSR(segment={self._spec.segment!r}, "
-            f"storage={self._spec.storage!r}, {state})"
-        )
+        return f"SharedCSR(segment={self._spec.segment!r}, {state})"

@@ -6,7 +6,7 @@ asset.  One :class:`SamplingService` multiplexes many concurrent estimation
 jobs — each an :class:`~repro.core.dispatch.EstimationJobSpec`, each with
 its own tenant, error target, and unique-node budget — over a single
 charged API, a single crawler and a single topology publisher, with every
-walk round run in process over the leased epoch.  Rows any tenant pays for
+walk round run in process over the current epoch.  Rows any tenant pays for
 are cached for everyone, so N concurrent tenants spend strictly fewer
 queries than N isolated runs at the same accuracy
 (``benchmarks/bench_service.py`` measures exactly this).

@@ -19,7 +19,7 @@ store's insertion order.  Documents are written through
 :func:`repro.bench.io.atomic_write_json`, so a crash mid-write leaves the
 previous checkpoint intact, never a torn one.
 
-**Format (version 6).**  The document is strict JSON on one line,
+**Format (version 7).**  The document is strict JSON on one line,
 serialized by CPython's C encoder (``indent=None``).  The two bulk
 payloads are written as bytes, not as numbers: each job's accepted
 ``values`` and ``weights`` are one base64 blob of little-endian float64
@@ -38,21 +38,15 @@ JSON has no NaN or infinity.  The small lists — counter, ledger,
 crawler frontier, specs and partials — stay plain JSON.
 
 **Topology.**  The ``topology`` record names the live epoch: its number
-and its row watermark, for every slab backend.  A ``/dev/shm`` slab dies
-with the machine, so :func:`restore` rebuilds it from the restored rows
+and its row watermark.  An epoch is an in-process graph that dies with
+the process, so :func:`restore` rebuilds it from the restored rows
 through :meth:`~repro.crawl.publisher.TopologyPublisher.rebuild` (free,
 the rows are local, but it re-pays the compaction) and installs it under
 the recorded number: partials streamed after a resume carry the epoch
 labels an uninterrupted run streams, and the next publish is N + 1 only
-if the graph grew.  A **file-backed** slab
-(``ServiceConfig.slab_storage="file"``) outlives the process: the record
-adds its path and sha256 content digest, and :func:`restore` re-attaches
-the persisted file instead of re-compacting — zero re-paid queries *and*
-zero re-compactions.  A missing file or a digest mismatch silently falls
-back to the rebuild: resume may repeat work, but never publishes a wrong
-graph.  Live stream subscriptions are never captured (a handle is a
-connection, not state; ``partials`` history is preserved, replay is the
-caller's choice).
+if the graph grew.  Live stream subscriptions are never captured (a
+handle is a connection, not state; ``partials`` history is preserved,
+replay is the caller's choice).
 """
 
 from __future__ import annotations
@@ -67,8 +61,7 @@ import numpy as np
 
 from repro.bench.io import atomic_write_json, load_json
 from repro.core.dispatch import EstimationJobSpec
-from repro.errors import CheckpointError, ConfigurationError, GraphError
-from repro.graphs.shm import CSRSlabSpec, SharedCSR, compute_file_digest
+from repro.errors import CheckpointError, ConfigurationError
 from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 
 #: Schema version stamped into every checkpoint document.  Version 2
@@ -78,8 +71,10 @@ from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 #: non-finite estimates as one-value blobs; version 5 records the live
 #: epoch's number and watermark for ``/dev/shm`` slabs too; version 6
 #: dropped ``mp_context``, ``slab_storage`` and ``slab_dir`` from the job
-#: specs' engine config.
-CHECKPOINT_VERSION = 6
+#: specs' engine config; version 7 reduced the ``topology`` record to the
+#: epoch number and row watermark (no storage, path, digest or slab spec)
+#: and dropped ``slab_dir`` from the service config.
+CHECKPOINT_VERSION = 7
 
 #: Top-level keys every checkpoint document carries.
 CHECKPOINT_KEYS = frozenset(
@@ -230,79 +225,27 @@ def _rebuild_job(doc: Mapping[str, Any]) -> Job:
     return job
 
 
-def _topology_document(service) -> Optional[Dict[str, Any]]:
-    """The live epoch's record, or ``None`` before the first publish.
-
-    Every record carries the epoch number and row watermark that
-    :func:`_restore_topology` re-installs.  Only a file-backed slab can
-    be re-attached after the process dies, so only that case adds the
-    attach spec (path included) and a sha256 digest of the slab's bytes
-    for :func:`_adopt_topology` to validate against.
-    """
+def _topology_document(service) -> Optional[Dict[str, int]]:
+    """The live epoch's number and row watermark, or ``None`` before the
+    first publish."""
     current = service.publisher.current
-    if current is None or current.retired:
+    if current is None:
         return None
-    document: Dict[str, Any] = {
-        "storage": current.spec.storage,
-        "epoch": int(current.epoch),
-        "rows": int(current.rows),
-    }
-    if current.spec.storage == "file":
-        document["path"] = current.spec.segment
-        document["digest"] = current.shared.content_digest()
-        document["spec"] = current.spec.to_dict()
-    return document
+    return {"epoch": int(current.epoch), "rows": int(current.rows)}
 
 
 def _restore_topology(service, document: Optional[Mapping[str, Any]]) -> None:
-    """Re-install the checkpoint's live epoch under its recorded number.
-
-    A persisted file slab is adopted as is; anything else — every
-    ``/dev/shm`` slab, a missing or tampered file — is rebuilt from the
-    restored rows.  Either way the service's standing lease pins it, as
-    it pinned the epoch at capture.
-    """
+    """Rebuild the checkpoint's live epoch from the restored rows under its
+    recorded number, and point the service's rounds at it."""
     if document is None:
         return
-    if not _adopt_topology(service, document):
-        try:
-            service.publisher.rebuild(
-                rows=int(document["rows"]), epoch=int(document["epoch"])
-            )
-        except ConfigurationError as exc:
-            raise CheckpointError(f"cannot rebuild the live epoch: {exc}") from exc
-    service._swap_lease()
-
-
-def _adopt_topology(service, document: Mapping[str, Any]) -> bool:
-    """Re-attach the checkpoint's persisted slab; True when adopted.
-
-    The happy path re-creates the pre-crash topology without a single
-    compaction: re-map the slab file and hand it to the publisher as the
-    restored epoch.  Every guard falls back to ``False`` —
-    :func:`_restore_topology` then rebuilds from the restored rows.  A
-    stale or tampered slab never becomes the published graph: the file
-    digest must match what :func:`capture` recorded.
-    """
     try:
-        if document.get("storage") != "file":
-            return False
-        spec = CSRSlabSpec.from_dict(document["spec"])
-        if spec.storage != "file" or not Path(spec.segment).is_file():
-            return False
-        if compute_file_digest(spec.segment) != document.get("digest"):
-            return False
-        shared = SharedCSR.adopt(spec)
-    except (OSError, GraphError, KeyError, TypeError, ValueError):
-        return False
-    try:
-        service.publisher.adopt(
-            shared, rows=int(document["rows"]), epoch=int(document["epoch"])
+        service.publisher.rebuild(
+            rows=int(document["rows"]), epoch=int(document["epoch"])
         )
-    except BaseException:
-        shared.close()
-        raise
-    return True
+    except ConfigurationError as exc:
+        raise CheckpointError(f"cannot rebuild the live epoch: {exc}") from exc
+    service._swap_topology()
 
 
 def capture(service) -> Dict[str, Any]:
@@ -431,6 +374,6 @@ def restore(service, document: Mapping[str, Any]) -> None:
     service.scheduler.pending.extend(service.jobs[job_id] for job_id in pending)
     service.scheduler.running.extend(service.jobs[job_id] for job_id in running)
     service.scheduler._driver_cursor = int(document["driver_cursor"])
-    # Last, once rows and jobs are in place: re-install the live epoch,
-    # from its persisted file slab or rebuilt from the rows restored above.
+    # Last, once rows and jobs are in place: rebuild the live epoch from
+    # the rows restored above.
     _restore_topology(service, document["topology"])

@@ -6,7 +6,8 @@ service's epoch loop:
 * **Backpressure** — a bounded pending queue.  :meth:`JobScheduler.offer`
   raises :class:`~repro.errors.AdmissionError` when full (the non-blocking
   path); :meth:`JobScheduler.wait_for_space` lets an async submitter park
-  until a slot frees, woken in FIFO order by admissions.
+  until a slot frees, woken in FIFO order whenever a job leaves the queue
+  — admitted, or withdrawn unadmitted by a cancel or a stall preemption.
 * **Admission** — strict FIFO promotion from pending to running, capped at
   ``max_running`` concurrent jobs.  FIFO keeps the whole service replayable:
   admission order is a pure function of submission order.
@@ -114,6 +115,15 @@ class JobScheduler:
         if promoted:
             self._wake_space_waiters()
         return promoted
+
+    def withdraw(self, job: Job) -> None:
+        """Remove a pending job that leaves without being admitted.
+
+        A cancel or a stall preemption frees its queue slot just as an
+        admission does, so parked submitters are woken here too.
+        """
+        self.pending.remove(job)
+        self._wake_space_waiters()
 
     def retire(self, job: Job) -> None:
         """Remove a resolved job from the running set."""

@@ -3,8 +3,8 @@
 :class:`SamplingService` is the asyncio front end over everything PR 3–5
 built: one charged :class:`~repro.osn.api.SocialNetworkAPI` feeding one
 shared :class:`~repro.graphs.discovered.DiscoveredGraph`, compacted into
-``/dev/shm`` epochs by a :class:`~repro.crawl.publisher.TopologyPublisher`,
-and walked in process over the leased epoch — multiplexed across every
+topology epochs by a :class:`~repro.crawl.publisher.TopologyPublisher`,
+and walked in process over the current epoch — multiplexed across every
 admitted job.  §2.4 is the whole economics: a row any tenant pays for is
 cached forever, so concurrent tenants are strictly cheaper than isolated
 ones (the property ``benchmarks/bench_service.py`` measures).
@@ -15,12 +15,12 @@ ones (the property ``benchmarks/bench_service.py`` measures).
 2. picks one *crawl driver* by budget-aware round-robin and grows the
    discovered graph by one chunk, attributed to that tenant's ledger
    account and capped at its remaining budget;
-3. publishes a fresh topology epoch when the graph grew, and swaps the
-   service's *standing lease* onto it — the old epoch's slab retires the
-   moment the swap completes;
+3. publishes a fresh topology epoch when the graph grew, and points the
+   service's rounds at it — the superseded epoch's graph is freed once
+   nothing references it;
 4. runs one WALK-ESTIMATE round per running job through the unified
    :func:`repro.core.estimate` dispatcher (the service never calls a
-   front end directly), in process over the leased epoch's graph: a
+   front end directly), in process over the current epoch's graph: a
    ``batch`` job as one shard, a ``sharded`` job as the shard plan of
    ``config.n_workers`` shards on an
    :class:`~repro.walks.parallel.InlineExecutor`.  The plan, not the
@@ -38,12 +38,10 @@ in tests — and all randomness flows from one seed through per-job spawned
 streams, so every interleaving (admission, preemption, epoch swap under
 running jobs) replays bit for bit.
 
-**Hygiene.**  The service *holds a lease between rounds* (the standing
-lease pinning the epoch its rounds walk).  On
-:meth:`SamplingService.close` that lease is released **before**
-``publisher.close()`` — otherwise the close would defer the unlink to a
-lease nobody will ever release again and the ``/dev/shm`` segment would
-outlive the service.  ``tests/crawl/test_service_hygiene.py`` pins this.
+**Hygiene.**  Every epoch is an in-process graph, and rounds run in
+process, so a campaign creates no ``/dev/shm`` segment, no file and no
+worker process; ``tests/crawl/test_service_hygiene.py`` pins this while
+the campaign runs, not only after :meth:`SamplingService.close`.
 
 The optional HTTP adapter (:func:`create_app`) maps the same job API onto
 FastAPI when it is installed; the core service has no dependency on it.
@@ -62,8 +60,7 @@ import numpy as np
 from repro.core.dispatch import EstimationJobSpec, estimate
 from repro.crawl.clock import FakeClock, LatencyLike, drive
 from repro.crawl.crawler import AsyncCrawler
-from repro.crawl.publisher import TopologyLease, TopologyPublisher
-from repro.graphs.shm import STORAGES as SLAB_STORAGES
+from repro.crawl.publisher import PublishedTopology, TopologyPublisher
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -115,21 +112,16 @@ class ServiceConfig:
         so their RNG streams (:func:`~repro.walks.parallel.shard_rngs`);
         the shards run in process, one after another.  ``batch`` jobs
         always run as one shard.
-    mp_context:
-        Ignored: the service starts no worker process.  The field stays
-        because existing callers pass it, and checkpoint documents
-        record it with the rest of the config.
+    mp_context / slab_storage:
+        Ignored: the service starts no worker process and copies no epoch
+        into a slab.  The fields stay because existing callers pass them,
+        and checkpoint documents record them with the rest of the config.
+        ``slab_storage`` accepts only ``"shm"``.
     checkpoint_path:
         Where the service writes periodic checkpoints (atomic JSON; see
         :mod:`repro.service.checkpoint`); ``None`` disables them.
     checkpoint_every:
         Epochs between periodic checkpoints when a path is configured.
-    slab_storage / slab_dir:
-        Backend for published topology slabs — ``"shm"`` (default) or
-        ``"file"`` under *slab_dir* (see :mod:`repro.graphs.shm`).  With
-        file storage, checkpoints record the live slab's path and
-        content digest, and :meth:`SamplingService.resume` re-attaches
-        it instead of re-compacting from rows.
     """
 
     max_pending: int = 16
@@ -147,7 +139,6 @@ class ServiceConfig:
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 1
     slab_storage: str = "shm"
-    slab_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -173,13 +164,10 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"monitor_interval must be > 0 or None, got {self.monitor_interval}"
             )
-        if self.slab_storage not in SLAB_STORAGES:
+        if self.slab_storage != "shm":
             raise ConfigurationError(
-                f"unknown slab_storage {self.slab_storage!r}; "
-                f"valid: {', '.join(SLAB_STORAGES)}"
+                f"unknown slab_storage {self.slab_storage!r}; valid: shm"
             )
-        if self.slab_storage == "file" and self.slab_dir is None:
-            raise ConfigurationError("slab_storage='file' requires slab_dir")
 
 
 class SamplingService:
@@ -204,8 +192,8 @@ class SamplingService:
         Root of every job's RNG stream (spawned per submission, in
         submission order).
 
-    Use as a context manager or call :meth:`close`; the service holds a
-    standing topology lease and a publisher segment until released.
+    Use as a context manager or call :meth:`close`; a closed service
+    refuses submissions and epochs.
     """
 
     def __init__(
@@ -238,14 +226,9 @@ class SamplingService:
             clock=self.clock,
             latency=latency,
         )
-        self.publisher = TopologyPublisher(
-            api.discovered,
-            fetched_only=True,
-            storage=self.config.slab_storage,
-            slab_dir=self.config.slab_dir,
-        )
+        self.publisher = TopologyPublisher(api.discovered)
         self._rng = ensure_rng(seed)
-        self._lease: Optional[TopologyLease] = None
+        self._topology: Optional[PublishedTopology] = None
         self._job_sequence = 0
         self.jobs: Dict[str, Job] = {}
         self.budget_exhausted = False
@@ -323,7 +306,7 @@ class SamplingService:
         if job is None or job.state.terminal:
             return False
         if job.state is JobState.PENDING:
-            self.scheduler.pending.remove(job)
+            self.scheduler.withdraw(job)
         else:
             self.scheduler.retire(job)
         self._resolve(
@@ -422,13 +405,13 @@ class SamplingService:
 
         published = None
         if self.api.discovered.fetched_count:
-            published = self.publisher.publish(force=self._lease is None)
+            published = self.publisher.publish(force=self._topology is None)
         if published is not None:
             self.metrics.epochs_published.inc()
-            self._swap_lease()
+            self._swap_topology()
             progressed = True
 
-        if self._lease is None:
+        if self._topology is None:
             # Nothing fetched and nothing published: no topology will ever
             # exist (every tenant budget-dead before the first row).
             for job in list(self.scheduler.running):
@@ -472,17 +455,14 @@ class SamplingService:
         self.metrics.record_cache_rate(self.api.query_cost, self.api.raw_calls)
         return new_rows > 0
 
-    def _swap_lease(self) -> None:
-        """Pin the newest epoch, then release the old pin."""
-        new_lease = self.publisher.acquire()
-        if self._lease is not None:
-            self._lease.release()
-        self._lease = new_lease
+    def _swap_topology(self) -> None:
+        """Point the rounds at the newest published epoch."""
+        self._topology = self.publisher.acquire()
 
     def _run_round(self, job: Job) -> bool:
-        """One WALK-ESTIMATE round for *job* over the pinned epoch."""
+        """One WALK-ESTIMATE round for *job* over the current epoch."""
         spec = job.spec
-        graph = self._lease.graph
+        graph = self._topology.graph
         if spec.start not in graph or graph.degree(spec.start) == 0:
             if self.crawler.finished:
                 self._resolve(
@@ -515,7 +495,7 @@ class SamplingService:
             job_id=job.job_id,
             tenant=job.tenant,
             round_index=job.rounds,
-            epoch=self._lease.epoch,
+            epoch=self._topology.epoch,
             estimate=est,
             stderr=stderr,
             samples=job.samples,
@@ -551,8 +531,8 @@ class SamplingService:
         """Resolve every live job when an epoch made no progress at all."""
         for job in list(self.scheduler.running):
             self._resolve(job, JobState.PREEMPTED, met=False, reason="stalled")
-        while self.scheduler.pending:
-            job = self.scheduler.pending.popleft()
+        for job in list(self.scheduler.pending):
+            self.scheduler.withdraw(job)
             self._resolve(
                 job, JobState.PREEMPTED, met=False, reason="stalled", retire=False
             )
@@ -667,20 +647,9 @@ class SamplingService:
     # Lifetime
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the standing lease, then the publisher.
-
-        The lease goes *before* ``publisher.close()`` so the final
-        epoch's segment is actually unlinked rather than deferred to a
-        lease nobody holds anymore — the ``/dev/shm`` hygiene contract.
-        Idempotent.
-        """
-        if self._closed:
-            return
+        """Mark the service closed: no further submission or epoch.
+        Idempotent."""
         self._closed = True
-        if self._lease is not None:
-            self._lease.release()
-            self._lease = None
-        self.publisher.close()
 
     def __enter__(self) -> "SamplingService":
         return self

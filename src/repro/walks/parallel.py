@@ -31,13 +31,12 @@ exactly as the batch engine re-partitions the scalar engine's.  The plan
 does not depend on the executor: an :class:`InlineExecutor` with n
 shards returns what a pool with n workers does.
 
-**Lifetime.**  The engine owns one slab (a ``/dev/shm`` segment by
-default, or a file-backed ``*.slab`` via ``slab_storage="file"``) and one
-process pool; both live until :meth:`ShardedWalkEngine.close` (or the
-``with`` block) releases them — workers detach first, then the owner
-unlinks the slab, so no ``/dev/shm`` entry or slab file survives a closed
-engine.  Creating an engine costs one topology copy plus worker startup;
-amortize it by running many batches per engine, not one.
+**Lifetime.**  The engine owns one slab (a ``/dev/shm`` segment) and
+one process pool; both live until :meth:`ShardedWalkEngine.close` (or
+the ``with`` block) releases them — workers detach first, then the owner
+unlinks the slab, so no ``/dev/shm`` entry survives a closed engine.
+Creating an engine costs one topology copy plus worker startup; amortize
+it by running many batches per engine, not one.
 
 **Crash transparency.**  A worker process dying mid-round breaks the
 whole :class:`~concurrent.futures.ProcessPoolExecutor`; the engine treats
@@ -258,9 +257,6 @@ class ShardedWalkEngine:
         :mod:`multiprocessing` start method.  ``"spawn"`` (default) is
         portable and genuinely exercises the attach path; ``"fork"``
         starts faster on Linux.
-    slab_storage / slab_dir:
-        Backend for the engine's slab — ``"shm"`` (default) or
-        ``"file"`` with a slab directory (see :mod:`repro.graphs.shm`).
 
     Use as a context manager, or call :meth:`close` — the engine holds a
     slab and live processes until released.
@@ -271,9 +267,6 @@ class ShardedWalkEngine:
         graph: GraphLike,
         n_workers: Optional[int] = None,
         mp_context: str = "spawn",
-        *,
-        slab_storage: str = "shm",
-        slab_dir: Optional[str] = None,
     ) -> None:
         if n_workers is not None and n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
@@ -282,9 +275,7 @@ class ShardedWalkEngine:
         # segment — a bad start method must not leave a half-constructed
         # engine holding a /dev/shm entry until GC.
         context = multiprocessing.get_context(mp_context)
-        self._shared = SharedCSR.create(
-            as_csr(graph), storage=slab_storage, slab_dir=slab_dir
-        )
+        self._shared = SharedCSR.create(as_csr(graph))
         self._context = context
         self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
             max_workers=self.n_workers,

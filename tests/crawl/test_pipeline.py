@@ -218,13 +218,17 @@ class TestBudgetAndEdges:
 
 
 class TestHygiene:
-    def test_no_dev_shm_segments_leak(self, hidden):
+    def test_run_creates_no_segment_or_file(self, hidden, tmp_path, monkeypatch):
+        # Epochs are in-process graphs: no epoch of a running pipeline
+        # creates a /dev/shm segment or writes a file.
+        monkeypatch.chdir(tmp_path)
         live_before = set(_LIVE_SEGMENTS)
         with build(hidden, concurrency=4) as pipeline:
-            pipeline.run()
-            # Mid-run there is exactly one live published segment.
-            assert len(set(_LIVE_SEGMENTS) - live_before) == 1
+            while pipeline.run_epoch() is not None:
+                assert set(_LIVE_SEGMENTS) == live_before
+            assert len(pipeline.epochs) >= 3
         assert set(_LIVE_SEGMENTS) == live_before
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_segments_leak_on_budget_exhaustion(self, hidden):
         live_before = set(_LIVE_SEGMENTS)
@@ -234,8 +238,17 @@ class TestHygiene:
 
 
 class TestInProcessRounds:
+    def test_each_epoch_walks_the_graph_just_published(self, hidden):
+        with build(hidden, concurrency=2) as pipeline:
+            while (record := pipeline.run_epoch()) is not None:
+                topology = pipeline.publisher.acquire()
+                assert record.epoch == topology.epoch
+                assert record.fetched_nodes == topology.rows
+                assert record.walk_nodes == topology.graph.number_of_nodes()
+            assert len(pipeline.epochs) >= 3
+
     def test_generator_advances_with_every_walked_epoch(self, hidden):
-        # Each epoch walks its leased graph from the pipeline's one
+        # Each epoch walks its published graph from the pipeline's one
         # generator, continuing where the previous epoch stopped: the
         # estimates equal a replay that walks every epoch's graph from
         # one continuing stream.
@@ -245,18 +258,18 @@ class TestInProcessRounds:
             cfg, design = pipeline.config, pipeline.design
             while (record := pipeline.run_epoch()) is not None:
                 estimates.append(record.estimate)
-                with pipeline.publisher.acquire() as lease:
-                    assert lease.epoch == record.epoch
-                    starts = np.zeros(cfg.walks_per_epoch, dtype=np.int64)
-                    paths = run_walk_batch(
-                        lease.graph,
-                        design,
-                        starts,
-                        cfg.steps_per_walk,
-                        seed=replay_rng,
-                    ).paths
-                    nodes = paths[:, 1:].ravel()
-                    weights = 1.0 / target_weights_batch(lease.graph, design, nodes)
+                topology = pipeline.publisher.acquire()
+                assert topology.epoch == record.epoch
+                starts = np.zeros(cfg.walks_per_epoch, dtype=np.int64)
+                paths = run_walk_batch(
+                    topology.graph,
+                    design,
+                    starts,
+                    cfg.steps_per_walk,
+                    seed=replay_rng,
+                ).paths
+                nodes = paths[:, 1:].ravel()
+                weights = 1.0 / target_weights_batch(topology.graph, design, nodes)
                 values = pipeline.api.discovered.degrees_of(nodes).astype(np.float64)
                 replayed.append(float(np.sum(values * weights) / np.sum(weights)))
         assert len(estimates) >= 3
@@ -331,14 +344,8 @@ class TestSmallSurfaces:
         crawler.crawl(max_new_rows=5)
         topology = publisher.publish()
         assert "PublishedTopology" in repr(topology)
-        assert topology.leases == 0
-        with publisher.acquire() as lease:
-            assert "epoch=1" in repr(lease)
-            assert lease.epoch == publisher.current_epoch == 1
-        assert "released" in repr(lease)
-        publisher.close()
-        assert publisher.closed
-        assert "closed" in repr(publisher)
+        assert publisher.acquire().epoch == publisher.current_epoch == 1
+        assert "epoch=1" in repr(publisher)
         pipeline = build(hidden, concurrency=2)
         assert "CrawlWalkPipeline" in repr(pipeline)
         pipeline.close()

@@ -8,7 +8,6 @@ unique-node query for the rows the checkpoint carried.
 import json
 import struct
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +163,30 @@ class TestResumeParity:
         finally:
             resumed.close()
 
+    def test_resume_before_the_first_publish_is_bit_identical(self, hidden):
+        # A checkpoint taken before any epoch records no topology; the
+        # resumed service publishes epoch 1 itself.
+        with make_service(hidden) as reference:
+            reference.run([job_spec("alice")])
+            expected = exact_fingerprint(reference)
+            expected_epochs = partial_epochs(reference)
+
+        with make_service(hidden) as service:
+            service.submit_nowait(job_spec("alice"))
+            document = json.loads(json.dumps(service.checkpoint()))
+        assert document["topology"] is None
+
+        resumed = SamplingService.resume(
+            SocialNetworkAPI(hidden), document, latency=LATENCY
+        )
+        try:
+            assert resumed.publisher.current is None
+            finish(resumed)
+            assert partial_epochs(resumed) == expected_epochs
+            assert exact_fingerprint(resumed) == expected
+        finally:
+            resumed.close()
+
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_resume_keeps_epoch_labels_with_a_sharded_tenant(self, hidden, n_workers):
         # A rebuilt /dev/shm epoch keeps its number: partials streamed
@@ -299,6 +322,17 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="version 5"):
             SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
 
+    def test_version_6_document_refused(self, hidden):
+        # Version 6 recorded the live epoch's slab storage alongside its
+        # number and watermark, and the service config's slab_dir; such a
+        # document must fail loudly, never half-load.
+        document = self._document(hidden)
+        document["topology"]["storage"] = "shm"
+        document["config"]["slab_dir"] = None
+        document["version"] = 6
+        with pytest.raises(CheckpointError, match="version 6"):
+            SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
+
     def test_topology_watermark_must_match_the_rows(self, hidden):
         # The rebuilt epoch must be the recorded graph: a watermark that
         # disagrees with the restored rows refuses instead.
@@ -364,121 +398,8 @@ class TestValidation:
             ServiceConfig(checkpoint_every=0)
 
 
-class TestFileSlabResume:
-    """A checkpointed file slab resumes without re-crawling or re-compacting."""
-
-    def _config(self, slab_dir):
-        return ServiceConfig(
-            rows_per_epoch=60, slab_storage="file", slab_dir=str(slab_dir)
-        )
-
-    def _demanding_jobs(self):
-        # Targets tight enough that refinement outlives the crawl budget:
-        # post-checkpoint work is walks only, so an adopted topology is
-        # never superseded and compactions can stay at zero end to end.
-        return [
-            replace(job_spec("alice", budget=60), error_target=0.05),
-            replace(job_spec("bob", budget=60), error_target=0.05),
-        ]
-
-    def _crash_after_stall(self, hidden, slab_dir):
-        """Run until the crawl stops growing, checkpoint, 'crash'.
-
-        Tenant budgets fund the crawl; once they run dry the fetched
-        frontier freezes, every later publish is growth-gated, and the
-        remaining work is walks only — the regime where an adopted slab
-        must never be re-compacted.  The crashed service is returned
-        un-closed (a real crash never unlinks) and must stay referenced
-        until the test ends, or its GC finalizer would sweep the slab
-        file out from under the resume.
-        """
-        service = make_service(hidden, config=self._config(slab_dir))
-        for spec in self._demanding_jobs():
-            service.submit_nowait(spec)
-        previous = -1
-        while service.api.discovered.fetched_count != previous:
-            previous = service.api.discovered.fetched_count
-            step(service)
-        assert service.scheduler.has_work, "jobs must outlast the crawl"
-        document = json.loads(json.dumps(service.checkpoint()))
-        return service, document
-
-    def test_resume_reattaches_slab_with_zero_recompactions(self, hidden, tmp_path):
-        with make_service(hidden, config=self._config(tmp_path / "ref")) as ref:
-            ref.run(self._demanding_jobs())
-            expected = campaign_fingerprint(ref)
-
-        crashed, document = self._crash_after_stall(hidden, tmp_path / "live")
-        topology = document["topology"]
-        assert topology is not None and topology["storage"] == "file"
-        assert Path(topology["path"]).is_file()
-        cost_at_checkpoint = crashed.api.query_cost
-
-        resumed = SamplingService.resume(
-            SocialNetworkAPI(hidden), document, latency=LATENCY
-        )
-        try:
-            # The persisted topology was adopted, not rebuilt: zero
-            # re-paid queries AND zero re-compactions.
-            assert resumed.publisher.compactions == 0
-            current = resumed.publisher.current
-            assert current is not None
-            assert current.spec.segment == topology["path"]
-            assert current.epoch == topology["epoch"]
-            assert resumed.api.query_cost == cost_at_checkpoint
-            finish(resumed)
-            assert resumed.publisher.compactions == 0
-            assert resumed.api.query_cost == cost_at_checkpoint
-            assert campaign_fingerprint(resumed) == expected
-            resumed.ledger.assert_balanced()
-        finally:
-            resumed.close()
-            crashed.close()
-
-    def test_digest_mismatch_falls_back_to_rebuild(self, hidden, tmp_path):
-        with make_service(hidden, config=self._config(tmp_path / "ref")) as ref:
-            ref.run(self._demanding_jobs())
-            expected = campaign_fingerprint(ref)
-
-        crashed, document = self._crash_after_stall(hidden, tmp_path / "live")
-        path = Path(document["topology"]["path"])
-        # Same size, different bytes: the size gate passes, the digest
-        # refuses, and resume rebuilds from rows — never a wrong graph.
-        blob = bytearray(path.read_bytes())
-        blob[: len(blob) // 2] = bytes(len(blob) // 2)
-        path.write_bytes(bytes(blob))
-
-        resumed = SamplingService.resume(
-            SocialNetworkAPI(hidden), document, latency=LATENCY
-        )
-        try:
-            current = resumed.publisher.current
-            assert current is None or current.spec.segment != str(path)
-            finish(resumed)
-            assert resumed.publisher.compactions >= 1
-            assert campaign_fingerprint(resumed) == expected
-        finally:
-            resumed.close()
-            crashed.close()
-
-    def test_missing_slab_file_falls_back_to_rebuild(self, hidden, tmp_path):
-        with make_service(hidden, config=self._config(tmp_path / "ref")) as ref:
-            ref.run(self._demanding_jobs())
-            expected = campaign_fingerprint(ref)
-
-        crashed, document = self._crash_after_stall(hidden, tmp_path / "live")
-        Path(document["topology"]["path"]).unlink()
-
-        resumed = SamplingService.resume(
-            SocialNetworkAPI(hidden), document, latency=LATENCY
-        )
-        try:
-            finish(resumed)
-            assert resumed.publisher.compactions >= 1
-            assert campaign_fingerprint(resumed) == expected
-        finally:
-            resumed.close()
-            crashed.close()
+class TestTopologyResume:
+    """Resume rebuilds the live epoch from the restored rows."""
 
     def test_shm_checkpoint_records_epoch_and_rows(self, hidden):
         with make_service(hidden) as service:
@@ -488,13 +409,9 @@ class TestFileSlabResume:
             step(service)
             current = service.publisher.current
             document = service.checkpoint()
-        # Epoch and watermark only: a /dev/shm slab dies with the
-        # process, so there is no path to re-attach or digest to check.
-        assert document["topology"] == {
-            "storage": "shm",
-            "epoch": current.epoch,
-            "rows": current.rows,
-        }
+        # Epoch and watermark only: the epoch is an in-process graph that
+        # dies with the process, so resume rebuilds it from the rows.
+        assert document["topology"] == {"epoch": current.epoch, "rows": current.rows}
         assert current.epoch == 2
 
     def test_resumed_shm_epoch_is_rebuilt_under_its_number(self, hidden):
@@ -502,7 +419,7 @@ class TestFileSlabResume:
             service.submit_nowait(job_spec("alice"))
             step(service)
             step(service)
-            # Copies: the slab's zero-copy views die with the service.
+            # Copies, so the comparison below cannot see the same arrays.
             graph = service.publisher.current.graph
             expected = [a.copy() for a in (graph.node_ids, graph.indptr, graph.indices)]
             document = service.checkpoint()
@@ -514,12 +431,44 @@ class TestFileSlabResume:
             assert current.epoch == document["topology"]["epoch"]
             assert current.rows == document["topology"]["rows"]
             assert resumed.publisher.compactions == 1
-            assert resumed._lease.epoch == current.epoch
+            assert resumed._topology.epoch == current.epoch
             graph = current.graph
             rebuilt = [graph.node_ids, graph.indptr, graph.indices]
             assert all(map(np.array_equal, rebuilt, expected))
         finally:
             resumed.close()
+
+    def test_resumed_publisher_gates_then_numbers_after_the_recorded_epoch(
+        self, hidden
+    ):
+        with make_service(hidden) as service:
+            service.submit_nowait(job_spec("alice"))
+            step(service)
+            step(service)
+            document = service.checkpoint()
+        epoch, rows = document["topology"]["epoch"], document["topology"]["rows"]
+        resumed = SamplingService.resume(
+            SocialNetworkAPI(hidden), document, latency=LATENCY
+        )
+        try:
+            publisher = resumed.publisher
+            # No row arrived since the checkpoint: the rebuilt epoch stands.
+            assert publisher.publish() is None
+            assert publisher.compactions == 1
+            resumed.crawler.crawl(max_new_rows=5)
+            grown = publisher.publish()
+            assert (grown.epoch, grown.rows) == (epoch + 1, rows + 5)
+        finally:
+            resumed.close()
+
+    def test_config_records_slab_storage_but_no_slab_dir(self, hidden):
+        with make_service(hidden) as service:
+            service.submit_nowait(job_spec("alice"))
+            step(service)
+            document = json.loads(json.dumps(service.checkpoint()))
+        assert document["config"]["slab_storage"] == "shm"
+        assert "slab_dir" not in document["config"]
+        assert ServiceConfig(**document["config"]) == service.config
 
 
 def bits(values):

@@ -3,12 +3,11 @@
 import os
 import pickle
 from multiprocessing import resource_tracker
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, GraphError
+from repro.errors import GraphError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.graph import Graph
 from repro.graphs.shm import (
@@ -16,8 +15,9 @@ from repro.graphs.shm import (
     CSRSlabSpec,
     SharedCSR,
     _defuse_shared_memory,
-    compute_file_digest,
 )
+from repro.walks.batch import run_walk_batch
+from repro.walks.transitions import SimpleRandomWalk
 
 
 @pytest.fixture()
@@ -74,6 +74,31 @@ class TestRoundTrip:
             assert attached.graph.number_of_edges() == graph.number_of_edges()
             attached.close()
 
+    def test_spec_layout_matches_the_arrays(self, graph):
+        csr = graph.compile()
+        with SharedCSR.create(csr) as shared:
+            spec = shared.spec
+            sizes = tuple(
+                a.size for a in (csr.indptr, csr.indices, csr.degrees, csr.node_ids)
+            )
+            assert spec.lengths == sizes
+            assert spec.offsets == (0, sizes[0], sizes[0] + sizes[1], sum(sizes[:3]))
+            assert spec.total_elements == sum(sizes)
+            assert spec.total_bytes == 8 * sum(sizes)
+
+    def test_attached_graph_walks_like_the_source(self, graph):
+        csr = graph.compile()
+        starts = np.arange(16, dtype=np.int64)
+        reference = run_walk_batch(csr, SimpleRandomWalk(), starts, 30, seed=21)
+        with SharedCSR.create(csr) as shared:
+            attached = SharedCSR.attach(shared.spec)
+            result = run_walk_batch(
+                attached.graph, SimpleRandomWalk(), starts, 30, seed=21
+            )
+            assert np.array_equal(result.paths, reference.paths)
+            del result
+            attached.close()
+
 
 class TestZeroCopy:
     def test_attached_arrays_are_views_not_copies(self, graph):
@@ -93,6 +118,10 @@ class TestZeroCopy:
             assert b.graph.indices[0] == 999
             a.close()
             b.close()
+
+    def test_graph_is_built_once_per_handle(self, graph):
+        with SharedCSR.create(graph.compile()) as shared:
+            assert shared.graph is shared.graph
 
 
 class TestLifetime:
@@ -120,6 +149,43 @@ class TestLifetime:
         with pytest.raises(FileNotFoundError):
             SharedCSR.attach(spec)
 
+    def test_attach_of_an_unknown_segment_fails(self, graph):
+        with SharedCSR.create(graph.compile()) as shared:
+            spec = shared.spec
+        forged = CSRSlabSpec(
+            segment=spec.segment + "x",
+            lengths=spec.lengths,
+            name=spec.name,
+            attributes={},
+        )
+        with pytest.raises(FileNotFoundError):
+            SharedCSR.attach(forged)
+
+    def test_creates_never_share_a_segment(self, graph):
+        csr = graph.compile()
+        with SharedCSR.create(csr) as first, SharedCSR.create(csr) as second:
+            assert first.spec.segment != second.spec.segment
+            assert {first.spec.segment, second.spec.segment} <= _LIVE_SEGMENTS
+            first.graph.indices[0] = 999
+            assert second.graph.indices[0] == csr.indices[0]
+
+    def test_context_exit_unlinks(self, graph):
+        with SharedCSR.create(graph.compile()) as shared:
+            segment = shared.spec.segment
+            assert os.path.exists(_dev_shm(segment))
+        assert shared.closed
+        assert not os.path.exists(_dev_shm(segment))
+        assert segment not in _LIVE_SEGMENTS
+
+    def test_repr_reports_the_handle_state(self, graph):
+        shared = SharedCSR.create(graph.compile())
+        attached = SharedCSR.attach(shared.spec)
+        assert "owner" in repr(shared)
+        assert "attached" in repr(attached)
+        attached.close()
+        shared.close()
+        assert "closed" in repr(attached) and "closed" in repr(shared)
+
     def test_close_is_idempotent(self, graph):
         shared = SharedCSR.create(graph.compile())
         shared.close()
@@ -141,130 +207,32 @@ class TestLifetime:
         assert segment not in _LIVE_SEGMENTS
 
 
-class TestFileSlab:
-    def _create(self, graph, tmp_path):
-        return SharedCSR.create(
-            graph.compile(), storage="file", slab_dir=tmp_path / "slabs"
-        )
-
-    def test_attach_reproduces_graph_exactly(self, graph, tmp_path):
-        csr = graph.compile()
-        with self._create(graph, tmp_path) as shared:
-            assert shared.storage == "file"
-            attached = SharedCSR.attach(shared.spec)
-            twin = attached.graph
-            assert np.array_equal(twin.indptr, csr.indptr)
-            assert np.array_equal(twin.indices, csr.indices)
-            assert np.array_equal(twin.degrees, csr.degrees)
-            assert np.array_equal(twin.node_ids, csr.node_ids)
-            assert twin.attribute_values("score") == csr.attribute_values("score")
-            assert not twin.indices.flags.owndata, "array was copied, not mapped"
-            attached.close()
-
-    def test_views_are_read_only(self, graph, tmp_path):
-        # File slabs are mapped ACCESS_READ on both sides: nobody can
-        # scribble on a persisted topology.
-        with self._create(graph, tmp_path) as shared:
-            with pytest.raises(ValueError, match="read-only"):
-                shared.graph.indices[0] = 999
-
-    def test_create_leaves_no_tmp_files(self, graph, tmp_path):
-        with self._create(graph, tmp_path) as shared:
-            slab_dir = Path(shared.spec.segment).parent
-            leftovers = [p.name for p in slab_dir.iterdir()]
-            assert leftovers == [Path(shared.spec.segment).name]
-
-    def test_owner_close_unlinks_the_file(self, graph, tmp_path):
-        shared = self._create(graph, tmp_path)
-        path = shared.spec.segment
-        assert os.path.exists(path)
-        assert path in _LIVE_SEGMENTS
-        attached = SharedCSR.attach(shared.spec)
-        attached.close()
-        assert os.path.exists(path), "attach close must not unlink"
-        shared.close()
-        assert not os.path.exists(path)
-        assert path not in _LIVE_SEGMENTS
-
-    def test_attach_after_unlink_fails(self, graph, tmp_path):
-        shared = self._create(graph, tmp_path)
-        spec = shared.spec
-        shared.close()
-        with pytest.raises(FileNotFoundError):
-            SharedCSR.attach(spec)
-
-    def test_short_file_is_rejected(self, graph, tmp_path):
-        shared = self._create(graph, tmp_path)
-        spec = shared.spec
-        shared.close()
-        Path(spec.segment).write_bytes(b"\x00" * 8)
-        with pytest.raises(GraphError, match="bytes"):
-            SharedCSR.attach(spec)
-        Path(spec.segment).unlink()
-
-    def test_adopt_takes_over_unlink_duty(self, graph, tmp_path):
-        shared = self._create(graph, tmp_path)
-        spec = shared.spec
-        # Simulate the creator crashing: drop the handle without close,
-        # but neutralize its finalizer so the file survives the "crash".
-        shared._finalizer.detach()
-        del shared
-        assert os.path.exists(spec.segment)
-        adopted = SharedCSR.adopt(spec)
-        assert adopted.owner
-        assert spec.segment in _LIVE_SEGMENTS
-        assert adopted.graph.number_of_edges() == graph.number_of_edges()
-        adopted.close()
-        assert not os.path.exists(spec.segment)
-        assert spec.segment not in _LIVE_SEGMENTS
-
-    def test_content_digest_matches_file_digest(self, graph, tmp_path):
-        with self._create(graph, tmp_path) as shared:
-            assert shared.content_digest() == compute_file_digest(
-                shared.spec.segment
-            )
-
-    def test_spec_round_trips_through_json(self, graph, tmp_path):
-        import json
-
-        with self._create(graph, tmp_path) as shared:
-            wire = json.loads(json.dumps(shared.spec.to_dict()))
-            spec = CSRSlabSpec.from_dict(wire)
-            assert spec == shared.spec
-            assert spec.storage == "file"
-            attached = SharedCSR.attach(spec)
-            assert attached.graph.attribute_values(
-                "score"
-            ) == graph.compile().attribute_values("score")
-            attached.close()
-
-    def test_unknown_storage_is_rejected(self, graph, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown slab storage"):
-            SharedCSR.create(graph.compile(), storage="tape")
-        with pytest.raises(ConfigurationError, match="slab_dir"):
-            SharedCSR.create(graph.compile(), storage="file")
-
-
 class TestBufferErrorDefusal:
     """Closing under leaked views must not raise or leak slab names."""
 
-    @pytest.mark.parametrize("storage", ["shm", "file"])
-    def test_owner_close_with_leaked_view_is_clean(self, graph, tmp_path, storage):
-        kwargs = {"slab_dir": tmp_path} if storage == "file" else {}
-        shared = SharedCSR.create(graph.compile(), storage=storage, **kwargs)
+    def test_owner_close_with_leaked_view_is_clean(self, graph):
+        shared = SharedCSR.create(graph.compile())
         segment = shared.spec.segment
         leaked = shared.graph.indices  # deliberately outlives close()
         checksum = int(leaked.sum())
         shared.close()  # must not raise BufferError
         assert shared.closed
         assert segment not in _LIVE_SEGMENTS
-        if storage == "file":
-            assert not os.path.exists(segment)
-        else:
-            assert not os.path.exists(_dev_shm(segment))
+        assert not os.path.exists(_dev_shm(segment))
         # The leaked view stays readable until it dies: defusal drops the
         # handle's references, it does not tear down the mapping.
         assert int(leaked.sum()) == checksum
+
+    def test_attached_close_with_leaked_view_is_clean(self, graph):
+        shared = SharedCSR.create(graph.compile())
+        attached = SharedCSR.attach(shared.spec)
+        leaked = attached.graph.indptr  # deliberately outlives close()
+        attached.close()  # must not raise BufferError, must not unlink
+        assert attached.closed
+        assert os.path.exists(_dev_shm(shared.spec.segment))
+        assert int(leaked[-1]) == shared.graph.number_of_edges() * 2
+        shared.close()
+        assert not os.path.exists(_dev_shm(shared.spec.segment))
 
     def test_close_after_defusal_is_idempotent(self, graph):
         shared = SharedCSR.create(graph.compile())

@@ -3,11 +3,11 @@
 ``PoolService`` below keeps the previous round path of
 :class:`SamplingService`: ``_run_round`` sends ``sharded`` jobs through
 ``engine=`` to a forked :class:`ShardedWalkEngine` that owns a copy of
-the leased epoch's graph.  ``_ensure_engine`` forks that pool on an
-epoch's first ``sharded`` round, and ``_swap_lease`` and ``close`` shut
-it down.  The current service runs every round in process instead: a
-``sharded`` job's ``n_workers``-shard plan on an :class:`InlineExecutor`
-over the leased graph.  The shard plan, not the executor, fixes a
+the current epoch's graph.  ``_ensure_engine`` forks that pool on an
+epoch's first ``sharded`` round, and ``_swap_topology`` and ``close``
+shut it down.  The current service runs every round in process instead:
+a ``sharded`` job's ``n_workers``-shard plan on an :class:`InlineExecutor`
+over the current epoch's graph.  The shard plan, not the executor, fixes a
 round's result, so the tests here demand the same partials, results,
 counter state and ledger charges from both, bit for bit — and that the
 current service starts no process while a campaign runs.
@@ -59,25 +59,25 @@ class PoolService(SamplingService):
             self._engine.close()
             self._engine = None
 
-    def _swap_lease(self) -> None:
-        """Retire the old epoch's pool, then pin the newest epoch."""
+    def _swap_topology(self) -> None:
+        """Retire the old epoch's pool, then take the newest epoch."""
         self._close_engine()
-        super()._swap_lease()
+        super()._swap_topology()
 
     def _ensure_engine(self) -> ShardedWalkEngine:
-        """A pool over its own copy of the pinned epoch's graph."""
+        """A pool over its own copy of the current epoch's graph."""
         if self._engine is None:
             self._engine = ShardedWalkEngine(
-                self._lease.graph,
+                self._topology.graph,
                 n_workers=self.config.n_workers,
                 mp_context=self.config.mp_context,
             )
         return self._engine
 
     def _run_round(self, job: Job) -> bool:
-        """One WALK-ESTIMATE round for *job* over the pinned epoch."""
+        """One WALK-ESTIMATE round for *job* over the current epoch."""
         spec = job.spec
-        graph = self._lease.graph
+        graph = self._topology.graph
         if spec.start not in graph or graph.degree(spec.start) == 0:
             if self.crawler.finished:
                 self._resolve(
@@ -104,7 +104,7 @@ class PoolService(SamplingService):
         return True
 
     def close(self) -> None:
-        """Shut the pool down first, then the lease and the publisher."""
+        """Shut the pool down first, then the service."""
         self._close_engine()
         super().close()
 
@@ -134,14 +134,13 @@ TENANTS = [
 ]
 
 
-def service_config(n_workers, storage, tmp_path):
+def service_config(n_workers, storage):
     return ServiceConfig(
         rows_per_epoch=30,
         max_rounds_per_job=5,
         monitor_interval=None,
         n_workers=n_workers,
         slab_storage=storage,
-        slab_dir=str(tmp_path) if storage == "file" else None,
     )
 
 
@@ -194,21 +193,19 @@ def campaign(service_cls, hidden, config, specs):
 
 
 class TestInlineMatchesPool:
-    @pytest.mark.parametrize("storage", ["shm", "file"])
+    @pytest.mark.parametrize("storage", ["shm"])
     @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_four_tenant_campaign_is_bit_identical(
-        self, hidden, tmp_path, n_workers, storage
-    ):
-        cfg = service_config(n_workers, storage, tmp_path)
+    def test_four_tenant_campaign_is_bit_identical(self, hidden, n_workers, storage):
+        cfg = service_config(n_workers, storage)
         expected, forked = campaign(PoolService, hidden, cfg, TENANTS)
         assert forked, "the reference must run sharded rounds on its pool"
         outcome, started = campaign(SamplingService, hidden, cfg, TENANTS)
         assert outcome == expected
         assert not started
 
-    @pytest.mark.parametrize("storage", ["shm", "file"])
-    def test_one_shard_sharded_jobs_run_as_batch_jobs(self, hidden, tmp_path, storage):
-        cfg = service_config(1, storage, tmp_path)
+    @pytest.mark.parametrize("storage", ["shm"])
+    def test_one_shard_sharded_jobs_run_as_batch_jobs(self, hidden, storage):
+        cfg = service_config(1, storage)
         batch = EngineConfig(backend="batch")
         as_batch = [replace(spec, engine=batch) for spec in TENANTS]
         expected, _ = campaign(SamplingService, hidden, cfg, as_batch)
@@ -219,7 +216,7 @@ class TestInlineMatchesPool:
         replayed, _ = campaign(PoolService, hidden, cfg, TENANTS)
         assert replayed != expected
 
-    def test_long_run_sharded_campaign_is_bit_identical(self, hidden, tmp_path):
+    def test_long_run_sharded_campaign_is_bit_identical(self, hidden):
         long_run = replace(
             tenant("srw", "sharded", long_run=True),
             tenant="srw-long-run",
@@ -227,18 +224,18 @@ class TestInlineMatchesPool:
             segments=4,
         )
         specs = [long_run, TENANTS[1]]
-        cfg = service_config(2, "shm", tmp_path)
+        cfg = service_config(2, "shm")
         expected, _ = campaign(PoolService, hidden, cfg, specs)
         outcome, started = campaign(SamplingService, hidden, cfg, specs)
         assert outcome == expected
         assert not started
 
-    def test_n_workers_fixes_the_sharded_streams(self, hidden, tmp_path):
+    def test_n_workers_fixes_the_sharded_streams(self, hidden):
         # n_workers keeps its meaning: it is the shard count, and so the
         # RNG streams, of sharded jobs; batch jobs do not depend on it.
         partials = []
         for n_workers in (1, 2):
-            cfg = service_config(n_workers, "shm", tmp_path)
+            cfg = service_config(n_workers, "shm")
             (jobs, _, _), _ = campaign(SamplingService, hidden, cfg, TENANTS)
             partials.append([job_partials for _, job_partials, _ in jobs])
         for spec, one, two in zip(TENANTS, *partials):

@@ -33,6 +33,11 @@ def hidden():
     return barabasi_albert_graph(200, 4, seed=9).relabeled()
 
 
+@pytest.fixture(scope="module")
+def sparse():
+    return barabasi_albert_graph(200, 3, seed=1).relabeled()
+
+
 def job_spec(tenant, budget=120, *, error_target=0.8, backend="batch", **kwargs):
     kwargs.setdefault("design", "srw")
     kwargs.setdefault("samples", 30)
@@ -180,6 +185,48 @@ class TestAdmissionControl:
             assert alice.state is JobState.COMPLETED
             assert bob.state is JobState.COMPLETED
 
+    def test_cancelling_a_pending_job_wakes_a_parked_submit(self, sparse):
+        config = ServiceConfig(max_pending=1, max_running=1, monitor_interval=None)
+        with make_service(sparse, config=config, seed=3) as service:
+
+            async def main():
+                first = service.submit_nowait(job_spec("alice"))
+                waiter = asyncio.ensure_future(service.submit(job_spec("bob")))
+                await asyncio.sleep(0)
+                assert not waiter.done()  # the queue is full
+                assert service.cancel(first.job_id)
+                assert service.scheduler.queue_depth == 0
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                assert waiter.done()
+                second = await waiter
+                await service.serve()
+                return await second.result()
+
+            bob = drive(service.clock, main())
+            assert bob.state is JobState.COMPLETED
+
+    def test_stall_preemption_wakes_a_parked_submit(self, sparse):
+        # Alice can pay for one row only: epoch 1 publishes her start
+        # alone, unwalkable, and epoch 2 stalls.  The stall preempts her
+        # and drains Bob from the queue; Carol, parked behind Bob, must
+        # get his slot instead of waiting forever.
+        config = ServiceConfig(max_pending=1, max_running=1, monitor_interval=None)
+        with make_service(sparse, config=config, seed=3) as service:
+
+            async def main():
+                service.submit_nowait(job_spec("alice", budget=1))
+                bob = asyncio.ensure_future(service.submit(job_spec("bob")))
+                carol = asyncio.ensure_future(service.submit(job_spec("carol")))
+                await asyncio.sleep(0)
+                await service.serve()
+                assert carol.done()
+                return await (await bob).result(), await (await carol).result()
+
+            bob, carol = drive(service.clock, main())
+            assert (bob.state, bob.reason) == (JobState.PREEMPTED, "stalled")
+            assert carol.state is JobState.COMPLETED
+
     def test_scalar_backend_rejected(self, hidden):
         with make_service(hidden) as service:
             with pytest.raises(AdmissionError, match="charged"):
@@ -293,6 +340,19 @@ class TestLifecycle:
         service.close()
         service.close()
 
+    def test_each_published_epoch_becomes_the_round_topology(self, hidden):
+        with make_service(hidden) as service:
+            job = service.submit_nowait(job_spec("alice"))
+            epochs = []
+            while service.scheduler.has_work:
+                drive(service.clock, service.step())
+                current = service.publisher.current
+                assert service._topology is current
+                epochs.append(current.epoch)
+            assert epochs == sorted(epochs) and epochs[-1] >= 2
+            labels = [partial.epoch for partial in service.jobs[job.job_id].partials]
+            assert labels and set(labels) <= set(epochs)
+
     def test_serve_drains_and_can_serve_again(self, hidden):
         with make_service(hidden) as service:
             (first,) = service.run([job_spec("alice")])
@@ -312,6 +372,8 @@ class TestConfigValidation:
             ("rows_per_epoch", 0),
             ("grace_rounds", -1),
             ("monitor_interval", 0.0),
+            ("slab_storage", "file"),
+            ("slab_storage", "tape"),
         ],
     )
     def test_bad_values(self, field, value):

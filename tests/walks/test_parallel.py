@@ -7,15 +7,18 @@ n_workers)``, and wide sharded batches stay distribution-correct.  The
 pool-spawn cost is amortized by module-scoped engines.
 """
 
+import gc
 import os
 
 import numpy as np
 import pytest
 
+from repro.crawl import AsyncCrawler, TopologyPublisher
 from repro.errors import ConfigurationError
 from repro.estimators.metrics import empirical_distribution, l_infinity_bias
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.graphs.shm import _LIVE_SEGMENTS
+from repro.osn.api import SocialNetworkAPI
 from repro.walks import kernels
 from repro.walks.batch import (
     run_nbrw_walk_batch,
@@ -289,36 +292,30 @@ class TestSegmentHygiene:
         assert _LIVE_SEGMENTS == {engine1.segment_name, engine2.segment_name}
 
 
-class TestFileSlabParity:
-    """Walks over an mmap-file slab are bit-identical to /dev/shm walks."""
+class TestPublishedEpochs:
+    """The pool copies whatever graph it is given — a published epoch too."""
 
-    def test_file_and_shm_trajectories_are_bit_identical(self, csr, tmp_path):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_engine_walks_its_copy_after_the_epoch_is_superseded(self, n_workers):
+        api = SocialNetworkAPI(barabasi_albert_graph(120, 3, seed=9).relabeled())
+        crawler = AsyncCrawler(api, 0, concurrency=1, batch_size=8)
+        crawler.crawl(max_new_rows=40)
+        publisher = TopologyPublisher(api.discovered)
+        graph = publisher.publish().graph
+        starts = np.zeros(12, dtype=np.int64)
         design = SimpleRandomWalk()
-        starts = np.arange(24, dtype=np.int64)
-        results = {}
-        for storage in ("shm", "file"):
-            with ShardedWalkEngine(
-                csr,
-                n_workers=2,
-                slab_storage=storage,
-                slab_dir=tmp_path if storage == "file" else None,
-            ) as engine:
-                results[storage] = engine.run_walk_batch(design, starts, 50, seed=404)
-        assert np.array_equal(results["shm"].paths, results["file"].paths)
-
-    def test_engine_owned_file_slab_cleans_up(self, csr, tmp_path):
-        slab_dir = tmp_path / "slabs"
-        engine = ShardedWalkEngine(
-            csr, n_workers=1, slab_storage="file", slab_dir=slab_dir
-        )
-        segment = engine.segment_name
-        assert segment.endswith(".slab")
-        assert os.path.exists(segment)
-        starts = np.arange(8, dtype=np.int64)
-        sharded = engine.run_walk_batch(SimpleRandomWalk(), starts, 20, seed=7)
-        batch = run_walk_batch(csr, SimpleRandomWalk(), starts, 20, seed=7)
-        assert np.array_equal(sharded.paths, batch.paths)
-        engine.close()
-        assert not os.path.exists(segment)
+        reference = run_walk_batch(graph, design, starts, 30, seed=5)
+        with ShardedWalkEngine(graph, n_workers=n_workers) as engine:
+            segment = engine.segment_name
+            before = engine.run_walk_batch(design, starts, 30, seed=5)
+            # Supersede the epoch and drop the last reference to its graph:
+            # the engine walks its own slab, not the epoch's arrays.
+            del graph
+            crawler.crawl(max_new_rows=40)
+            assert publisher.publish().epoch == 2
+            gc.collect()
+            after = engine.run_walk_batch(design, starts, 30, seed=5)
+        assert np.array_equal(after.paths, before.paths)
+        if n_workers == 1:
+            assert np.array_equal(before.paths, reference.paths)
         assert segment not in _LIVE_SEGMENTS
-        assert list(slab_dir.iterdir()) == []
