@@ -31,7 +31,7 @@ from repro.graphs.generators import barabasi_albert_graph
 from repro.osn.api import SocialNetworkAPI
 from repro.rng import ensure_rng
 from repro.walks.batch import run_walk_batch
-from repro.walks.kernels import set_default_backend
+from repro.walks.kernels import require_backend
 from repro.walks.transitions import (
     LazyWalk,
     MaxDegreeWalk,
@@ -253,8 +253,7 @@ def main(argv=None) -> None:
         choices=("numpy", "native"),
         default="numpy",
         help="kernel backend timed in the batch rows (native needs numba; "
-        "the backend is recorded in the artifact's host block, next to "
-        "the CPU count the timing blocks were measured on)",
+        "the artifact's record carries the backend as kernel_backend)",
     )
     parser.add_argument(
         "--quick",
@@ -267,10 +266,10 @@ def main(argv=None) -> None:
     if args.quick:
         args.nodes, args.steps, args.scalar_walks = 500, 50, 50
     try:
-        # Strict: a benchmark must never silently fall back — the numbers
-        # would be labeled with a backend that never ran.  Setting the
-        # process default also stamps host_metadata()'s kernel_backend.
-        set_default_backend(args.backend)
+        # A backend this host cannot run is refused up front, before any
+        # row is timed: the numbers must never be labeled with a backend
+        # that never ran.
+        require_backend(args.backend)
     except ConfigurationError as error:
         parser.error(str(error))
     record = run_comparison(

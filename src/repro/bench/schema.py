@@ -54,20 +54,12 @@ def effective_cpu_count() -> int:
 
 
 def host_metadata() -> Dict[str, object]:
-    """Where an artifact was measured: the context of its ``timing`` blocks.
-
-    ``kernel_backend`` is the process-default walk-kernel backend
-    (:mod:`repro.walks.kernels`) — an execution-environment fact, not a
-    result, so it rides in the host block next to the CPU count.
-    """
-    from repro.walks.kernels import default_backend_name
-
+    """Where an artifact was measured: the context of its ``timing`` blocks."""
     return {
         "cpu_count": effective_cpu_count(),
         "pid_cpu_count": os.cpu_count(),
         "platform": f"{platform.system().lower()}-{platform.machine()}",
         "python": platform.python_version(),
-        "kernel_backend": default_backend_name(),
     }
 
 

@@ -31,28 +31,18 @@ class WalkEstimateConfig:
         paper drops to h=1 on Google Plus).
     weighted_sampling:
         Enable WS-BW backward weighting (Algorithm 2).
-    batch_backward:
-        Route each candidate's backward-repetition loop through
-        :func:`repro.core.weighted.ws_bw_batch` — all K repetitions
-        advance together, with each depth level's queries settled in one
-        accounting operation.  The K walks interleave their draws level
-        by level, so the RNG stream differs from the scalar loop's (the
-        flag has its own golden fixtures rather than scalar parity);
-        what a campaign *pays* is unchanged, since every lookup lands in
-        the API's discovered-graph cache exactly as the scalar walks'
-        would.  Designs without a batched transition law (and type-1
-        restricted views) silently fall back to the scalar loop.
     kernel_backend:
         Kernel backend executing the batch forward-walk trajectory loop
-        — a name registered in :mod:`repro.walks.kernels` (``numpy``
-        reference, ``native`` Numba JIT, ``python`` verification twin).
-        Every backend consumes the seed stream identically, so this is
-        a pure throughput knob: estimates, query accounting, and RNG
-        state are bit-for-bit unchanged.  Validated here against the
-        registry by *name* only; availability (e.g. ``native`` without
-        numba installed) is enforced where a backend is actually
-        selected for execution — :class:`repro.core.dispatch.EngineConfig`
-        and the batch front ends.
+        — ``numpy`` (reference), ``native`` (Numba JIT) or ``python``
+        (verification twin); see :mod:`repro.walks.kernels`.  This is
+        the one field that names a job's kernel.  Every backend consumes
+        the seed stream identically, so this is a pure throughput knob:
+        estimates, query accounting, and RNG state are bit-for-bit
+        unchanged.  The name is validated here; availability (``native``
+        needs numba) is checked by
+        :class:`~repro.core.dispatch.EstimationJobSpec` and
+        :func:`~repro.walks.batch.run_walk_batch`.  The charged samplers
+        walk node by node through the API and never read it.
     epsilon:
         WS-BW's minimum exploration mass ε (paper default 0.1).
     backward_repetitions:
@@ -85,7 +75,6 @@ class WalkEstimateConfig:
     diameter_hint: int = 10
     crawl_hops: int = 2
     weighted_sampling: bool = True
-    batch_backward: bool = False
     kernel_backend: str = "numpy"
     epsilon: float = 0.2
     backward_repetitions: int = 12
@@ -110,7 +99,7 @@ class WalkEstimateConfig:
         if self.kernel_backend not in backend_names():
             raise ConfigurationError(
                 f"unknown kernel_backend {self.kernel_backend!r}; "
-                "registered: " + ", ".join(backend_names())
+                "valid: " + ", ".join(backend_names())
             )
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1], got {self.epsilon}")

@@ -14,7 +14,9 @@ This module is the unification:
 
 * :class:`EngineConfig` names the regime — ``backend`` (``scalar`` /
   ``charged`` / ``batch`` / ``sharded``) × ``long_run`` — plus the
-  worker count and the kernel backend;
+  worker count.  Each engine choice has one knob: ``backend`` alone
+  picks the engine, and the job's walk config alone names the kernel
+  backend (:attr:`~repro.core.config.WalkEstimateConfig.kernel_backend`);
 * :class:`EstimationJobSpec` is one complete, JSON-round-trippable job
   description: transition design, sample count, estimand, error target,
   query budget, tenant, seed, walk knobs, engine config.  It is the wire
@@ -64,9 +66,9 @@ from repro.walks.transitions import (
     TransitionDesign,
 )
 
-#: Backends the dispatcher knows.  ``charged`` is the scalar sampler with
-#: ``WalkEstimateConfig.batch_backward`` forced on — the batched-accounting
-#: charged-API regime of the ROADMAP engine table.
+#: Backends the dispatcher knows.  ``charged`` is the scalar sampler built
+#: with ``batch_backward=True`` — the batched-accounting charged-API regime
+#: of the ROADMAP engine table, and the only way to request it.
 BACKENDS = ("scalar", "charged", "batch", "sharded")
 
 #: Estimands the serving layer can evaluate for free (from the discovered
@@ -162,9 +164,9 @@ class EngineConfig:
     backend:
         ``scalar`` — the per-query charged sampler over a
         :class:`~repro.osn.api.SocialNetworkAPI`; ``charged`` — the same
-        sampler with ``WalkEstimateConfig.batch_backward`` forced on (each
-        candidate's backward repetitions advance together, one accounting
-        settlement per depth level); ``batch`` — the vectorized free-graph
+        sampler built with ``batch_backward=True`` (each candidate's
+        backward repetitions advance together, one accounting settlement
+        per depth level); ``batch`` — the vectorized free-graph
         round over a compiled :class:`~repro.graphs.csr.CSRGraph`;
         ``sharded`` — the same round split into a shard plan and run on
         an executor: a :class:`~repro.walks.parallel.ShardedWalkEngine`,
@@ -179,38 +181,28 @@ class EngineConfig:
         builds an engine, and it and :mod:`repro.service` ignore this
         field (the service takes its shard count from
         ``ServiceConfig.n_workers``).
-    kernel_backend:
-        Kernel backend for the batch forward-walk trajectory loop —
-        ``numpy`` (reference), ``native`` (Numba JIT), or ``python``
-        (verification twin); see :mod:`repro.walks.kernels`.  Folded
-        into the job's :class:`~repro.core.config.WalkEstimateConfig`
-        (see :meth:`EstimationJobSpec.walk_config`), so the batch and
-        sharded front ends (and :mod:`repro.service` jobs) inherit it.
-        Validated eagerly for *availability*: asking for ``native``
-        on a host without numba fails here with an actionable message
-        rather than as an ImportError mid-job.  Scalar engines walk
-        node-by-node through the charged API and ignore it.
+
+    The kernel backend of the free-graph rounds is not an engine field:
+    the job's :class:`~repro.core.config.WalkEstimateConfig` names it.
     """
 
     backend: str = "batch"
     long_run: bool = False
     n_workers: Optional[int] = None
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; valid: {', '.join(BACKENDS)}"
             )
-        require_kernel_backend(self.kernel_backend)
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1 or None, got {self.n_workers}"
             )
         if self.backend == "charged" and self.long_run:
             raise ConfigurationError(
-                "the charged (batch_backward) regime has no long-run form; "
-                "use backend='scalar' with long_run=True"
+                "the charged regime (batched backward walks) has no "
+                "long-run form; use backend='scalar' with long_run=True"
             )
 
     def with_overrides(self, **changes) -> "EngineConfig":
@@ -278,7 +270,10 @@ class EstimationJobSpec:
     seed:
         Deterministic seed; ``None`` lets the caller supply a stream.
     walk:
-        The :class:`~repro.core.config.WalkEstimateConfig` knobs.
+        The :class:`~repro.core.config.WalkEstimateConfig` knobs, the
+        kernel backend included.  The backend must be available on this
+        host: ``native`` without numba fails here, with the install
+        hint, rather than mid-job.
     engine:
         The :class:`EngineConfig` regime selection.
     """
@@ -318,29 +313,11 @@ class EstimationJobSpec:
             )
         if not self.tenant:
             raise ConfigurationError("tenant must be a non-empty string")
+        require_kernel_backend(self.walk.kernel_backend)
 
     def build_design(self) -> TransitionDesign:
         """The spec's transition design, constructed fresh."""
         return design_from_spec(self.design)
-
-    def walk_config(self) -> WalkEstimateConfig:
-        """The walk knobs with the engine regime folded in.
-
-        ``backend="charged"`` switches ``batch_backward`` on.  A
-        non-default engine ``kernel_backend`` wins over the walk config's
-        default; a walk config that names a backend explicitly keeps it
-        unless the engine overrides with a non-``numpy`` one — the engine
-        regime beats the per-walk default.
-        """
-        config = self.walk
-        if self.engine.backend == "charged" and not config.batch_backward:
-            config = config.with_overrides(batch_backward=True)
-        if (
-            self.engine.kernel_backend != "numpy"
-            and config.kernel_backend != self.engine.kernel_backend
-        ):
-            config = config.with_overrides(kernel_backend=self.engine.kernel_backend)
-        return config
 
     def with_overrides(self, **changes) -> "EstimationJobSpec":
         """Copy with the given fields replaced (validation re-runs)."""
@@ -489,7 +466,7 @@ def estimate(
     contract ``tests/core/test_dispatch.py`` pins for every engine row.
     """
     design = job.build_design()
-    config = job.walk_config()
+    config = job.walk
     backend = job.engine.backend
     run_seed = seed if seed is not None else job.seed
 
@@ -501,11 +478,13 @@ def estimate(
         if job.engine.long_run:
             sampler: Any = LongRunWalkEstimateSampler(design, config)
         else:
-            sampler = WalkEstimateSampler(design, config)
+            sampler = WalkEstimateSampler(
+                design, config, batch_backward=backend == "charged"
+            )
         raw: Union[SampleBatch, BatchWalkEstimateResult] = sampler.sample(
             api, job.start, job.samples, seed=run_seed
         )
-    else:  # batch runs the round inline over the graph, sharded on the pool
+    else:  # batch runs the round inline over the graph, sharded on the executor
         name, resource = ("graph", graph) if backend == "batch" else ("engine", engine)
         if resource is None:
             raise ConfigurationError(

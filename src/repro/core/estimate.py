@@ -93,6 +93,17 @@ class ProbabilityEstimator:
         maintains).
     crawl:
         Exact-probability table from the initial crawl, or None.
+    batch_backward:
+        Route each estimate's top-up repetitions through
+        :func:`~repro.core.weighted.ws_bw_batch`: they advance together,
+        and each depth level's queries settle in one accounting
+        operation.  The walks interleave their draws level by level, so
+        the RNG stream differs from the scalar loop's (it has its own
+        golden fixtures rather than scalar parity); what a campaign
+        *pays* is unchanged, since every lookup lands in the API's
+        discovered-graph cache exactly as the scalar walks' would.
+        Designs without a batched transition law, and type-1 restricted
+        views, stay on the scalar loop.
     """
 
     def __init__(
@@ -105,6 +116,7 @@ class ProbabilityEstimator:
         history: Optional[ForwardHistory] = None,
         crawl: Optional[InitialCrawl] = None,
         seed: RngLike = None,
+        batch_backward: bool = False,
     ) -> None:
         self.view = view
         self.design = design
@@ -113,6 +125,7 @@ class ProbabilityEstimator:
         self.config = config
         self.history = history if config.weighted_sampling else None
         self.crawl = crawl
+        self.batch_backward = batch_backward
         self._rng = ensure_rng(seed)
         self._estimates: Dict[Node, ProbabilityEstimate] = {}
         #: Backward-walk effort accumulated across all estimates.
@@ -140,7 +153,7 @@ class ProbabilityEstimator:
         loop — both are outside the batched estimator's contract.
         """
         return (
-            self.config.batch_backward
+            self.batch_backward
             and has_batched_transition(self.design)
             and getattr(self.view, "cacheable", True)
         )

@@ -328,9 +328,9 @@ def smoothing_constants(
 def has_batched_transition(design: TransitionDesign) -> bool:
     """True if :func:`ws_bw_batch` supports *design*'s transition law.
 
-    The predicate twin of :func:`_require_batchable`, for call sites that
-    fall back to the scalar estimator instead of raising (e.g. the
-    ``batch_backward`` config flag).
+    Call sites that fall back to the scalar estimator instead of raising
+    (the ``charged`` backend's sampler) ask this;
+    :func:`_require_batchable` raises from it.
     """
     if isinstance(design, LazyWalk):
         return has_batched_transition(design.inner)
@@ -345,12 +345,7 @@ def _require_batchable(design: TransitionDesign) -> None:
     transition kernel otherwise would at the end of the first level)
     would burn real budget and rate-limit tokens on an invalid argument.
     """
-    if isinstance(design, LazyWalk):
-        _require_batchable(design.inner)
-        return
-    if not isinstance(
-        design, (SimpleRandomWalk, MetropolisHastingsWalk, MaxDegreeWalk)
-    ):
+    if not has_batched_transition(design):
         raise ConfigurationError(
             f"design {design.name!r} has no batched transition probability; "
             "use the scalar weighted_backward_estimate"
@@ -553,7 +548,7 @@ def ws_bw_batch(
     .. note:: **Compatibility front end.**  External callers wanting the
        charged batched-backward regime should go through
        :func:`repro.core.estimate` with ``EngineConfig(backend="charged")``
-       (the dispatcher forces ``batch_backward=True`` on the sampler,
+       (the dispatcher builds the sampler with ``batch_backward=True``,
        which routes each candidate's top-up to its base backward
        repetitions here; ``ProbabilityEstimator.refine`` still draws
        every refinement walk through the scalar

@@ -34,10 +34,11 @@ from repro.errors import (
     TransientAPIError,
 )
 from repro.faults.plan import FaultPlan, InjectedFault
+from repro.osn.api import APIWrapper
 from repro.rng import ensure_rng
 
 
-class FaultyAPI:
+class FaultyAPI(APIWrapper):
     """Inject a :class:`FaultPlan` into a charged API's batch calls.
 
     Parameters
@@ -60,7 +61,7 @@ class FaultyAPI:
             raise ConfigurationError(
                 f"plan must be a FaultPlan, got {type(plan).__name__}"
             )
-        self.api = api
+        super().__init__(api)
         self.plan = plan
         self.clock = clock
         self._rng = ensure_rng(plan.seed)
@@ -78,7 +79,8 @@ class FaultyAPI:
     def _now(self) -> float:
         return float(self.clock.now) if self.clock is not None else 0.0
 
-    def _intercept(self, op: str, fn, nodes):
+    def _batch(self, op: str, fn, nodes):
+        """Run one batch call through the fault script."""
         index = self.calls
         self.calls += 1
         fault = self.plan.resolve(index, op, self._now(), self._rng)
@@ -115,82 +117,6 @@ class FaultyAPI:
         """
         waited, self._mirror_wait = self._mirror_wait, 0.0
         return waited
-
-    # ------------------------------------------------------------------
-    # The intercepted batch surface
-    # ------------------------------------------------------------------
-    def neighbors_batch(self, nodes):
-        """Delegate :meth:`~repro.osn.api.SocialNetworkAPI.neighbors_batch`
-        through the fault script."""
-        return self._intercept("neighbors", self.api.neighbors_batch, nodes)
-
-    def degrees_batch(self, nodes):
-        """Delegate :meth:`~repro.osn.api.SocialNetworkAPI.degrees_batch`
-        through the fault script."""
-        return self._intercept("degrees", self.api.degrees_batch, nodes)
-
-    # ------------------------------------------------------------------
-    # Pure delegation (the wrapper is invisible to the cost model)
-    # ------------------------------------------------------------------
-    def neighbors(self, node):
-        """Scalar pass-through (fault rules cover the batch grain only)."""
-        return self.api.neighbors(node)
-
-    def degree(self, node) -> int:
-        """Scalar pass-through."""
-        return self.api.degree(node)
-
-    def attribute(self, node, name: str):
-        """Scalar pass-through."""
-        return self.api.attribute(node, name)
-
-    def has_node(self, node) -> bool:
-        """Free existence check, delegated."""
-        return self.api.has_node(node)
-
-    @property
-    def discovered(self):
-        """The inner API's shared discovered graph."""
-        return self.api.discovered
-
-    @property
-    def counter(self):
-        """The inner API's query counter."""
-        return self.api.counter
-
-    @property
-    def budget(self):
-        """The inner API's query budget."""
-        return self.api.budget
-
-    @property
-    def rate_limiter(self):
-        """The inner API's token bucket (or None)."""
-        return self.api.rate_limiter
-
-    @property
-    def cacheable(self) -> bool:
-        """Whether the inner API's responses are call-stable."""
-        return self.api.cacheable
-
-    @property
-    def restriction(self):
-        """The inner API's neighbor restriction (or None)."""
-        return self.api.restriction
-
-    @property
-    def query_cost(self) -> int:
-        """The inner API's unique-node cost."""
-        return self.api.query_cost
-
-    @property
-    def raw_calls(self) -> int:
-        """The inner API's raw invocation count."""
-        return self.api.raw_calls
-
-    def snapshot(self):
-        """The inner counter's snapshot (phase attribution)."""
-        return self.api.snapshot()
 
     def __repr__(self) -> str:
         kinds = ", ".join(f"{k}={v}" for k, v in sorted(self.injected.items()))

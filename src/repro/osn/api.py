@@ -297,6 +297,94 @@ class SocialNetworkAPI:
         )
 
 
+class APIWrapper:
+    """Base for wrappers that sit in front of a charged API's surface.
+
+    Everything but the two batch calls passes straight through to
+    :attr:`api`, so a wrapper is invisible to the §2.4 cost model: the
+    accounting, cache, budget and rate limiter stay the inner API's.
+    ``neighbors_batch`` and ``degrees_batch`` go through :meth:`_batch`,
+    the one hook a subclass overrides
+    (:class:`~repro.osn.resilience.ResilientAPI` retries there,
+    :class:`~repro.faults.api.FaultyAPI` injects faults there).
+    """
+
+    def __init__(self, api) -> None:
+        self.api = api
+
+    def _batch(self, op: str, call, nodes):
+        """Run one batch *call*; *op* is ``"neighbors"`` or ``"degrees"``."""
+        return call(nodes)
+
+    def neighbors_batch(self, nodes):
+        """:meth:`SocialNetworkAPI.neighbors_batch` through :meth:`_batch`."""
+        return self._batch("neighbors", self.api.neighbors_batch, nodes)
+
+    def degrees_batch(self, nodes):
+        """:meth:`SocialNetworkAPI.degrees_batch` through :meth:`_batch`."""
+        return self._batch("degrees", self.api.degrees_batch, nodes)
+
+    def neighbors(self, node):
+        """Scalar pass-through (wrappers act on the batch grain only)."""
+        return self.api.neighbors(node)
+
+    def degree(self, node) -> int:
+        """Scalar pass-through."""
+        return self.api.degree(node)
+
+    def attribute(self, node, name: str):
+        """Scalar pass-through."""
+        return self.api.attribute(node, name)
+
+    def has_node(self, node) -> bool:
+        """Free existence check, delegated."""
+        return self.api.has_node(node)
+
+    @property
+    def discovered(self):
+        """The inner API's shared discovered graph."""
+        return self.api.discovered
+
+    @property
+    def counter(self):
+        """The inner API's query counter."""
+        return self.api.counter
+
+    @property
+    def budget(self):
+        """The inner API's query budget."""
+        return self.api.budget
+
+    @property
+    def rate_limiter(self):
+        """The inner API's token bucket (or None)."""
+        return self.api.rate_limiter
+
+    @property
+    def cacheable(self) -> bool:
+        """Whether the inner API's responses are call-stable."""
+        return self.api.cacheable
+
+    @property
+    def restriction(self):
+        """The inner API's neighbor restriction (or None)."""
+        return self.api.restriction
+
+    @property
+    def query_cost(self) -> int:
+        """The inner API's unique-node cost."""
+        return self.api.query_cost
+
+    @property
+    def raw_calls(self) -> int:
+        """The inner API's raw invocation count."""
+        return self.api.raw_calls
+
+    def snapshot(self):
+        """The inner counter's snapshot (phase attribution)."""
+        return self.api.snapshot()
+
+
 def _node_array(nodes) -> np.ndarray:
     """*nodes* as a 1-d int64 array (the batch grain's one input shape)."""
     order = np.asarray(nodes, dtype=np.int64)

@@ -41,6 +41,7 @@ from repro.errors import (
     RateLimitExceededError,
     TransientAPIError,
 )
+from repro.osn.api import APIWrapper
 from repro.osn.ratelimit import VirtualClock
 from repro.rng import RngLike, ensure_rng
 
@@ -190,7 +191,7 @@ class CircuitBreaker:
             self.opens += 1
 
 
-class ResilientAPI:
+class ResilientAPI(APIWrapper):
     """Retry/backoff/circuit-breaker wrapper over a charged batch API.
 
     Parameters
@@ -225,7 +226,7 @@ class ResilientAPI:
     ) -> None:
         if not tenant:
             raise ConfigurationError("tenant must be a non-empty string")
-        self.api = api
+        super().__init__(api)
         self.policy = policy if policy is not None else RetryPolicy()
         self.clock = clock if clock is not None else VirtualClock()
         self._rng = ensure_rng(seed)
@@ -294,7 +295,8 @@ class ResilientAPI:
     # ------------------------------------------------------------------
     # The resilient batch surface
     # ------------------------------------------------------------------
-    def _call(self, fn, nodes):
+    def _batch(self, op: str, fn, nodes):
+        """Run one batch call under the retry policy and the breaker."""
         breaker = self.breaker(self.current_tenant)
         breaker.check(self.clock.now)
         attempt = 1
@@ -342,77 +344,6 @@ class ResilientAPI:
             self._mirror_wait += waited
             breaker.record_success()
             return result
-
-    def neighbors_batch(self, nodes):
-        """Resilient :meth:`~repro.osn.api.SocialNetworkAPI.neighbors_batch`."""
-        return self._call(self.api.neighbors_batch, nodes)
-
-    def degrees_batch(self, nodes):
-        """Resilient :meth:`~repro.osn.api.SocialNetworkAPI.degrees_batch`."""
-        return self._call(self.api.degrees_batch, nodes)
-
-    # ------------------------------------------------------------------
-    # Pure delegation (accounting stays in the wrapped API)
-    # ------------------------------------------------------------------
-    def neighbors(self, node):
-        """Scalar pass-through (the policy covers the batch grain)."""
-        return self.api.neighbors(node)
-
-    def degree(self, node) -> int:
-        """Scalar pass-through."""
-        return self.api.degree(node)
-
-    def attribute(self, node, name: str):
-        """Scalar pass-through."""
-        return self.api.attribute(node, name)
-
-    def has_node(self, node) -> bool:
-        """Free existence check, delegated."""
-        return self.api.has_node(node)
-
-    @property
-    def discovered(self):
-        """The wrapped API's shared discovered graph."""
-        return self.api.discovered
-
-    @property
-    def counter(self):
-        """The wrapped API's query counter."""
-        return self.api.counter
-
-    @property
-    def budget(self):
-        """The wrapped API's query budget."""
-        return self.api.budget
-
-    @property
-    def rate_limiter(self):
-        """The wrapped API's token bucket (or None)."""
-        return self.api.rate_limiter
-
-    @property
-    def cacheable(self) -> bool:
-        """Whether the wrapped API's responses are call-stable."""
-        return self.api.cacheable
-
-    @property
-    def restriction(self):
-        """The wrapped API's neighbor restriction (or None)."""
-        return self.api.restriction
-
-    @property
-    def query_cost(self) -> int:
-        """The wrapped API's unique-node cost."""
-        return self.api.query_cost
-
-    @property
-    def raw_calls(self) -> int:
-        """The wrapped API's raw invocation count."""
-        return self.api.raw_calls
-
-    def snapshot(self):
-        """The wrapped counter's snapshot (phase attribution)."""
-        return self.api.snapshot()
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,7 @@ store's insertion order.  Documents are written through
 :func:`repro.bench.io.atomic_write_json`, so a crash mid-write leaves the
 previous checkpoint intact, never a torn one.
 
-**Format (version 7).**  The document is strict JSON on one line,
+**Format (version 8).**  The document is strict JSON on one line,
 serialized by CPython's C encoder (``indent=None``).  The two bulk
 payloads are written as bytes, not as numbers: each job's accepted
 ``values`` and ``weights`` are one base64 blob of little-endian float64
@@ -73,8 +73,10 @@ from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 #: dropped ``mp_context``, ``slab_storage`` and ``slab_dir`` from the job
 #: specs' engine config; version 7 reduced the ``topology`` record to the
 #: epoch number and row watermark (no storage, path, digest or slab spec)
-#: and dropped ``slab_dir`` from the service config.
-CHECKPOINT_VERSION = 7
+#: and dropped ``slab_dir`` from the service config; version 8 dropped
+#: ``batch_backward`` from the job specs' walk config and
+#: ``kernel_backend`` from their engine config.
+CHECKPOINT_VERSION = 8
 
 #: Top-level keys every checkpoint document carries.
 CHECKPOINT_KEYS = frozenset(

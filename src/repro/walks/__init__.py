@@ -25,14 +25,10 @@ from repro.walks.batch import (
 )
 from repro.walks.kernels import (
     KernelBackend,
-    available_backends,
     capability_report,
     default_backend_name,
     get_backend,
-    register_backend,
     require_backend,
-    resolve_backend,
-    set_default_backend,
 )
 from repro.walks.samplers import BurnInSampler, LongRunSampler, SampleBatch
 from repro.walks.baselines import BFSSampler, DFSSampler, SnowballSampler
@@ -75,14 +71,10 @@ __all__ = [
     "BatchWalkResult",
     "has_batch_kernel",
     "KernelBackend",
-    "available_backends",
     "capability_report",
     "default_backend_name",
     "get_backend",
-    "register_backend",
     "require_backend",
-    "resolve_backend",
-    "set_default_backend",
     "target_weights_batch",
     "walk_attribute_matrix",
     "ShardedWalkEngine",

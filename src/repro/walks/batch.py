@@ -42,7 +42,7 @@ check is a per-candidate query) stay on the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.errors import ConfigurationError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike, ensure_rng
-from repro.walks.kernels import BackendLike, resolve_backend
+from repro.walks.kernels import require_backend
 from repro.walks.transitions import (
     LazyWalk,
     MaxDegreeWalk,
@@ -294,7 +294,7 @@ def run_walk_batch(
     starts,
     steps: int,
     seed: RngLike = None,
-    backend: BackendLike = None,
+    backend: Optional[str] = None,
 ) -> BatchWalkResult:
     """Run ``len(starts)`` independent *steps*-step walks simultaneously.
 
@@ -312,11 +312,10 @@ def run_walk_batch(
     steps:
         Transitions per walk; 0 returns the starts unchanged.
     backend:
-        Kernel backend executing the trajectory loop — a name registered
-        in :mod:`repro.walks.kernels` (``numpy``, ``native``,
-        ``python``), a backend object, or ``None`` for the process
-        default.  Every backend consumes the seed stream identically, so
-        this changes throughput, never trajectories.
+        Kernel backend executing the trajectory loop — ``numpy``,
+        ``native`` or ``python`` (see :mod:`repro.walks.kernels`); ``None``
+        means ``numpy``.  Every backend consumes the seed stream
+        identically, so this changes throughput, never trajectories.
 
     Returns
     -------
@@ -331,7 +330,7 @@ def run_walk_batch(
             "walker (run_walk) or one of: "
             + ", ".join(sorted(cls.name for cls in _KERNELS))
         )
-    executor = resolve_backend(backend)
+    executor = require_backend(backend)
     csr = as_csr(graph)
     rng = ensure_rng(seed)
     current = _start_positions(csr, starts)
@@ -368,7 +367,7 @@ def run_nbrw_walk_batch(
     starts,
     steps: int,
     seed: RngLike = None,
-    backend: BackendLike = None,
+    backend: Optional[str] = None,
 ) -> BatchWalkResult:
     """K simultaneous non-backtracking walks (vectorized
     :func:`repro.walks.nonbacktracking.run_nbrw_walk`).
@@ -383,7 +382,7 @@ def run_nbrw_walk_batch(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    executor = resolve_backend(backend)
+    executor = require_backend(backend)
     csr = as_csr(graph)
     rng = ensure_rng(seed)
     current = _start_positions(csr, starts)

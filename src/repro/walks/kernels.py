@@ -17,8 +17,7 @@ This module makes the step executor pluggable:
   reject, laziness chain, path writeback) into one nopython function
   with zero per-step Python dispatch.  Import-gated: without ``numba``
   (``pip install "walk-not-wait-repro[native]"``) the backend reports
-  itself unavailable and soft resolution falls back to ``numpy`` with a
-  one-time warning.
+  itself unavailable, and selecting it raises.
 * ``python`` — the native trajectory loop executed *without* the JIT.
   Orders of magnitude slower than both others; it exists so the native
   loop's arithmetic and draw order stay verifiable bit for bit on hosts
@@ -40,19 +39,18 @@ reproducible when the backend changes.  The golden RNG fixtures
 (``tests/walks/test_batch_rng_regression.py``) and the cross-backend
 hypothesis suite (``tests/walks/test_kernel_backends.py``) pin this.
 
-Backend selection: ``run_walk_batch(..., backend=...)`` per call,
-``EngineConfig(kernel_backend=...)`` /
-``WalkEstimateConfig(kernel_backend=...)`` for the front ends and the
-service, or the ``REPRO_KERNEL_BACKEND`` environment variable for the
-process default (soft resolution — falls back to ``numpy`` when the
-requested backend is unavailable).
+Backend selection: ``run_walk_batch(..., backend=...)`` per call, and
+``WalkEstimateConfig(kernel_backend=...)`` for the WALK-ESTIMATE front
+ends and every :func:`repro.core.estimate` job, the service's included.
+``None`` means ``numpy``.  The three backends form a fixed table.  A
+backend this host cannot run (``native`` without numba) raises an
+actionable :class:`~repro.errors.ConfigurationError` wherever it is
+selected, so no result is ever labeled with a backend that did not run.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,9 +68,6 @@ try:  # pragma: no cover - exercised only where numba is installed
     import numba
 except ImportError:  # pragma: no cover - the default CI matrix
     numba = None
-
-#: Environment variable naming the process-default backend.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: How to get the JIT backend; quoted by every unavailability message.
 NATIVE_INSTALL_HINT = 'pip install "walk-not-wait-repro[native]" (numba>=0.57)'
@@ -448,103 +443,51 @@ class TrajectoryLoopBackend(KernelBackend):
 
 
 # ----------------------------------------------------------------------
-# Registry and resolution
+# The backend table
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, KernelBackend] = {}
-_DEFAULT_BACKEND = "numpy"
-_WARNED_FALLBACK = False
-
-BackendLike = Union[str, KernelBackend, None]
-
-
-def register_backend(backend: KernelBackend, replace: bool = False) -> KernelBackend:
-    """Add *backend* to the registry (``replace=True`` to override)."""
-    if backend.name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"kernel backend {backend.name!r} is already registered"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
+_BACKENDS: Dict[str, KernelBackend] = {
+    "numpy": NumpyKernelBackend(),
+    "native": TrajectoryLoopBackend("native", jit=True),
+    "python": TrajectoryLoopBackend("python", jit=False),
+}
 
 
 def backend_names() -> Tuple[str, ...]:
-    """All registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the backends that can execute on this host, sorted."""
-    return tuple(name for name in backend_names() if _REGISTRY[name].available)
+    """All backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def get_backend(name: str) -> KernelBackend:
-    """The registered backend called *name* (available or not)."""
+    """The backend called *name* (available or not)."""
     try:
-        return _REGISTRY[name]
+        return _BACKENDS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown kernel backend {name!r}; registered: "
-            + ", ".join(backend_names())
+            f"unknown kernel backend {name!r}; valid: " + ", ".join(backend_names())
         ) from None
 
 
-def require_backend(name: str) -> KernelBackend:
-    """Strict resolution: raise unless *name* exists **and** is available."""
-    backend = get_backend(name)
+def require_backend(name: Optional[str] = None) -> KernelBackend:
+    """The backend called *name*; raise unless it exists **and** is available.
+
+    ``None`` means ``numpy``.  Every selection path (the batch front
+    ends, :class:`~repro.core.dispatch.EstimationJobSpec`, the pool)
+    resolves through here, so an unavailable backend fails where it is
+    asked for, with the install hint.
+    """
+    backend = get_backend(default_backend_name() if name is None else name)
     if not backend.available:
         raise ConfigurationError(
-            f"kernel backend {name!r} is not available on this host: "
+            f"kernel backend {backend.name!r} is not available on this host: "
             f"numba is not installed — {NATIVE_INSTALL_HINT} — or use "
             "kernel_backend='numpy'"
         )
     return backend
 
 
-def _warn_fallback_once(requested: str) -> None:
-    global _WARNED_FALLBACK
-    if not _WARNED_FALLBACK:
-        _WARNED_FALLBACK = True
-        warnings.warn(
-            f"kernel backend {requested!r} is unavailable (numba not "
-            f"installed; {NATIVE_INSTALL_HINT}); falling back to 'numpy'",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def resolve_backend(spec: BackendLike = None, strict: bool = True) -> KernelBackend:
-    """Resolve a backend spec to an executable backend object.
-
-    ``None`` means the process default; a string is looked up in the
-    registry; a backend object passes through.  ``strict=True`` (the
-    default for explicit per-call/config selection) raises when the
-    request cannot be honored; ``strict=False`` falls back to ``numpy``
-    with a one-time :class:`RuntimeWarning` — the import-time/env-var
-    path, where failing would make the package unimportable.
-    """
-    if isinstance(spec, KernelBackend):
-        return spec
-    name = default_backend_name() if spec is None else spec
-    if strict:
-        return require_backend(name)
-    backend = get_backend(name)
-    if not backend.available:
-        _warn_fallback_once(name)
-        return _REGISTRY["numpy"]
-    return backend
-
-
 def default_backend_name() -> str:
-    """The process-default backend name (``numpy`` unless overridden)."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(name: str) -> KernelBackend:
-    """Set the process default (strict: the backend must be available)."""
-    global _DEFAULT_BACKEND
-    backend = require_backend(name)
-    _DEFAULT_BACKEND = backend.name
-    return backend
+    """The backend a ``None`` request selects: always ``numpy``."""
+    return "numpy"
 
 
 def capability_report() -> Dict[str, object]:
@@ -552,17 +495,5 @@ def capability_report() -> Dict[str, object]:
     return {
         "default": default_backend_name(),
         "numba": getattr(numba, "__version__", None),
-        "backends": {name: _REGISTRY[name].describe() for name in backend_names()},
+        "backends": {name: _BACKENDS[name].describe() for name in backend_names()},
     }
-
-
-register_backend(NumpyKernelBackend())
-register_backend(TrajectoryLoopBackend("native", jit=True))
-register_backend(TrajectoryLoopBackend("python", jit=False))
-
-# Honor the environment override softly: a numba-less host asking for
-# ``native`` must still import (one-time warning, numpy fallback) — the
-# same graceful degradation as the FastAPI-gated service adapter.
-_env_default = os.environ.get(BACKEND_ENV_VAR)
-if _env_default:
-    _DEFAULT_BACKEND = resolve_backend(_env_default, strict=False).name

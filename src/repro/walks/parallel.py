@@ -12,9 +12,8 @@ interface (``graph``, ``n_workers``, ``map_shards(fn, per_shard_args)``):
   topology (:mod:`repro.graphs.shm`).
 
 Whether the pool beats one process depends on the host, K, and the
-kernel backend.  On a 2-core host, for whole WE rounds, it loses at
-K = 512 and starts to pay near K = 4096; the ROADMAP's "Picking K and
-worker count" holds that table.  Time both executors on your shape
+kernel backend; the ROADMAP's "Picking K and worker count" holds the
+measured table for whole WE rounds.  Time both executors on your shape
 before choosing.
 
 **The shard plan is data.**  :func:`shard_slices` splits K walks into
@@ -29,7 +28,11 @@ parity hook the tests pin.  More shards legitimately re-partition the
 randomness (each walk's law is unchanged; the joint stream differs),
 exactly as the batch engine re-partitions the scalar engine's.  The plan
 does not depend on the executor: an :class:`InlineExecutor` with n
-shards returns what a pool with n workers does.
+shards returns what a pool with n workers does.  A worker advances a
+pickled copy of each shard's generator, so the pool writes every
+generator's end state back onto the caller's object once its shard
+succeeds: a one-shard round leaves the caller's generator where an
+in-process round would.
 
 **Lifetime.**  The engine owns one slab (a ``/dev/shm`` segment) and
 one process pool; both live until :meth:`ShardedWalkEngine.close` (or
@@ -44,8 +47,9 @@ that as a recoverable event.  Completed shards keep their results (and
 their rows, already written at fixed offsets into the output slab);
 :meth:`ShardedWalkEngine.map_shards` respawns the pool and re-executes
 *only* the failed shards.  Because every shard's RNG is an independent
-pickled copy (the parent's generators are never mutated by a submit) and
-row writes are idempotent, the recovered round is bit-identical to a
+pickled copy (a parent generator takes its shard's end state only once
+that shard succeeds, so a retry re-pickles the original state) and row
+writes are idempotent, the recovered round is bit-identical to a
 crash-free run — the invariant ``tests/faults/test_crash_recovery.py``
 pins, with crashes injected deterministically via
 :meth:`ShardedWalkEngine.schedule_worker_crash`.  Recovery is bounded by
@@ -103,9 +107,20 @@ def _worker_init(spec: CSRSlabSpec) -> None:
     _WORKER_SLAB = SharedCSR.attach(spec)
 
 
+def _generators(args: tuple) -> List[np.random.Generator]:
+    """The generators among a shard's arguments, in order."""
+    return [arg for arg in args if isinstance(arg, np.random.Generator)]
+
+
 def _run_shard(fn: Callable, args: tuple):
-    """Trampoline executed in the worker: hand *fn* the attached graph."""
-    return fn(_WORKER_SLAB.graph, *args)
+    """Trampoline executed in the worker: hand *fn* the attached graph.
+
+    Returns *fn*'s result with the end state of each generator among
+    *args*: the worker advanced pickled copies, and the parent writes
+    these states back onto its own generators.
+    """
+    result = fn(_WORKER_SLAB.graph, *args)
+    return result, [rng.bit_generator.state for rng in _generators(args)]
 
 
 def _crash_shard(csr: CSRGraph, *args) -> int:
@@ -149,9 +164,9 @@ def _walk_shard(
     offset: int,
     total_rows: int,
 ) -> int:
-    # The backend travels as its registry *name* (picklable); the worker
-    # resolves it against its own process-local registry, so a JIT
-    # backend compiles once per worker and persists across rounds.
+    # The backend travels as its *name* (picklable); the worker resolves
+    # it against its own process-local backend table, so a JIT backend
+    # compiles once per worker and persists across rounds.
     paths = run_walk_batch(
         csr, design, starts, steps, seed=rng, backend=kernel_backend
     ).paths
@@ -369,6 +384,11 @@ class ShardedWalkEngine:
         stream and writes the same rows.  After :attr:`max_shard_retries`
         respawn cycles the round surfaces
         :class:`~repro.errors.WorkerCrashError`.
+
+        Each generator among a shard's arguments takes the end state of
+        the worker's copy once that shard succeeds, so the caller's
+        generators advance exactly as :class:`InlineExecutor` advances
+        them.  A failed shard's generators are left as they were.
         """
         if self._pool is None:
             raise ConfigurationError("engine is closed")
@@ -397,9 +417,12 @@ class ShardedWalkEngine:
                 submitted.append((index, future))
             for index, future in submitted:
                 try:
-                    results[index] = future.result()
+                    results[index], states = future.result()
                 except BrokenProcessPool:
                     failed.append(index)
+                    continue
+                for rng, state in zip(_generators(per_shard_args[index]), states):
+                    rng.bit_generator.state = state
             if not failed:
                 break
             cycles += 1
@@ -436,8 +459,7 @@ class ShardedWalkEngine:
             raise ConfigurationError("engine is closed")
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        if kernel_backend is not None:
-            kernel_backend = require_kernel_backend(kernel_backend).name
+        require_kernel_backend(kernel_backend)
         starts = np.asarray(starts, dtype=np.int64)
         # Validate starts once, parent-side, so workers never see bad ids.
         self.graph.positions_of(starts)
@@ -479,10 +501,10 @@ class ShardedWalkEngine:
 
         Same contract and result type; walk *i* of the merged result
         started at ``starts[i]``.  ``kernel_backend`` names the kernel
-        backend each worker executes its shard with (``None`` = the
-        workers' process default); it is validated parent-side before
-        any task is submitted, and a JIT backend compiles once per
-        persistent worker — later rounds reuse the dispatcher.
+        backend each worker executes its shard with (``None`` means
+        ``numpy``); it is validated parent-side before any task is
+        submitted, and a JIT backend compiles once per persistent
+        worker — later rounds reuse the dispatcher.
         """
         if not has_batch_kernel(design):
             raise ConfigurationError(

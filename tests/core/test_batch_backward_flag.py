@@ -1,4 +1,7 @@
-"""The ``batch_backward`` config flag: golden stream, parity, fallback.
+"""The ``batch_backward`` sampler flag: golden stream, parity, fallback.
+
+``estimate()`` builds the sampler with the flag for
+``EngineConfig(backend="charged")``; these tests pass it directly.
 
 Routing the repetition loop through :func:`ws_bw_batch` legitimately
 changes the RNG stream (K repetitions interleave their draws level by
@@ -58,7 +61,6 @@ def _config(**overrides) -> WalkEstimateConfig:
         backward_repetitions=6,
         refine_repetitions=2,
         calibration_walks=4,
-        batch_backward=True,
     )
     base.update(overrides)
     return WalkEstimateConfig(**base)
@@ -71,7 +73,9 @@ class TestGoldenStream:
     def test_sampler_reproduces_fixture(self, design_name, golden, graph):
         expected = golden[design_name]
         api = SocialNetworkAPI(graph)
-        sampler = WalkEstimateSampler(DESIGNS[design_name], _config())
+        sampler = WalkEstimateSampler(
+            DESIGNS[design_name], _config(), batch_backward=True
+        )
         batch = sampler.sample(api, start=0, count=8, seed=123)
         report = sampler.last_report
         assert [int(n) for n in batch.nodes] == expected["sample_nodes"]
@@ -97,9 +101,10 @@ class TestSingleRepetitionParity:
                 crawl_hops=0,
                 backward_repetitions=1,
                 refine_repetitions=0,
-                batch_backward=flag,
             )
-            estimator = ProbabilityEstimator(graph, design, 0, t, config, seed=321)
+            estimator = ProbabilityEstimator(
+                graph, design, 0, t, config, seed=321, batch_backward=flag
+            )
             estimates[flag] = estimator.estimate(7, refine=False).mean
         assert estimates[True] == estimates[False]
 
@@ -118,9 +123,10 @@ class TestFallback:
                 crawl_hops=0,
                 backward_repetitions=4,
                 refine_repetitions=0,
-                batch_backward=flag,
             )
-            estimator = ProbabilityEstimator(graph, design, 0, t, config, seed=11)
+            estimator = ProbabilityEstimator(
+                graph, design, 0, t, config, seed=11, batch_backward=flag
+            )
             means[flag] = estimator.estimate(3, refine=False).mean
         assert means[True] == means[False]
 
@@ -152,7 +158,9 @@ class TestUnbiasedness:
             backward_repetitions=400,
             refine_repetitions=0,
         )
-        estimator = ProbabilityEstimator(graph, design, 0, t, config, seed=99)
+        estimator = ProbabilityEstimator(
+            graph, design, 0, t, config, seed=99, batch_backward=True
+        )
         record = estimator.estimate(candidate, refine=False)
         assert record.count == 400
         assert record.mean == pytest.approx(exact, rel=0.35)
@@ -160,7 +168,7 @@ class TestUnbiasedness:
     def test_repetition_topup_counts(self, graph):
         config = _config(walk_length=4, crawl_hops=0, refine_repetitions=0)
         estimator = ProbabilityEstimator(
-            graph, SimpleRandomWalk(), 0, 4, config, seed=5
+            graph, SimpleRandomWalk(), 0, 4, config, seed=5, batch_backward=True
         )
         record = estimator.estimate(7, repetitions=3, refine=False)
         assert record.count == 3

@@ -20,6 +20,7 @@ from repro.core import (
     long_run_walk_estimate_batch,
     walk_estimate_batch,
 )
+from repro.core import dispatch
 from repro.errors import ConfigurationError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.osn.api import SocialNetworkAPI
@@ -138,19 +139,29 @@ class TestEngineConfig:
     def test_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
             EngineConfig.from_dict({"backend": "batch", "worker_count": 4})
-        # The process-layout keys that version 5 checkpoints carried.
-        for key in ("mp_context", "slab_storage", "slab_dir"):
+        # The process-layout keys that version 5 checkpoints carried, and
+        # the kernel backend that version 7 checkpoints carried.
+        for key in ("mp_context", "slab_storage", "slab_dir", "kernel_backend"):
             with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
                 EngineConfig.from_dict({"backend": "batch", key: None})
 
-    def test_charged_implies_batch_backward(self):
-        def folded(backend, walk=WalkEstimateConfig()):
-            spec = EstimationJobSpec(walk=walk, engine=EngineConfig(backend=backend))
-            return spec.walk_config().batch_backward
+    def test_charged_implies_batch_backward(self, hidden, config, monkeypatch):
+        built = []
+
+        class Recording(WalkEstimateSampler):
+            def __init__(self, *args, batch_backward=False, **kwargs):
+                built.append(batch_backward)
+                super().__init__(*args, batch_backward=batch_backward, **kwargs)
+
+        monkeypatch.setattr(dispatch, "WalkEstimateSampler", Recording)
+
+        def folded(backend):
+            spec = EstimationJobSpec(walk=config, engine=EngineConfig(backend=backend))
+            estimate(spec, api=SocialNetworkAPI(hidden), seed=1)
+            return built[-1]
 
         assert folded("charged")
         assert not folded("scalar")
-        assert folded("scalar", WalkEstimateConfig(batch_backward=True))
         with pytest.raises(ConfigurationError, match="batch_backward"):
             EngineConfig.from_dict({"backend": "scalar", "batch_backward": True})
 
@@ -185,15 +196,6 @@ class TestJobSpec:
         assert spec.design == {"name": "srw"}
         assert isinstance(spec.build_design(), SimpleRandomWalk)
 
-    def test_walk_config_folds_in_charged_flag(self, config):
-        spec = EstimationJobSpec(
-            design="srw", walk=config, engine=EngineConfig(backend="charged")
-        )
-        assert spec.walk_config().batch_backward
-        assert not spec.walk.batch_backward  # original untouched
-        plain = EstimationJobSpec(design="srw", walk=config)
-        assert plain.walk_config() is config
-
     @pytest.mark.parametrize(
         ("field", "value", "match"),
         [
@@ -216,6 +218,11 @@ class TestJobSpec:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown EstimationJobSpec"):
             EstimationJobSpec.from_dict({"designs": "srw"})
+        # Nested knobs that version 7 checkpoints carried.
+        with pytest.raises(ConfigurationError, match="unknown WalkEstimateConfig"):
+            EstimationJobSpec.from_dict({"walk": {"batch_backward": True}})
+        with pytest.raises(ConfigurationError, match="unknown EngineConfig"):
+            EstimationJobSpec.from_dict({"engine": {"kernel_backend": "numpy"}})
 
     def test_with_overrides_revalidates(self):
         spec = EstimationJobSpec(design="srw", samples=5)
@@ -253,7 +260,7 @@ class TestScalarParity:
         )
         via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden))
         direct = WalkEstimateSampler(
-            SimpleRandomWalk(), config.with_overrides(batch_backward=True)
+            SimpleRandomWalk(), config, batch_backward=True
         ).sample(SocialNetworkAPI(hidden), 0, 6, seed=33)
         assert sample_batches_equal(via_dispatch.raw, direct)
 

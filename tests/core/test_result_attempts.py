@@ -76,7 +76,9 @@ def test_estimate_reports_every_decision(yelp, decisions, job):
 def test_estimate_agrees_with_the_sampler_report(yelp, job):
     spec = JOBS[job]
     result = repro.estimate(spec, api=SocialNetworkAPI(yelp), seed=SEED)
-    sampler = WalkEstimateSampler(spec.build_design(), spec.walk_config())
+    sampler = WalkEstimateSampler(
+        spec.build_design(), spec.walk, batch_backward=job == "charged"
+    )
     sampler.sample(SocialNetworkAPI(yelp), spec.start, spec.samples, seed=SEED)
     assert result.attempts == sampler.last_report.attempts
     assert result.acceptance_rate == sampler.last_report.acceptance_rate

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import WalkEstimateConfig
+from repro.core.dispatch import EngineConfig, EstimationJobSpec, estimate
 from repro.core.long_run_we import long_run_walk_estimate_batch
 from repro.core.sharded import merge_batch_results
 from repro.core.walk_estimate import walk_estimate_batch
@@ -110,6 +111,23 @@ class TestInlineMatchesPool:
             long_run_walk_estimate_batch(inline, *args, config=config, seed=19),
             long_run_walk_estimate_batch(fork_pool, *args, config=config, seed=19),
         )
+
+    def test_reused_generator_advances_like_inline(self, csr, config, fork_pool):
+        # A one-shard plan hands the worker the caller's generator; the
+        # pool must write the worker's end state back, or a second round
+        # from the same generator replays the first.
+        spec = EstimationJobSpec(
+            samples=40, walk=config, engine=EngineConfig(backend="sharded")
+        )
+        inline = InlineExecutor(csr, n_workers=fork_pool.n_workers)
+        inline_rng = np.random.default_rng(5)
+        pooled_rng = np.random.default_rng(5)
+        for _ in range(2):
+            assert_rounds_equal(
+                estimate(spec, engine=inline, seed=inline_rng).raw,
+                estimate(spec, engine=fork_pool, seed=pooled_rng).raw,
+            )
+            assert pooled_rng.bit_generator.state == inline_rng.bit_generator.state
 
 
 class TestShardedRounds:

@@ -333,6 +333,18 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="version 6"):
             SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
 
+    def test_version_7_document_refused(self, hidden):
+        # Version 7 job specs carried walk.batch_backward and
+        # engine.kernel_backend; such a document must fail loudly, never
+        # half-load.
+        document = self._document(hidden)
+        for job in document["jobs"]:
+            job["spec"]["walk"]["batch_backward"] = False
+            job["spec"]["engine"]["kernel_backend"] = "numpy"
+        document["version"] = 7
+        with pytest.raises(CheckpointError, match="version 7"):
+            SamplingService.resume(SocialNetworkAPI(hidden), document, latency=LATENCY)
+
     def test_topology_watermark_must_match_the_rows(self, hidden):
         # The rebuilt epoch must be the recorded graph: a watermark that
         # disagrees with the restored rows refuses instead.

@@ -12,11 +12,11 @@ round's result, so the tests here demand the same partials, results,
 counter state and ledger charges from both, bit for bit — and that the
 current service starts no process while a campaign runs.
 
-One plan differs on purpose: with one shard, the round consumes the
-job's own generator (:func:`~repro.walks.parallel.shard_rngs`).  The
-pool pickled that generator, so the job's stream never advanced and every
-round replayed the first one; in process it advances, and a one-shard
-``sharded`` job runs exactly as a ``batch`` job does.
+With one shard, the round consumes the job's own generator
+(:func:`~repro.walks.parallel.shard_rngs`), so a one-shard ``sharded``
+job runs exactly as a ``batch`` job does.  The pool walks a pickled copy
+of that generator and writes the copy's end state back onto it, so the
+job's stream advances there too.
 """
 
 import multiprocessing
@@ -212,9 +212,10 @@ class TestInlineMatchesPool:
         outcome, started = campaign(SamplingService, hidden, cfg, TENANTS)
         assert outcome == expected
         assert not started
-        # The pool replayed each sharded job's first round instead.
-        replayed, _ = campaign(PoolService, hidden, cfg, TENANTS)
-        assert replayed != expected
+        # Without the pool's generator write-back, every sharded round
+        # would replay the job's first one.
+        pooled, _ = campaign(PoolService, hidden, cfg, TENANTS)
+        assert pooled == expected
 
     def test_long_run_sharded_campaign_is_bit_identical(self, hidden):
         long_run = replace(

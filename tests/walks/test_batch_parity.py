@@ -73,7 +73,7 @@ def graph_pair(request):
 class TestK1StreamParity:
     """Same seed, K=1 -> node-for-node identical to the scalar walker.
 
-    Parametrized over every registered kernel backend: the scalar pin is
+    Parametrized over every kernel backend: the scalar pin is
     the ground truth all executors — vectorized NumPy, the compiled
     trajectory loop, and its no-JIT twin — must hit on the same stream.
     """

@@ -39,7 +39,7 @@ SEED = 20240716
 K = 4
 STEPS = 12
 
-#: Every registered kernel backend must reproduce the committed stream
+#: Every kernel backend must reproduce the committed stream
 #: bit for bit (unavailable ones — native without numba — auto-skip).
 BACKENDS = backend_names()
 

@@ -1,10 +1,9 @@
-"""The kernel-backend registry and its cross-backend parity contract.
+"""The kernel-backend table and its cross-backend parity contract.
 
 Three layers under test:
 
-* **Registry semantics** — registration, lookup, availability, strict
-  vs. soft resolution (the one-time fallback warning), the capability
-  report, and the process default (env var / ``set_default_backend``).
+* **The backend table** — lookup, availability, strict resolution, the
+  capability report, and the fixed ``numpy`` default.
 * **Bit-for-bit parity** — every available backend must produce the
   NumPy reference's trajectories *and* leave the shared generator in
   the same state, for random graphs × designs × seeds (hypothesis) and
@@ -13,13 +12,11 @@ Three layers under test:
   native trajectory loop without the JIT, so this parity is proven on
   numba-less hosts too; with numba installed the ``native`` backend
   runs the same cases through the compiled dispatcher.
-* **Config plumbing** — ``kernel_backend`` on ``WalkEstimateConfig`` /
-  ``EngineConfig`` (validation, actionable unavailability error, the
-  ``walk_config()`` fold) and end-to-end equality of the batch
-  WALK-ESTIMATE front ends across backends.
+* **Config plumbing** — ``kernel_backend`` on ``WalkEstimateConfig``
+  (name validation, the job spec's actionable unavailability error, the
+  JSON round trip) and end-to-end equality of the batch WALK-ESTIMATE
+  front ends across backends.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import WalkEstimateConfig
-from repro.core.dispatch import EngineConfig, EstimationJobSpec
+from repro.core.dispatch import EstimationJobSpec
 from repro.core.walk_estimate import walk_estimate_batch
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.generators import barabasi_albert_graph
@@ -67,15 +64,15 @@ def _design_for(code: int, max_degree: int):
 
 
 # ----------------------------------------------------------------------
-# Registry semantics
+# The backend table
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_reference_backends_are_registered(self):
         assert {"numpy", "native", "python"} <= set(kernels.backend_names())
 
     def test_numpy_and_python_are_always_available(self):
-        assert "numpy" in kernels.available_backends()
-        assert "python" in kernels.available_backends()
+        assert kernels.get_backend("numpy").available
+        assert kernels.get_backend("python").available
 
     def test_native_availability_tracks_numba(self):
         assert kernels.get_backend("native").available is NUMBA_PRESENT
@@ -84,19 +81,8 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             kernels.get_backend("fortran")
 
-    def test_duplicate_registration_rejected_without_replace(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            kernels.register_backend(kernels.NumpyKernelBackend())
-
     def test_default_backend_is_numpy(self):
         assert kernels.default_backend_name() == "numpy"
-
-    def test_set_default_backend_is_strict(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_DEFAULT_BACKEND", "numpy")
-        assert kernels.set_default_backend("python").name == "python"
-        assert kernels.default_backend_name() == "python"
-        with pytest.raises(ConfigurationError):
-            kernels.set_default_backend("no-such-backend")
 
     def test_capability_report_shape(self):
         report = kernels.capability_report()
@@ -106,10 +92,6 @@ class TestRegistry:
         assert native["jit"] is True
         assert native["available"] is NUMBA_PRESENT
         assert "pip install" in native["requires"]
-
-    def test_backend_objects_pass_through_resolution(self):
-        backend = kernels.get_backend("python")
-        assert kernels.resolve_backend(backend) is backend
 
     def test_supports_mirrors_the_batch_kernel_closure(self):
         from repro.walks.transitions import BidirectionalWalk
@@ -131,17 +113,6 @@ class TestNumbaLessFallback:
         message = str(excinfo.value)
         assert "numba" in message and "pip install" in message
 
-    def test_soft_resolution_falls_back_with_one_warning(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_WARNED_FALLBACK", False)
-        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
-            backend = kernels.resolve_backend("native", strict=False)
-        assert backend.name == "numpy"
-        # Second soft resolution: silent (the warning fired once).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = kernels.resolve_backend("native", strict=False)
-        assert again.name == "numpy"
-
     def test_run_walk_batch_native_raises_actionably(self, triangle):
         with pytest.raises(ConfigurationError, match="pip install"):
             run_walk_batch(
@@ -150,7 +121,7 @@ class TestNumbaLessFallback:
 
     def test_engine_config_native_raises_actionably(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            EngineConfig(kernel_backend="native")
+            EstimationJobSpec(walk=WalkEstimateConfig(kernel_backend="native"))
         message = str(excinfo.value)
         assert "numba" in message and "pip install" in message
 
@@ -277,27 +248,10 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigurationError, match="unknown kernel_backend"):
             WalkEstimateConfig(kernel_backend="cuda")
 
-    def test_engine_config_accepts_available_backends(self):
-        assert EngineConfig(kernel_backend="python").kernel_backend == "python"
-        with pytest.raises(ConfigurationError):
-            EngineConfig(kernel_backend="cuda")
-
-    def test_engine_config_round_trips_kernel_backend(self):
-        config = EngineConfig(backend="sharded", kernel_backend="python")
-        assert EngineConfig.from_dict(config.to_dict()) == config
-
-    def test_job_spec_folds_engine_backend_into_walk_config(self):
-        job = EstimationJobSpec(engine=EngineConfig(kernel_backend="python"))
-        assert job.walk_config().kernel_backend == "python"
-
-    def test_walk_config_explicit_backend_survives_default_engine(self):
-        job = EstimationJobSpec(walk=WalkEstimateConfig(kernel_backend="python"))
-        assert job.walk_config().kernel_backend == "python"
-
     def test_job_spec_json_round_trip_carries_backend(self):
-        job = EstimationJobSpec(engine=EngineConfig(kernel_backend="python"))
+        job = EstimationJobSpec(walk=WalkEstimateConfig(kernel_backend="python"))
         restored = EstimationJobSpec.from_json(job.to_json())
-        assert restored.engine.kernel_backend == "python"
+        assert restored.walk.kernel_backend == "python"
         assert restored == job
 
     @pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)

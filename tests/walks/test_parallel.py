@@ -87,6 +87,25 @@ class TestSingleWorkerParity:
         batch = run_nbrw_walk_batch(csr, starts, 30, seed=55)
         assert np.array_equal(sharded.paths, batch.paths)
 
+    def test_reused_generator_advances_like_the_batch_engine(self):
+        # The worker walks a pickled copy of the caller's generator; the
+        # pool must write its end state back, or a second call with the
+        # same generator replays the first call's paths.
+        csr = barabasi_albert_graph(200, 3, seed=1).relabeled().compile()
+        starts = np.zeros(8, dtype=np.int64)
+        pooled_rng = np.random.default_rng(5)
+        inline_rng = np.random.default_rng(5)
+        with ShardedWalkEngine(csr, n_workers=1, mp_context="fork") as engine:
+            for _ in range(2):
+                pooled = engine.run_walk_batch(
+                    SimpleRandomWalk(), starts, 10, seed=pooled_rng
+                )
+                inline = run_walk_batch(
+                    csr, SimpleRandomWalk(), starts, 10, seed=inline_rng
+                )
+                assert np.array_equal(pooled.paths, inline.paths)
+                assert pooled_rng.bit_generator.state == inline_rng.bit_generator.state
+
 
 class TestKernelBackendPlumbing:
     """Backend names travel to workers; JIT dispatchers persist across rounds."""
