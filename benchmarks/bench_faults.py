@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from repro.bench import write_artifact
-from repro.crawl import AsyncCrawler, FakeClock
+from repro.crawl import AsyncCrawler
 from repro.faults import FaultPlan, FaultRule, FaultyAPI
 from repro.graphs.generators import barabasi_albert_graph
 from repro.osn import ResilientAPI, RetryPolicy

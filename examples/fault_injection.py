@@ -101,10 +101,9 @@ def crash_recovery(hidden) -> None:
     with ShardedWalkEngine(hidden, n_workers=4, mp_context="fork") as engine:
         engine.schedule_worker_crash(1, 2)  # kill a worker mid-round
         crashed = engine.run_walk_batch(SimpleRandomWalk(), starts, 25, seed=SEED)
-        print(
-            f"\nWorker killed mid-round: {engine.worker_respawns} pool "
-            f"respawn(s), {engine.shard_retries} shard(s) re-executed."
-        )
+        # How many sibling shards the broken pool took down with it is
+        # scheduling noise, so only the respawn count is printed.
+        print(f"\nWorker killed mid-round: {engine.worker_respawns} pool respawn(s).")
     assert np.array_equal(crashed.paths, clean.paths)
     print(
         "Recovered trajectories are bit-identical to the crash-free "

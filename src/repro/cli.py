@@ -211,17 +211,24 @@ def run_job_spec(spec, *, dataset="ba_synthetic", dataset_seed=0, seed=None):
 
     The backend the spec names decides the resources: scalar/charged specs
     get a fresh charged :class:`~repro.osn.api.SocialNetworkAPI`, batch
-    specs the compiled CSR, sharded specs a transient
-    :class:`~repro.walks.parallel.ShardedWalkEngine`.  All routes go
-    through :func:`repro.core.estimate` — the CLI never touches a legacy
-    front end.
+    specs the compiled CSR, and sharded specs an
+    :class:`~repro.walks.parallel.InlineExecutor` that runs the spec's
+    ``n_workers``-shard plan in process (one shard when unset), as the
+    service does.  The shards run one after another: ``n_workers`` fixes
+    the plan, and so the random streams, not a degree of parallelism.
+    A process pool would not pay for one round: starting two spawned
+    workers took about 2 s on a 2-core host, more than a whole
+    K = 32768 round takes in process (0.13–0.17 s).
+    All routes go through :func:`repro.core.estimate` — the CLI never
+    touches a legacy front end.
     """
     import numpy as np
 
     from repro.core.dispatch import estimate
     from repro.datasets.registry import build_dataset
+    from repro.estimators.aggregates import importance_estimate
     from repro.osn.api import SocialNetworkAPI
-    from repro.walks.parallel import ShardedWalkEngine
+    from repro.walks.parallel import InlineExecutor
 
     graph = build_dataset(dataset, seed=dataset_seed).graph
     backend = spec.engine.backend
@@ -229,26 +236,17 @@ def run_job_spec(spec, *, dataset="ba_synthetic", dataset_seed=0, seed=None):
     if backend in ("scalar", "charged"):
         api = SocialNetworkAPI(graph)
         result = estimate(spec, api=api, seed=seed)
-    elif backend == "sharded":
-        engine = ShardedWalkEngine(
-            graph.compile(), n_workers=spec.engine.n_workers or 1
-        )
-        with engine:
-            result = estimate(spec, engine=engine, seed=seed)
-    else:
-        result = estimate(spec, graph=graph.compile(), seed=seed)
+    else:  # batch runs over graph=, sharded over engine=, as in the service
+        csr = graph.compile()
+        executor = InlineExecutor(csr, spec.engine.n_workers or 1)
+        result = estimate(spec, graph=csr, engine=executor, seed=seed)
 
     values = np.array(
         [graph.degree(int(node)) for node in result.nodes], dtype=np.float64
     )
     with np.errstate(divide="ignore"):
         weights = 1.0 / result.weights
-    total = float(weights.sum())
-    if values.size and total > 0:
-        mean = float((weights * values).sum() / total)
-        stderr = float(np.sqrt(((weights * (values - mean)) ** 2).sum()) / total)
-    else:
-        mean, stderr = float("nan"), float("inf")
+    mean, stderr = importance_estimate(values, weights)
     return {
         "dataset": dataset,
         "spec": spec.to_dict(),

@@ -52,7 +52,7 @@ from repro.core.walk_estimate import (
     WalkEstimateSampler,
     walk_estimate_batch,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, checked_fields
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike
@@ -169,18 +169,19 @@ class EngineConfig:
         per depth level); ``batch`` — the vectorized free-graph
         round over a compiled :class:`~repro.graphs.csr.CSRGraph`;
         ``sharded`` — the same round split into a shard plan and run on
-        an executor: a :class:`~repro.walks.parallel.ShardedWalkEngine`,
-        or in process (:mod:`repro.service` runs every round inline).
+        an executor: in process, as the CLI and :mod:`repro.service` do,
+        or on a :class:`~repro.walks.parallel.ShardedWalkEngine`.
     long_run:
         Segment one (or K) continuous walks instead of restarting per
         sample (§6.1 future work) — selects the ``long_run_*`` twin of
         the chosen backend.  Not available for ``charged``.
     n_workers:
-        Worker count for a caller that builds the sharded engine itself:
-        only the CLI's ``run_job_spec`` reads it.  :func:`estimate` never
-        builds an engine, and it and :mod:`repro.service` ignore this
-        field (the service takes its shard count from
-        ``ServiceConfig.n_workers``).
+        Shard count of a ``sharded`` job the CLI runs in process (one
+        when unset).  The shards run one after another, so the count
+        picks the plan's random streams, not parallelism.
+        :func:`estimate` takes its executor from the caller, and it and
+        :mod:`repro.service` ignore this field (the service takes its
+        shard count from ``ServiceConfig.n_workers``).
 
     The kernel backend of the free-graph rounds is not an engine field:
     the job's :class:`~repro.core.config.WalkEstimateConfig` names it.
@@ -216,17 +217,7 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
         """Inverse of :meth:`to_dict`; unknown keys raise."""
-        return cls(**_checked_fields(cls, data))
-
-
-def _checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
-    valid = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - valid
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} keys: {sorted(unknown)}; valid: {sorted(valid)}"
-        )
-    return dict(data)
+        return cls(**checked_fields(cls, data))
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +333,10 @@ class EstimationJobSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EstimationJobSpec":
         """Inverse of :meth:`to_dict`; nested configs rebuild and re-validate."""
-        fields = _checked_fields(cls, data)
+        fields = checked_fields(cls, data)
         if "walk" in fields and isinstance(fields["walk"], Mapping):
             fields["walk"] = WalkEstimateConfig(
-                **_checked_fields(WalkEstimateConfig, fields["walk"])
+                **checked_fields(WalkEstimateConfig, fields["walk"])
             )
         if "engine" in fields and isinstance(fields["engine"], Mapping):
             fields["engine"] = EngineConfig.from_dict(fields["engine"])
@@ -450,10 +441,10 @@ def estimate(
     charged     ``api`` (the sampler runs with batched backward walks)
     batch       ``graph`` — a :class:`~repro.graphs.graph.Graph` or
                 compiled :class:`~repro.graphs.csr.CSRGraph`
-    sharded     ``engine`` — an executor: a live
-                :class:`~repro.walks.parallel.ShardedWalkEngine`, or an
-                :class:`~repro.walks.parallel.InlineExecutor` running
-                the same shard plan in process
+    sharded     ``engine`` — an executor: an
+                :class:`~repro.walks.parallel.InlineExecutor` (the CLI
+                and the service pass one) or a live
+                :class:`~repro.walks.parallel.ShardedWalkEngine`
     ========== =====================================================
 
     *seed* overrides the spec's seed when given — the hook callers that

@@ -43,15 +43,12 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.config import WalkEstimateConfig
+from repro.core.estimate import ProbabilityEstimator
 from repro.core.rejection import RejectionSampler, ScaleFactorBootstrap
 from repro.core.sharded import run_round
 from repro.core.unbiased import unbiased_estimate_batch
 from repro.core.walk_estimate import BatchWalkEstimateResult
-from repro.core.weighted import (
-    BackwardStats,
-    ForwardHistory,
-    weighted_backward_estimate,
-)
+from repro.core.weighted import BackwardStats, ForwardHistory
 from repro.errors import ConfigurationError, QueryBudgetExceededError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
@@ -86,24 +83,21 @@ class LongRunWalkEstimateSampler:
         stats: BackwardStats,
         rng,
     ) -> float:
-        """Mean of backward realizations of ``p_t(end | start=w_k)``."""
+        """``p̂_t(end | start=w_k)`` from the segment's own history, no crawl."""
         history = ForwardHistory(segment.start, segment.steps)
         history.record(segment)
-        total = 0.0
-        repetitions = self.config.backward_repetitions
-        for _ in range(repetitions):
-            total += weighted_backward_estimate(
-                api,
-                self.design,
-                segment.end,
-                segment.start,
-                segment.steps,
-                history=history if self.config.weighted_sampling else None,
-                epsilon=self.config.epsilon,
-                seed=rng,
-                stats=stats,
-            )
-        return total / repetitions
+        estimator = ProbabilityEstimator(
+            api,
+            self.design,
+            segment.start,
+            segment.steps,
+            self.config,
+            history=history,
+            seed=rng,
+        )
+        # The run's one effort counter, even if the budget runs out mid-estimate.
+        estimator.stats = stats
+        return estimator.estimate(segment.end, refine=False).mean
 
     def sample(
         self,

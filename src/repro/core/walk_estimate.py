@@ -444,53 +444,40 @@ def _we_round(
 # ----------------------------------------------------------------------
 # §7.1 ablation variants
 # ----------------------------------------------------------------------
+def _variant(design, config, label, crawl, weighted) -> WalkEstimateSampler:
+    """A §7.1 variant of *config*; its crawl, when on, defaults to h = 2."""
+    base = config if config is not None else WalkEstimateConfig()
+    hops = (base.crawl_hops or 2) if crawl else 0
+    return WalkEstimateSampler(
+        design,
+        base.with_overrides(crawl_hops=hops, weighted_sampling=weighted),
+        name=f"{label}{design.name}",
+    )
+
+
 def we_none_sampler(
     design: TransitionDesign, config: Optional[WalkEstimateConfig] = None
 ) -> WalkEstimateSampler:
     """WE-None: neither variance-reduction heuristic."""
-    base = config if config is not None else WalkEstimateConfig()
-    return WalkEstimateSampler(
-        design,
-        base.with_overrides(crawl_hops=0, weighted_sampling=False),
-        name=f"we-none-{design.name}",
-    )
+    return _variant(design, config, "we-none-", crawl=False, weighted=False)
 
 
 def we_crawl_sampler(
     design: TransitionDesign, config: Optional[WalkEstimateConfig] = None
 ) -> WalkEstimateSampler:
     """WE-Crawl: initial crawling only."""
-    base = config if config is not None else WalkEstimateConfig()
-    if base.crawl_hops == 0:
-        base = base.with_overrides(crawl_hops=2)
-    return WalkEstimateSampler(
-        design,
-        base.with_overrides(weighted_sampling=False),
-        name=f"we-crawl-{design.name}",
-    )
+    return _variant(design, config, "we-crawl-", crawl=True, weighted=False)
 
 
 def we_weighted_sampler(
     design: TransitionDesign, config: Optional[WalkEstimateConfig] = None
 ) -> WalkEstimateSampler:
     """WE-Weighted: weighted backward sampling only."""
-    base = config if config is not None else WalkEstimateConfig()
-    return WalkEstimateSampler(
-        design,
-        base.with_overrides(crawl_hops=0, weighted_sampling=True),
-        name=f"we-weighted-{design.name}",
-    )
+    return _variant(design, config, "we-weighted-", crawl=False, weighted=True)
 
 
 def we_full_sampler(
     design: TransitionDesign, config: Optional[WalkEstimateConfig] = None
 ) -> WalkEstimateSampler:
     """WE: both heuristics on (the paper's main algorithm)."""
-    base = config if config is not None else WalkEstimateConfig()
-    if base.crawl_hops == 0:
-        base = base.with_overrides(crawl_hops=2)
-    return WalkEstimateSampler(
-        design,
-        base.with_overrides(weighted_sampling=True),
-        name=f"we-{design.name}",
-    )
+    return _variant(design, config, "we-", crawl=True, weighted=True)

@@ -53,6 +53,7 @@ from repro.crawl.clock import FakeClock, LatencyLike
 from repro.crawl.crawler import AsyncCrawler
 from repro.crawl.publisher import TopologyPublisher
 from repro.errors import ConfigurationError, QueryBudgetExceededError
+from repro.estimators.aggregates import importance_estimate
 from repro.graphs.csr import CSRGraph
 from repro.rng import RngLike, ensure_rng
 from repro.walks.batch import run_walk_batch, target_weights_batch
@@ -192,8 +193,7 @@ class CrawlWalkPipeline:
         )
         nodes = result.paths[:, 1:].ravel()
         weights = 1.0 / target_weights_batch(graph, self.design, nodes)
-        values = self._values_of(nodes)
-        return float(np.sum(values * weights) / np.sum(weights))
+        return importance_estimate(self._values_of(nodes), weights)[0]
 
     def run_epoch(self) -> Optional[CrawlEpochRecord]:
         """One crawl→compact→walk epoch; None once nothing new remains.

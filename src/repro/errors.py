@@ -8,6 +8,8 @@ graph input, configuration mistakes).
 
 from __future__ import annotations
 
+from typing import Any, Dict, Mapping
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -109,6 +111,17 @@ class CheckpointError(ReproError):
 
 class ConfigurationError(ReproError, ValueError):
     """Raised for invalid algorithm or experiment configuration values."""
+
+
+def checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
+    """*data* as a dict; a key that is no field of dataclass *cls* raises."""
+    valid = set(cls.__dataclass_fields__)
+    unknown = set(data) - valid
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {cls.__name__} keys: {sorted(unknown)}; valid: {sorted(valid)}"
+        )
+    return dict(data)
 
 
 class EstimationError(ReproError):

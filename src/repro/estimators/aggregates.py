@@ -17,7 +17,8 @@ non-uniform samples respectively."  In estimator language:
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +76,24 @@ def average_estimate_arrays(values, target_weights) -> float:
         return float(values.mean())
     inverse = 1.0 / weights
     return float(np.dot(values, inverse) / inverse.sum())
+
+
+def importance_estimate(values: np.ndarray, weights: np.ndarray) -> Tuple[float, float]:
+    """``(Σ w·f / Σ w, sqrt(Σ w²(f − μ)²) / Σ w)`` over aligned float64 arrays.
+
+    The self-normalized mean for importance weights ``w = 1/q̃`` and its
+    linearized stderr; ``(nan, inf)`` when the weights' sum is not positive.
+    :func:`importance_weighted_mean` and :func:`average_estimate_arrays`
+    compute the same mean through ``np.dot``, which rounds differently
+    from ``np.sum`` in about half of random cases, so the three stay apart
+    until their callers' pinned values may move.
+    """
+    total = float(np.sum(weights))
+    if not total > 0:
+        return float("nan"), float("inf")
+    mean = float(np.sum(values * weights) / total)
+    stderr = float(math.sqrt(np.sum((weights * (values - mean)) ** 2)) / total)
+    return mean, stderr
 
 
 def average_estimate(batch: SampleBatch, values: Sequence[float]) -> float:

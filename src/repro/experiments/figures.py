@@ -193,7 +193,6 @@ def figure5(scale: str = "quick", seed: RngLike = 5) -> ExperimentResult:
     for n in sizes:
         graph = cycle_graph(n).relabeled()
         diameter = n // 2
-        dataset = SocialDataset(name=f"cycle-{n}", graph=graph, aggregates={})
         from repro.osn.api import SocialNetworkAPI  # local to avoid cycle
 
         api = SocialNetworkAPI(graph)

@@ -15,9 +15,14 @@ package provides those failures:
   against a charged :class:`~repro.osn.api.SocialNetworkAPI`, preserving
   the §2.4 exactly-once accounting across every fault phase.
 
-``tests/faults/`` pins the contract: a chaos run recovered by the
-resilience layer is bit-identical — estimates, trajectories, counter and
-ledger state — to its fault-free twin.
+``tests/faults/`` pins the contract for a chaos run recovered by the
+resilience layer: every query is charged exactly once and the ledger
+balances; at crawl concurrency 1 the run is bit-identical — estimates,
+trajectories, counter and ledger state — to its fault-free twin (above
+1, slow responses reorder the crawl frontier, so a budget can buy other
+nodes; a crawl run to completion finds the same rows); and the chaos run
+itself replays, and resumes from a checkpoint, bit-identically at any
+concurrency.
 """
 
 from repro.faults.api import FaultyAPI

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, checked_fields
 
 #: Failure modes a rule can inject.  ``timeout``/``error``/``rate_limit``
 #: raise (the retry layer's food); ``slow`` lets the call succeed but adds
@@ -49,16 +49,6 @@ FAULT_PHASES = ("before", "after")
 
 #: Which wrapper entry points a rule covers.
 FAULT_OPS = ("any", "neighbors", "degrees")
-
-
-def _checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(data) - valid
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} keys: {sorted(unknown)}; valid: {sorted(valid)}"
-        )
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,7 @@ class FaultRule:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultRule":
         """Inverse of :meth:`to_dict`; unknown keys raise."""
-        return cls(**_checked_fields(cls, data))
+        return cls(**checked_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -240,7 +230,7 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         """Inverse of :meth:`to_dict`; nested rules rebuild and re-validate."""
-        fields = _checked_fields(cls, data)
+        fields = checked_fields(cls, data)
         rules = fields.get("rules", ())
         if not isinstance(rules, Sequence) or isinstance(rules, (str, bytes)):
             raise ConfigurationError(

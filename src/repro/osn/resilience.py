@@ -40,6 +40,7 @@ from repro.errors import (
     ConfigurationError,
     RateLimitExceededError,
     TransientAPIError,
+    checked_fields,
 )
 from repro.osn.api import APIWrapper
 from repro.osn.ratelimit import VirtualClock
@@ -48,16 +49,6 @@ from repro.rng import RngLike, ensure_rng
 #: Exceptions a retry can fix: the transient family (5xx-style errors and
 #: timeouts) plus rate-limit rejections, which carry their own wait.
 RETRYABLE_ERRORS = (TransientAPIError, RateLimitExceededError)
-
-
-def _checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(data) - valid
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} keys: {sorted(unknown)}; valid: {sorted(valid)}"
-        )
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -151,7 +142,7 @@ class RetryPolicy:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RetryPolicy":
         """Inverse of :meth:`to_dict`; unknown keys raise."""
-        return cls(**_checked_fields(cls, data))
+        return cls(**checked_fields(cls, data))
 
 
 class CircuitBreaker:
@@ -332,7 +323,10 @@ class ResilientAPI(APIWrapper):
                 self.failed_attempts += 1
                 self.timeouts += 1
                 breaker.record_failure(self.clock.now)
-                if attempt >= self.policy.max_attempts or breaker.open_until is not None:
+                if (
+                    attempt >= self.policy.max_attempts
+                    or breaker.open_until is not None
+                ):
                     raise APITimeoutError(
                         f"call exceeded per-call timeout of {timeout} simulated "
                         f"seconds (injected slowness {waited:.2f}s)"

@@ -291,14 +291,19 @@ def capture(service) -> Dict[str, Any]:
 
 
 def write(service, path: Union[str, Path]) -> Path:
-    """Capture *service* and write the document atomically to *path*.
+    """Capture *service* and :func:`save` the document to *path*."""
+    return save(capture(service), path)
+
+
+def save(document: Mapping[str, Any], path: Union[str, Path]) -> Path:
+    """Write a captured *document* atomically to *path*.
 
     Same writer as every benchmark artifact
     (:func:`repro.bench.io.atomic_write_json`): the document lands whole
     or not at all, so the previous checkpoint survives a crash mid-write.
     It is written compact (``indent=None``), through the C encoder.
     """
-    return atomic_write_json(path, capture(service), indent=None)
+    return atomic_write_json(path, document, indent=None)
 
 
 def load(path: Union[str, Path]) -> Dict[str, Any]:

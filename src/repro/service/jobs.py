@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import math
 from dataclasses import dataclass
 from typing import AsyncIterator, List, Optional
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from repro.core.dispatch import EstimationJobSpec
 from repro.errors import ConfigurationError
+from repro.estimators.aggregates import importance_estimate
 
 
 class JobState(str, enum.Enum):
@@ -165,22 +165,14 @@ class Job:
     def current_estimate(self) -> tuple[float, float]:
         """``(estimate, stderr)`` over everything absorbed so far.
 
-        The self-normalized importance mean ``Σ w·f / Σ w`` with the
-        linearized standard error ``sqrt(Σ w²(f − μ)²) / Σ w`` — the
-        statistic the service compares against the spec's
-        ``error_target``.  ``(nan, inf)`` before any sample.  The sums
+        :func:`~repro.estimators.aggregates.importance_estimate` of the
+        absorbed samples — the statistic the service compares against the
+        spec's ``error_target``.  ``(nan, inf)`` before any sample.  The sums
         run over the contiguous sample buffer, the same float64 sequence
         however the samples arrived, so the partials are bit-identical to
         summing the concatenation of every absorbed round.
         """
-        if not self._samples:
-            return float("nan"), float("inf")
-        values, weights = self.sample_arrays()
-        total = float(np.sum(weights))
-        mean = float(np.sum(values * weights) / total)
-        residuals = values - mean
-        stderr = float(math.sqrt(np.sum((weights * residuals) ** 2)) / total)
-        return mean, stderr
+        return importance_estimate(*self.sample_arrays())
 
     def target_met(self, min_samples: int) -> bool:
         """Whether the spec's error target is satisfied.

@@ -603,7 +603,7 @@ class SamplingService:
         """
         document = checkpoint_module.capture(self)
         if path is not None:
-            checkpoint_module.write(self, path)
+            checkpoint_module.save(document, path)
         return document
 
     @classmethod

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, GraphError, QueryBudgetExceededError
+from repro.errors import GraphError
 from repro.osn.api import SocialNetworkAPI
 from repro.rng import RngLike, ensure_rng
-from repro.walks.convergence import GewekeMonitor
-from repro.walks.samplers import SampleBatch
-from repro.walks.transitions import NeighborView, Node
+from repro.walks.samplers import BurnInSampler
+from repro.walks.transitions import NeighborView, Node, SimpleRandomWalk
 from repro.walks.walker import WalkResult
 
 
@@ -67,15 +66,15 @@ def run_nbrw_walk(
     return WalkResult(path=tuple(path))
 
 
-class NonBacktrackingSampler:
+class NonBacktrackingSampler(BurnInSampler):
     """Geweke-monitored burn-in sampler over the NBRW.
 
     Target weights are node degrees (NBRW's node marginal is
-    degree-proportional), so batches feed the same importance-weighted
-    estimators as SRW's.
+    degree-proportional, as SRW's is), so batches feed the same
+    importance-weighted estimators as SRW's.  The parameters are
+    :class:`~repro.walks.samplers.BurnInSampler`'s, less the design; only
+    the step differs.
     """
-
-    name = "nbrw"
 
     def __init__(
         self,
@@ -84,57 +83,16 @@ class NonBacktrackingSampler:
         min_steps: int = 30,
         max_steps: int = 5000,
     ) -> None:
-        if check_every < 1:
-            raise ConfigurationError(f"check_every must be >= 1, got {check_every}")
-        if min_steps < 1 or max_steps < min_steps:
-            raise ConfigurationError(
-                f"need 1 <= min_steps <= max_steps, got {min_steps}, {max_steps}"
-            )
-        self.geweke_threshold = geweke_threshold
-        self.check_every = check_every
-        self.min_steps = min_steps
-        self.max_steps = max_steps
+        super().__init__(
+            SimpleRandomWalk(), geweke_threshold, check_every, min_steps, max_steps
+        )
+        self.name = "nbrw"
 
-    def sample_once(
-        self, api: SocialNetworkAPI, start: Node, seed: RngLike = None
-    ) -> tuple[Node, int]:
-        """Walk until the Geweke monitor fires; return (sample, steps)."""
-        rng = ensure_rng(seed)
-        monitor = GewekeMonitor(threshold=self.geweke_threshold)
-        previous: Node | None = None
-        current = start
-        monitor.observe(api.degree(current))
-        steps = 0
-        while steps < self.max_steps:
-            nxt = nbrw_step(api, current, previous, rng)
-            previous, current = current, nxt
-            monitor.observe(api.degree(current))
-            steps += 1
-            ready = steps >= self.min_steps and steps % self.check_every == 0
-            if ready and monitor.is_converged():
-                break
-        return current, steps
-
-    def sample(
+    def _step(
         self,
         api: SocialNetworkAPI,
-        start: Node,
-        count: int,
-        seed: RngLike = None,
-    ) -> SampleBatch:
-        """Collect *count* samples via independent monitored NBRW walks."""
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        rng = ensure_rng(seed)
-        batch = SampleBatch(sampler=self.name)
-        for _ in range(count):
-            try:
-                node, steps = self.sample_once(api, start, seed=rng)
-            except QueryBudgetExceededError:
-                break
-            batch.nodes.append(node)
-            batch.target_weights.append(float(api.degree(node)))
-            batch.walk_steps += steps
-            batch.query_cost = api.query_cost
-        batch.query_cost = api.query_cost
-        return batch
+        current: Node,
+        previous: Node | None,
+        rng: np.random.Generator,
+    ) -> Node:
+        return nbrw_step(api, current, previous, rng)

@@ -117,10 +117,21 @@ class BurnInSampler:
                 f"need 1 <= min_steps <= max_steps, got {min_steps}, {max_steps}"
             )
         self.design = design
+        self.name = f"burnin-{design.name}"
         self.geweke_threshold = geweke_threshold
         self.check_every = check_every
         self.min_steps = min_steps
         self.max_steps = max_steps
+
+    def _step(
+        self,
+        api: SocialNetworkAPI,
+        current: Node,
+        previous: Node | None,
+        rng: np.random.Generator,
+    ) -> Node:
+        """One move of the monitored walk; *previous* is None at the start."""
+        return step_once(api, self.design, current, rng)
 
     def sample_once(
         self, api: SocialNetworkAPI, start: Node, seed: RngLike = None
@@ -128,11 +139,12 @@ class BurnInSampler:
         """Walk from *start* until converged; return (sample, steps taken)."""
         rng = ensure_rng(seed)
         monitor = GewekeMonitor(threshold=self.geweke_threshold)
+        previous: Node | None = None
         current = start
         monitor.observe(api.degree(current))
         steps = 0
         while steps < self.max_steps:
-            current = step_once(api, self.design, current, rng)
+            previous, current = current, self._step(api, current, previous, rng)
             monitor.observe(api.degree(current))
             steps += 1
             ready = steps >= self.min_steps and steps % self.check_every == 0
@@ -156,7 +168,7 @@ class BurnInSampler:
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
         rng = ensure_rng(seed)
-        batch = SampleBatch(sampler=f"burnin-{self.design.name}")
+        batch = SampleBatch(sampler=self.name)
         for _ in range(count):
             try:
                 node, steps = self.sample_once(api, start, seed=rng)

@@ -12,7 +12,6 @@ from repro.errors import (
     APITimeoutError,
     CircuitOpenError,
     ConfigurationError,
-    RateLimitExceededError,
     TransientAPIError,
 )
 from repro.faults import FaultPlan, FaultRule, FaultyAPI

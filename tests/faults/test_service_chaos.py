@@ -9,8 +9,14 @@ A checkpoint taken at an epoch boundary and resumed over a *fresh* fault
 wrapper (whose call index restarts, so the storm fires again) finishes
 with the uninterrupted chaos run's partial estimates and per-tenant
 charges, and a balanced ledger.
+
+At any crawl concurrency the chaos run charges its fault-free twin's
+queries, one raw call per query.  Only at concurrency 1 does it also buy
+the same nodes, discover the same rows in the same order and stream the
+same partials: at 4, slow responses reorder the frontier.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import EngineConfig, EstimationJobSpec, WalkEstimateConfig
@@ -52,10 +58,9 @@ def behind_storm(api):
     return ResilientAPI(FaultyAPI(api, STORM), POLICY, seed=1)
 
 
-def make_service(api):
-    return SamplingService(
-        api, 0, config=ServiceConfig(rows_per_epoch=40), latency=LATENCY, seed=7
-    )
+def make_service(api, concurrency=4):
+    config = ServiceConfig(rows_per_epoch=40, concurrency=concurrency)
+    return SamplingService(api, 0, config=config, latency=LATENCY, seed=7)
 
 
 def submit_tenants(service):
@@ -102,6 +107,7 @@ def chaos_run(hidden):
             "partials": partials(service),
             "charges": service.ledger.charges(),
             "query_cost": api.query_cost,
+            "raw_calls": api.raw_calls,
             "injected": dict(wrapped.api.injected),
             "retries": wrapped.retries,
         }
@@ -138,3 +144,34 @@ def test_resume_over_a_fresh_fault_wrapper(hidden, chaos_run, epochs):
     # The fresh wrapper's call index restarted: the storm fired again.
     assert wrapped.api.injected["error"] == 3
     assert wrapped.retries > 0
+
+
+def test_storm_charges_each_query_in_one_raw_call(chaos_run):
+    # Retries settle from the §2.4 cache: no node is fetched twice.
+    assert chaos_run["raw_calls"] == chaos_run["query_cost"] == 270
+
+
+def test_at_concurrency_one_the_chaos_run_equals_its_clean_twin(hidden):
+    # At concurrency 4 slow responses reorder the crawl frontier, and the
+    # tenant budgets buy other nodes; one batch in flight keeps the order.
+    runs = {}
+    for name, surface in (("clean", lambda api: api), ("chaos", behind_storm)):
+        api = SocialNetworkAPI(hidden)
+        wrapped = surface(api)
+        with make_service(wrapped, concurrency=1) as service:
+            submit_tenants(service)
+            finish(service)
+            service.ledger.assert_balanced()
+            runs[name] = (
+                api.counter.state(),
+                api.discovered.snapshot_rows(),
+                partials(service),
+            )
+    assert wrapped.retries > 0
+    clean_counter, clean_rows, clean_partials = runs["clean"]
+    chaos_counter, chaos_rows, chaos_partials = runs["chaos"]
+    assert chaos_counter == clean_counter
+    assert chaos_rows.keys() == clean_rows.keys()
+    for key, rows in clean_rows.items():
+        assert np.array_equal(chaos_rows[key], rows), key
+    assert chaos_partials == clean_partials

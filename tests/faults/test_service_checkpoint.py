@@ -235,6 +235,23 @@ class TestResumeParity:
         finally:
             resumed.close()
 
+    def test_checkpoint_to_a_path_captures_once(self, hidden, tmp_path, monkeypatch):
+        capture = checkpoint_module.capture
+        captured = []
+
+        def counted(service):
+            captured.append(capture(service))
+            return captured[-1]
+
+        monkeypatch.setattr(checkpoint_module, "capture", counted)
+        path = tmp_path / "service.ckpt.json"
+        with make_service(hidden) as service:
+            service.submit_nowait(job_spec("alice"))
+            step(service)
+            document = service.checkpoint(path)
+        assert captured == [document]
+        assert json.loads(path.read_text()) == json.loads(json.dumps(document))
+
     def test_periodic_checkpoints_during_serve(self, hidden, tmp_path):
         path = tmp_path / "auto.ckpt.json"
         config = ServiceConfig(

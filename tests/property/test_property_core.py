@@ -32,7 +32,7 @@ def exact_ws_bw_expectation(graph, design, node, start, t, history, epsilon, cra
     if t == 0:
         return 1.0 if node == start else 0.0
     candidates = backward_candidates(graph, design, node)
-    pi = backward_step_distribution(candidates, history, t - 1, epsilon)
+    backward_step_distribution(candidates, history, t - 1, epsilon)
     total = 0.0
     for index, predecessor in enumerate(candidates):
         transition = design.transition_probability(graph, predecessor, node)

@@ -156,3 +156,41 @@ def test_estimate_rejects_malformed_spec(tmp_path):
     path.write_text('{"design": "no-such-walk"}', encoding="utf-8")
     with pytest.raises(ConfigurationError, match="unknown design"):
         cli.main(["estimate", "--job", str(path)])
+
+
+@pytest.mark.parametrize("n_workers", [None, 3])
+def test_sharded_job_runs_its_shard_plan_in_process(monkeypatch, n_workers):
+    import json
+
+    import numpy as np
+
+    from repro.core import EstimationJobSpec, dispatch
+    from repro.datasets.registry import build_dataset
+    from repro.walks import parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the CLI started a process pool")
+
+    monkeypatch.setattr(parallel, "ShardedWalkEngine", no_pool)
+    real_estimate = dispatch.estimate
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(real_estimate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dispatch, "estimate", recorded)
+    doc = json.loads(JOB_DOC)
+    doc["engine"] = {"backend": "sharded", "n_workers": n_workers}
+    spec = EstimationJobSpec.from_dict(doc)
+    report = cli.run_job_spec(spec, seed=5)
+
+    csr = build_dataset("ba_synthetic", seed=0).graph.compile()
+    executor = parallel.InlineExecutor(csr, n_workers or 1)
+    expected = real_estimate(spec, engine=executor, seed=5)
+    (got,) = results
+    for field in ("candidates", "estimates", "acceptance", "accepted"):
+        assert np.array_equal(getattr(got.raw, field), getattr(expected.raw, field))
+    assert report["accepted"] == expected.accepted
+    assert report["attempts"] == expected.attempts
+    assert report["walk_steps"] == expected.walk_steps
