@@ -26,8 +26,11 @@ every step: row ``u`` lists ``C(u)`` (``N(u)`` in CSR order, then ``u``
 when the design may self-loop) with each slot's factor alongside, plus
 each node's candidate count and whether any node is isolated.  One table is
 built per (graph, design structure) on first use and memoized on the
-graph; a depth level is then one bounded draw and one gather of slot,
-predecessor and factor.
+graph.  A depth level is then one bounded draw (one block of 32-bit
+values for a wide batch, see :func:`repro.rng.bounded_integers`) and the
+gathers of each walk's slot and predecessor.  The slots of every level
+are kept; after the last level only the walks that ended at their start,
+the only ones worth more than 0, multiply their slots' factors.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.core.crawl import InitialCrawl
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike, bounded_integers, ensure_rng
 from repro.walks.batch import check_max_degree
 from repro.walks.kernels import compile_design
 from repro.walks.transitions import (
@@ -271,12 +274,13 @@ def unbiased_estimate_batch(
 
     The vectorized twin of :func:`unbiased_estimate`: all
     ``len(nodes) × repetitions`` backward walks advance together, one
-    predecessor draw and one transition-weight gather per depth level,
-    read from the graph's backward candidate table (built on first use,
-    then memoized on the graph).  It runs over a free in-memory
-    :class:`CSRGraph` — per-query cost accounting (and hence the
-    crawl-table shortcut) stays on the scalar path, which is the one
-    WALK-ESTIMATE uses against a charged API.
+    predecessor draw per depth level, read from the graph's backward
+    candidate table (built on first use, then memoized on the graph).
+    Each walk that ends at its start then multiplies its levels'
+    factors in level order, as the scalar walk does.  It runs over a
+    free in-memory :class:`CSRGraph` — per-query cost accounting (and
+    hence the crawl-table shortcut) stays on the scalar path, which is
+    the one WALK-ESTIMATE uses against a charged API.
 
     *start* is either one node — all walks share the forward origin, the
     many-short-runs shape — or an array aligned with *nodes* giving each
@@ -307,26 +311,39 @@ def unbiased_estimate_batch(
         )
     start_position = np.tile(start_position, repetitions)
     current = np.tile(targets, repetitions)
-    weights = np.ones(current.size, dtype=np.float64)
     # Depth 0 prices no transition, so it needs no table.
     table = _backward_table(csr, design) if t else None
+    if table is not None and table.has_isolated:
+        # No edge leads to an isolated node, so a walk can only be on one
+        # at its first level; check the targets before any draw.
+        stuck = csr.degrees[targets] == 0
+        if np.any(stuck):
+            node = int(csr.ids_of(targets[stuck][:1])[0])
+            raise GraphError(f"backward walk stuck: node {node} has no neighbors")
     # A max-degree bound under any lazy layers applies to every drawn
     # predecessor; the table prices over-bound nodes without checking.
     inner = design
     while isinstance(inner, LazyWalk):
         inner = inner.inner
-    for _ in range(t, 0, -1):
-        if table.has_isolated:
-            stuck = (csr.degrees[current] == 0) & (weights > 0)
-            if np.any(stuck):
-                node = int(csr.ids_of(current[stuck][:1])[0])
-                raise GraphError(f"backward walk stuck: node {node} has no neighbors")
-        # Walks whose weight already hit zero keep drawing (their product
-        # stays zero); masking them out would cost more than it saves.
-        slots = table.indptr[current] + rng.integers(0, table.counts[current])
-        current = table.indices[slots]
+    # Every walk draws at every level, also one whose weight is already
+    # zero: skipping it would change the generator's stream.
+    slots = np.empty((t, current.size), dtype=np.int64)
+    for level in slots:
+        np.add(
+            table.indptr[current],
+            bounded_integers(rng, table.counts[current]),
+            out=level,
+        )
+        current = table.indices[level]
         if isinstance(inner, MaxDegreeWalk):
             check_max_degree(csr, inner, current, csr.degrees[current])
-        weights *= table.factors[slots]
-    realizations = weights * (current == start_position)
+    # Only a walk that ended at its start is worth its weight; the rest
+    # are worth 0.  A hit's factors multiply level by level, in the order
+    # the scalar walk takes them, so its realization is the same float.
+    hits = np.flatnonzero(current == start_position)
+    weights = np.ones(hits.size, dtype=np.float64)
+    for level in slots[:, hits]:
+        weights *= table.factors[level]
+    realizations = np.zeros(current.size, dtype=np.float64)
+    realizations[hits] = weights
     return realizations.reshape(repetitions, targets.size).mean(axis=0)

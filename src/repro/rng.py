@@ -35,6 +35,101 @@ def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
+#: Width from which :func:`bounded_integers` draws one block.  Against
+#: NumPy's own call (2-core x86-64 container, NumPy 2.4, PCG64, bounds
+#: sized like BA-graph degrees, median of 21 interleaved timings) the
+#: block breaks even at about 1,300 bounds when none is 1, and about
+#: 3,000 when a fifth are 1, which costs it a compression pass.  At 4,096
+#: bounds it takes 0.71–0.82 of NumPy's time, at 32,768 about 0.45.  This
+#: first power of two past both crossovers keeps narrower calls on NumPy.
+BLOCK_DRAW_MIN = 4096
+
+# uint64 scalars keep the rule's arithmetic in uint64 under the value-based
+# promotion of NumPy 1.x as well as under NumPy 2's.
+_WORD = np.uint64(2**32)
+_LOW_WORD = np.uint64(2**32 - 1)
+_HIGH_SHIFT = np.uint64(32)
+
+
+def bounded_integers(rng: np.random.Generator, high: np.ndarray) -> np.ndarray:
+    """``rng.integers(0, high)`` for an array of bounds, bit for bit.
+
+    NumPy draws an array of bounds one element at a time.  A bound of 1
+    takes no value.  For a bound ``s`` in ``[2, 2**32)`` it takes a
+    32-bit value ``v`` and returns ``(v · s) >> 32``, unless Lemire's
+    rule rejects ``v`` because the low word of ``v · s`` is below
+    ``(2**32 − s) % s``; then it takes the next value (arXiv 1805.10941).
+    From :data:`BLOCK_DRAW_MIN` bounds on, this function draws the same
+    32-bit values in one call and applies the rule as array arithmetic,
+    so it returns the same integers and leaves *rng* in the same state.
+    Each rejection adds to its cost, but they come at most once in
+    ``2**32 / s`` values: never in practice for bounds the size of node
+    degrees.
+
+    A single bound takes NumPy's scalar call, which consumes the same
+    bits in about 1.8 µs against 6 µs for the array call.  Narrower
+    batches, other shapes and dtypes, bounds outside ``[1, 2**32)`` and
+    every error case take NumPy's own call.
+    """
+    if high.size == 1 and high.ndim == 1:
+        return np.array([rng.integers(0, high[0])], dtype=np.int64)
+    if high.size < BLOCK_DRAW_MIN or high.ndim != 1 or high.dtype != np.int64:
+        return rng.integers(0, high)
+    lowest = high.min()
+    if lowest < 1 or high.max() >= 2**32:
+        return rng.integers(0, high)
+    if lowest > 1:
+        return _lemire_block(rng, high.view(np.uint64))
+    # A bound of 1 takes no value and yields 0.
+    out = np.zeros(high.size, dtype=np.int64)
+    live = np.flatnonzero(high > 1)
+    out[live] = _lemire_block(rng, high[live].view(np.uint64))
+    return out
+
+
+def _lemire_block(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """Lemire's bounded draw for uint64 *bounds* in ``[2, 2**32)``, in order."""
+    size = bounds.size
+    products = np.empty(size, dtype=np.uint64)
+    stream = rng.integers(0, 2**32, size=size, dtype=np.uint32)  # not yet taken
+    # NumPy draws again for a rejected element, so it and every later
+    # element take values one further along the stream.  The first window
+    # is the whole batch; after a rejection the next one starts at the
+    # rejected element with 64 bounds, and a window without one doubles.
+    # Products past a rejection are rewritten by a later window.
+    done, width = 0, size
+    while done < size:
+        n = min(width, size - done)
+        if stream.size < n:
+            # Each remaining element takes at least one value, so this
+            # never draws past what NumPy would.
+            more = rng.integers(0, 2**32, size=n - stream.size, dtype=np.uint32)
+            stream = np.concatenate([stream, more])
+        window = products[done : done + n]
+        np.multiply(stream[:n], bounds[done : done + n], out=window)
+        accepted = _first_rejected(window, bounds[done : done + n])
+        done += accepted
+        stream = stream[accepted + (accepted < n) :]
+        width = 2 * width if accepted == n else 64
+    products >>= _HIGH_SHIFT
+    return products.view(np.int64)
+
+
+def _first_rejected(products: np.ndarray, bounds: np.ndarray) -> int:
+    """Index of the first value that Lemire's rule rejects, or the size."""
+    low = products & _LOW_WORD
+    # The threshold (2**32 − s) % s is below s, so only a low word below s
+    # can be rejected: about one element in 2**32 / s.
+    suspect = low < bounds
+    if suspect.any():
+        suspects = np.flatnonzero(suspect)
+        s = bounds[suspects]
+        rejected = suspects[low[suspects] < (_WORD - s) % s]
+        if rejected.size:
+            return int(rejected[0])
+    return bounds.size
+
+
 def choice_weighted(
     rng: np.random.Generator,
     items: list,

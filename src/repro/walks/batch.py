@@ -49,7 +49,7 @@ import numpy as np
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike, bounded_integers, ensure_rng
 from repro.walks.kernels import require_backend
 from repro.walks.transitions import (
     LazyWalk,
@@ -134,20 +134,6 @@ def _require_alive(degrees: np.ndarray, current: np.ndarray, csr: CSRGraph) -> N
         raise GraphError(f"random walk stuck: node {stuck} has no neighbors")
 
 
-def _uniform_indices(rng: np.random.Generator, high: np.ndarray) -> np.ndarray:
-    """``rng.integers(0, high)`` with a scalar fast path for one walk.
-
-    NumPy's array-bounds path costs ~5x its scalar path in per-call
-    overhead, which is what made narrow batches slower than the scalar
-    engine.  Both paths run the same per-element Lemire rejection, so
-    they consume identical generator bits — the K=1 parity and golden
-    RNG-stream suites pin this equivalence.
-    """
-    if high.size == 1:
-        return np.array([rng.integers(0, high[0])], dtype=np.int64)
-    return rng.integers(0, high)
-
-
 def _srw_step(
     csr: CSRGraph,
     design: TransitionDesign,
@@ -157,7 +143,7 @@ def _srw_step(
     """One vectorized SRW step: uniform neighbor per walk."""
     deg = csr.degrees[current]
     _require_alive(deg, current, csr)
-    idx = _uniform_indices(rng, deg)
+    idx = bounded_integers(rng, deg)
     return csr.indices[csr.indptr[current] + idx]
 
 
@@ -175,7 +161,7 @@ def _mhrw_step(
     """
     du = csr.degrees[current]
     _require_alive(du, current, csr)
-    idx = _uniform_indices(rng, du)
+    idx = bounded_integers(rng, du)
     proposal = csr.indices[csr.indptr[current] + idx]
     dv = csr.degrees[proposal]
     contested = dv > du
@@ -251,11 +237,11 @@ def _maxdeg_step(
     coins = rng.random(current.size)
     moving = coins < design.move_probability(deg)
     if moving.all():
-        idx = _uniform_indices(rng, deg)
+        idx = bounded_integers(rng, deg)
         return csr.indices[csr.indptr[current] + idx]
     nxt = current.copy()
     if moving.any():
-        idx = _uniform_indices(rng, deg[moving])
+        idx = bounded_integers(rng, deg[moving])
         nxt[moving] = csr.indices[csr.indptr[current[moving]] + idx]
     return nxt
 

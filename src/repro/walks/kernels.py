@@ -28,7 +28,11 @@ This module makes the step executor pluggable:
 streams, and NumPy's array draws consume the underlying bit stream
 exactly as the equivalent sequence of scalar draws (``rng.integers(0,
 high_array)`` ≡ one scalar bounded draw per element, in order;
-``rng.random(n)`` ≡ n scalar uniforms).  The trajectory kernels below
+``rng.random(n)`` ≡ n scalar uniforms).  A wide ``numpy`` batch draws
+its bounded integers through :func:`repro.rng.bounded_integers`, which
+takes the same 32-bit values as one block and applies NumPy's
+per-element rejection rule to them as array arithmetic: the same bits,
+in the same order.  The trajectory kernels below
 therefore draw **phase-major within each step** — all laziness coins,
 then the liveness/degree checks, then all proposal indices, then the
 conditional acceptance coins — which is precisely the order the NumPy
@@ -56,6 +60,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.csr import CSRGraph
+from repro.rng import bounded_integers
 from repro.walks.transitions import (
     LazyWalk,
     MaxDegreeWalk,
@@ -345,7 +350,7 @@ class NumpyKernelBackend(KernelBackend):
             batch._require_alive(deg, current, csr)
             excluded = (previous >= 0) & (deg > 1)
             effective = deg - excluded
-            idx = batch._uniform_indices(rng, effective)
+            idx = bounded_integers(rng, effective)
             if excluded.any():
                 slot = batch._rows_searchsorted(
                     csr, current[excluded], previous[excluded]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import rng as rng_module
 from repro.graphs.generators import barabasi_albert_graph, cycle_graph
 from repro.graphs.graph import Graph
 
@@ -49,3 +50,17 @@ def small_cycle() -> Graph:
 def rng() -> np.random.Generator:
     """Deterministic generator for test randomness."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def block_calls(monkeypatch) -> list:
+    """Widths of the bounded draws that take ``repro.rng``'s block path."""
+    calls = []
+    block = rng_module._lemire_block
+
+    def counting(rng, bounds):
+        calls.append(bounds.size)
+        return block(rng, bounds)
+
+    monkeypatch.setattr(rng_module, "_lemire_block", counting)
+    return calls

@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.graph import Graph
-from repro.rng import RngLike, ensure_rng
+from repro.rng import BLOCK_DRAW_MIN, RngLike, ensure_rng
 from repro.walks.batch import check_max_degree
 from repro.walks.transitions import (
     BidirectionalWalk,
@@ -279,6 +279,30 @@ class TestMatchesReferenceLoop:
         _assert_same(BASE, design, [3, 5, 8], 0, 5, 4, 6)
 
 
+class TestWideBatches:
+    """From ``BLOCK_DRAW_MIN`` walks on, each level draws one block of
+    32-bit values; the reference loop still draws element by element."""
+
+    @pytest.mark.parametrize("ids", sorted(GRAPHS))
+    @pytest.mark.parametrize("per_walk_start", [False, True])
+    @pytest.mark.parametrize("code", range(len(DESIGN_NAMES)), ids=DESIGN_NAMES)
+    def test_estimates_and_generator_state(
+        self, ids, per_walk_start, code, block_calls
+    ):
+        graph = GRAPHS[ids]
+        csr = graph.compile()
+        design = _designs(graph.max_degree())[code]
+        nodes = csr.node_ids
+        repetitions = BLOCK_DRAW_MIN // nodes.size + 1
+        if per_walk_start:
+            pick = np.random.default_rng(5).integers(0, nodes.size, nodes.size)
+            start = nodes[pick]
+        else:
+            start = int(nodes[0])
+        _assert_same(csr, design, nodes, start, 8, 77 + code, repetitions)
+        assert block_calls == [nodes.size * repetitions] * 8
+
+
 # ----------------------------------------------------------------------
 # The memo
 # ----------------------------------------------------------------------
@@ -346,6 +370,15 @@ class TestErrorPaths:
         )
         assert message == expected
         assert message == "backward walk stuck: node 50 has no neighbors"
+        # Both raise before their first draw: the generators end alike.
+        rng, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
+        with pytest.raises(GraphError):
+            unbiased_estimate_batch(csr, design, [10, 50, 13], 7, 3, seed=rng)
+        with pytest.raises(GraphError):
+            reference_unbiased_estimate_batch(
+                csr, design, [10, 50, 13], 7, 3, seed=rng_ref
+            )
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     @pytest.mark.parametrize("code", range(len(DESIGN_NAMES)), ids=DESIGN_NAMES)
     def test_table_build_is_silent_beside_an_isolated_node(self, code):

@@ -5,9 +5,12 @@ ROADMAP table, ``estimate(spec)`` output is bit-identical to the direct
 front-end call with the same arguments and seed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import rng as rng_module
 from repro.core import (
     EngineConfig,
     EstimationJobSpec,
@@ -431,3 +434,49 @@ class TestDispatchResources:
         assert result.accepted == raw.nodes.size
         repacked = result.to_sample_batch()
         assert repacked.nodes == [int(n) for n in raw.nodes]
+
+
+# ----------------------------------------------------------------------
+# A wide batch job: the block draw against NumPy's own draw
+# ----------------------------------------------------------------------
+class TestWideBatchJob:
+    """A job of the perfbench ``we-batch`` shape (BA(5000, 5), K = 4096,
+    t = 10, 8 backward repetitions, 15 calibration walks) draws its wide
+    forward and backward levels as blocks of 32-bit values.  With every
+    draw forced onto ``rng.integers`` the job must give the same result,
+    field for field, and leave its generator in the same state."""
+
+    @pytest.fixture(scope="class")
+    def wide_csr(self):
+        return barabasi_albert_graph(5000, 5, seed=42).compile()
+
+    @pytest.mark.parametrize("design", ["srw", "mhrw"])
+    def test_same_result_and_state_as_numpys_draw(
+        self, design, wide_csr, block_calls, monkeypatch
+    ):
+        spec = EstimationJobSpec(
+            design=design,
+            samples=4096,
+            walk=WalkEstimateConfig(
+                walk_length=10,
+                backward_repetitions=8,
+                refine_repetitions=0,
+                calibration_walks=15,
+            ),
+            engine=EngineConfig(backend="batch"),
+        )
+        rng = np.random.default_rng(23)
+        block = estimate(spec, graph=wide_csr, seed=rng).raw
+        assert len(block_calls) == 10 + 10  # forward steps, backward levels
+        monkeypatch.setattr(rng_module, "BLOCK_DRAW_MIN", 2**62)
+        rng_numpy = np.random.default_rng(23)
+        numpy = estimate(spec, graph=wide_csr, seed=rng_numpy).raw
+        assert len(block_calls) == 20
+        for field in dataclasses.fields(block):
+            ours, theirs = getattr(block, field.name), getattr(numpy, field.name)
+            if isinstance(ours, np.ndarray):
+                assert ours.dtype == theirs.dtype, field.name
+                assert ours.tobytes() == theirs.tobytes(), field.name
+            else:
+                assert ours == theirs, field.name
+        assert rng.bit_generator.state == rng_numpy.bit_generator.state

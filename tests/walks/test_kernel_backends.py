@@ -27,8 +27,9 @@ from repro.core.config import WalkEstimateConfig
 from repro.core.dispatch import EstimationJobSpec
 from repro.core.walk_estimate import walk_estimate_batch
 from repro.errors import ConfigurationError, GraphError
-from repro.graphs.generators import barabasi_albert_graph
+from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.graphs.graph import Graph
+from repro.rng import BLOCK_DRAW_MIN
 from repro.walks import kernels
 from repro.walks.batch import run_nbrw_walk_batch, run_walk_batch
 from repro.walks.transitions import (
@@ -175,6 +176,35 @@ class TestBackendParity:
         candidate = run_nbrw_walk_batch(csr, starts, 40, seed=rng_alt, backend=backend)
         assert np.array_equal(reference.paths, candidate.paths)
         assert rng_ref.bit_generator.state == rng_alt.bit_generator.state
+
+    @pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+    @pytest.mark.parametrize("design", ["srw", "mhrw", "maxdeg", "lazy-srw", "nbrw"])
+    def test_wide_batches_reach_the_block_draw(self, backend, design, block_calls):
+        # From BLOCK_DRAW_MIN walkers on, the numpy kernels draw each
+        # step's neighbor indices as one block of 32-bit values; the loop
+        # backends still make one scalar draw per walker.
+        _skip_unless_available(backend)
+        graph = watts_strogatz_graph(300, 6, 0.3, seed=4).relabeled()
+        csr = graph.compile()
+        starts = np.arange(3 * BLOCK_DRAW_MIN, dtype=np.int64) % len(csr)
+        paths = {}
+        for name in ("numpy", backend):
+            rng = np.random.default_rng(21)
+            if design == "nbrw":
+                result = run_nbrw_walk_batch(csr, starts, 4, seed=rng, backend=name)
+            else:
+                walk = {
+                    "srw": SimpleRandomWalk(),
+                    "mhrw": MetropolisHastingsWalk(),
+                    "maxdeg": MaxDegreeWalk(graph.max_degree()),
+                    "lazy-srw": LazyWalk(SimpleRandomWalk(), 0.35),
+                }[design]
+                result = run_walk_batch(csr, walk, starts, 4, seed=rng, backend=name)
+            paths[name] = (result.paths, rng.bit_generator.state)
+            if name == "numpy":
+                assert len(block_calls) == 4
+        assert np.array_equal(paths["numpy"][0], paths[backend][0])
+        assert paths["numpy"][1] == paths[backend][1]
 
     @pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
     def test_gappy_node_ids_round_trip(self, backend):
