@@ -19,12 +19,12 @@ from repro.core.crawl import InitialCrawl
 from repro.core.weighted import (
     BackwardStats,
     ForwardHistory,
-    has_batched_transition,
     weighted_backward_estimate,
     ws_bw_batch,
 )
 from repro.errors import EstimationError
 from repro.rng import RngLike, ensure_rng
+from repro.walks.batch import has_batch_kernel
 from repro.walks.transitions import NeighborView, Node, TransitionDesign
 
 
@@ -102,8 +102,11 @@ class ProbabilityEstimator:
         golden fixtures rather than scalar parity); what a campaign
         *pays* is unchanged, since every lookup lands in the API's
         discovered-graph cache exactly as the scalar walks' would.
-        Designs without a batched transition law, and type-1 restricted
-        views, stay on the scalar loop.
+        Designs the batch engines do not run, and type-1 restricted
+        views, stay on the scalar loop.  The designs are those
+        :func:`~repro.walks.kernels.compile_design` matches by exact
+        type, so ``BidirectionalWalk`` and any subclass of a batch
+        design run the scalar loop, which prices the subclass's own law.
     """
 
     def __init__(
@@ -148,13 +151,13 @@ class ProbabilityEstimator:
     def _use_batch_backward(self) -> bool:
         """Whether the top-up loop may route through :func:`ws_bw_batch`.
 
-        The flag is an opt-in; designs without a batched transition law
+        The flag is an opt-in; designs the batch engines do not run
         and type-1 (fresh-subset) restricted views stay on the scalar
         loop — both are outside the batched estimator's contract.
         """
         return (
             self.batch_backward
-            and has_batched_transition(self.design)
+            and has_batch_kernel(self.design)
             and getattr(self.view, "cacheable", True)
         )
 

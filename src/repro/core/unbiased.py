@@ -26,16 +26,20 @@ every step: row ``u`` lists ``C(u)`` (``N(u)`` in CSR order, then ``u``
 when the design may self-loop) with each slot's factor alongside, plus
 each node's candidate count and whether any node is isolated.  One table is
 built per (graph, design structure) on first use and memoized on the
-graph.  A depth level is then one bounded draw (one block of 32-bit
-values for a wide batch, see :func:`repro.rng.bounded_integers`) and the
-gathers of each walk's slot and predecessor.  The slots of every level
-are kept; after the last level only the walks that ended at their start,
-the only ones worth more than 0, multiply their slots' factors.
+graph.  The structure is :func:`repro.walks.kernels.compile_design`'s
+record: it keys the memo and decides the table's self slots and prices,
+so a design it does not match by exact type, a subclass included, is
+refused before any table is built.  A depth level is then one bounded
+draw (one block of 32-bit values for a wide batch, see
+:func:`repro.rng.bounded_integers`) and the gathers of each walk's slot
+and predecessor.  The slots of every level are kept; after the last
+level only the walks that ended at their start, the only ones worth
+more than 0, multiply their slots' factors.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -45,16 +49,8 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike, bounded_integers, ensure_rng
 from repro.walks.batch import check_max_degree
-from repro.walks.kernels import compile_design
-from repro.walks.transitions import (
-    LazyWalk,
-    MaxDegreeWalk,
-    MetropolisHastingsWalk,
-    NeighborView,
-    Node,
-    SimpleRandomWalk,
-    TransitionDesign,
-)
+from repro.walks.kernels import MAXDEG, MHRW, SRW, BatchDesign, compile_design
+from repro.walks.transitions import NeighborView, Node, TransitionDesign
 
 
 def backward_candidates(
@@ -153,7 +149,7 @@ def _backward(
 # ----------------------------------------------------------------------
 def _transition_probabilities_batch(
     csr: CSRGraph,
-    design: TransitionDesign,
+    design: BatchDesign,
     sources: np.ndarray,
     destinations: np.ndarray,
 ) -> np.ndarray:
@@ -163,48 +159,32 @@ def _transition_probabilities_batch(
     (source, destination) pairs that are graph edges or self-loops, so
     neighbor-set membership needs no checking, and never with an isolated
     destination (its 0/0 prices would warn and are never read).
-    Pure-self-loop pairs only ever reach a branch whose design
-    ``may_self_loop`` (the candidate sets exclude the node itself
-    otherwise), except through the LazyWalk recursion, which zeroes a
-    loop-free inner design's self-entry before adding λ.  A
-    :class:`MaxDegreeWalk` source over the declared bound is priced here
-    without complaint; the step loop raises when a walk draws it.
+    Pure-self-loop pairs only reach a table whose design ``may_self_loop``;
+    each lazy layer, innermost first, scales the law by 1 − λ and adds λ
+    on the diagonal.  A max-degree source over the declared bound is
+    priced here without complaint; the step loop raises when a walk
+    draws it.
     """
-    if isinstance(design, SimpleRandomWalk):
-        return 1.0 / csr.degrees[sources].astype(np.float64)
-    if isinstance(design, MetropolisHastingsWalk):
+    loops = sources == destinations
+    if design.code == SRW:
+        probabilities = 1.0 / csr.degrees[sources].astype(np.float64)
+        if design.laziness:
+            # The lazy layers' self slots; SRW's own (u, u) entry is 0.
+            probabilities[loops] = 0.0
+    elif design.code == MHRW:
         ds = csr.degrees[sources].astype(np.float64)
         dd = csr.degrees[destinations].astype(np.float64)
         probabilities = np.minimum(1.0, ds / dd) / ds
-        loops = sources == destinations
         if np.any(loops):
             probabilities[loops] = csr.mhrw_selfloop_mass()[sources[loops]]
-        return probabilities
-    if isinstance(design, MaxDegreeWalk):
-        degrees = csr.degrees[sources]
+    else:
+        degrees = csr.degrees[sources[loops]].astype(np.float64)
         probabilities = np.full(sources.size, 1.0 / design.max_degree)
-        loops = sources == destinations
-        if np.any(loops):
-            probabilities[loops] = 1.0 - design.move_probability(
-                degrees[loops].astype(np.float64)
-            )
-        return probabilities
-    if isinstance(design, LazyWalk):
-        probabilities = (1.0 - design.laziness) * _transition_probabilities_batch(
-            csr, design.inner, sources, destinations
-        )
-        loops = sources == destinations
-        if np.any(loops):
-            if not design.inner.may_self_loop:
-                # The inner branch priced (u, u) as if it were an edge;
-                # a loop-free inner design's true self-entry is 0.
-                probabilities[loops] = 0.0
-            probabilities[loops] += design.laziness
-        return probabilities
-    raise ConfigurationError(
-        f"design {design.name!r} has no vectorized transition probability; "
-        "use the scalar unbiased_estimate"
-    )
+        probabilities[loops] = 1.0 - degrees / design.max_degree
+    for laziness in reversed(design.laziness):
+        probabilities = (1.0 - laziness) * probabilities
+        probabilities[loops] += laziness
+    return probabilities
 
 
 class _BackwardTable(NamedTuple):
@@ -226,7 +206,7 @@ class _BackwardTable(NamedTuple):
     has_isolated: bool
 
 
-def _build_backward_table(csr: CSRGraph, design: TransitionDesign) -> _BackwardTable:
+def _build_backward_table(csr: CSRGraph, design: BatchDesign) -> _BackwardTable:
     n = csr.number_of_nodes()
     degrees = csr.degrees
     if design.may_self_loop:
@@ -247,17 +227,11 @@ def _build_backward_table(csr: CSRGraph, design: TransitionDesign) -> _BackwardT
     return _BackwardTable(indptr, indices, factors, counts, has_isolated)
 
 
-def _backward_table(csr: CSRGraph, design: TransitionDesign) -> _BackwardTable:
+def _backward_table(csr: CSRGraph, design: BatchDesign) -> _BackwardTable:
     """*csr*'s table for *design*, built on first use and memoized on *csr*."""
-    compiled = compile_design(design)
-    key: Optional[Tuple] = None
-    if compiled is not None:
-        code, laziness, max_degree = compiled
-        key = (code, tuple(laziness.tolist()), max_degree)
-    table = csr._backward_tables.get(key)
+    table = csr._backward_tables.get(design)
     if table is None:
-        # An unsupported design (key None) raises inside the build.
-        table = csr._backward_tables[key] = _build_backward_table(csr, design)
+        table = csr._backward_tables[design] = _build_backward_table(csr, design)
     return table
 
 
@@ -280,7 +254,9 @@ def unbiased_estimate_batch(
     factors in level order, as the scalar walk does.  It runs over a
     free in-memory :class:`CSRGraph` — per-query cost accounting (and
     hence the crawl-table shortcut) stays on the scalar path, which is
-    the one WALK-ESTIMATE uses against a charged API.
+    the one WALK-ESTIMATE uses against a charged API.  So does a design
+    :func:`~repro.walks.kernels.compile_design` does not match, a
+    subclass of a batch design included: it is refused before any draw.
 
     *start* is either one node — all walks share the forward origin, the
     many-short-runs shape — or an array aligned with *nodes* giving each
@@ -296,6 +272,12 @@ def unbiased_estimate_batch(
         raise ValueError(f"t must be >= 0, got {t}")
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
+    compiled = compile_design(design)
+    if compiled is None:
+        raise ConfigurationError(
+            f"design {design.name!r} has no vectorized transition probability; "
+            "use the scalar unbiased_estimate"
+        )
     csr = graph.compile() if isinstance(graph, Graph) else graph
     rng = ensure_rng(seed)
     targets = csr.positions_of(nodes)
@@ -312,7 +294,7 @@ def unbiased_estimate_batch(
     start_position = np.tile(start_position, repetitions)
     current = np.tile(targets, repetitions)
     # Depth 0 prices no transition, so it needs no table.
-    table = _backward_table(csr, design) if t else None
+    table = _backward_table(csr, compiled) if t else None
     if table is not None and table.has_isolated:
         # No edge leads to an isolated node, so a walk can only be on one
         # at its first level; check the targets before any draw.
@@ -320,11 +302,6 @@ def unbiased_estimate_batch(
         if np.any(stuck):
             node = int(csr.ids_of(targets[stuck][:1])[0])
             raise GraphError(f"backward walk stuck: node {node} has no neighbors")
-    # A max-degree bound under any lazy layers applies to every drawn
-    # predecessor; the table prices over-bound nodes without checking.
-    inner = design
-    while isinstance(inner, LazyWalk):
-        inner = inner.inner
     # Every walk draws at every level, also one whose weight is already
     # zero: skipping it would change the generator's stream.
     slots = np.empty((t, current.size), dtype=np.int64)
@@ -335,8 +312,9 @@ def unbiased_estimate_batch(
             out=level,
         )
         current = table.indices[level]
-        if isinstance(inner, MaxDegreeWalk):
-            check_max_degree(csr, inner, current, csr.degrees[current])
+        if compiled.code == MAXDEG:
+            # The table prices over-bound nodes without checking.
+            check_max_degree(csr, compiled, current, csr.degrees[current])
     # Only a walk that ended at its start is worth its weight; the rest
     # are worth 0.  A hit's factors multiply level by level, in the order
     # the scalar walk takes them, so its realization is the same float.

@@ -56,15 +56,8 @@ from repro.core.unbiased import backward_candidates
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.discovered import DiscoveredGraph
 from repro.rng import RngLike, ensure_rng
-from repro.walks.transitions import (
-    LazyWalk,
-    MaxDegreeWalk,
-    MetropolisHastingsWalk,
-    NeighborView,
-    Node,
-    SimpleRandomWalk,
-    TransitionDesign,
-)
+from repro.walks.kernels import MHRW, SRW, BatchDesign, compile_design
+from repro.walks.transitions import NeighborView, Node, TransitionDesign
 from repro.walks.walker import WalkResult
 
 
@@ -325,33 +318,6 @@ def smoothing_constants(
     return out
 
 
-def has_batched_transition(design: TransitionDesign) -> bool:
-    """True if :func:`ws_bw_batch` supports *design*'s transition law.
-
-    Call sites that fall back to the scalar estimator instead of raising
-    (the ``charged`` backend's sampler) ask this;
-    :func:`_require_batchable` raises from it.
-    """
-    if isinstance(design, LazyWalk):
-        return has_batched_transition(design.inner)
-    batchable = (SimpleRandomWalk, MetropolisHastingsWalk, MaxDegreeWalk)
-    return isinstance(design, batchable)
-
-
-def _require_batchable(design: TransitionDesign) -> None:
-    """Reject unsupported designs before any query is charged.
-
-    The design is fully known at entry; discovering it mid-walk (as the
-    transition kernel otherwise would at the end of the first level)
-    would burn real budget and rate-limit tokens on an invalid argument.
-    """
-    if not has_batched_transition(design):
-        raise ConfigurationError(
-            f"design {design.name!r} has no batched transition probability; "
-            "use the scalar weighted_backward_estimate"
-        )
-
-
 class _CachingView:
     """Adapter giving a free :class:`NeighborView` the charged batch surface.
 
@@ -398,7 +364,7 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _transition_batch(
     view,
-    design: TransitionDesign,
+    design: BatchDesign,
     predecessors: np.ndarray,
     currents: np.ndarray,
     pred_degrees: np.ndarray,
@@ -412,7 +378,9 @@ def _transition_batch(
     :class:`~repro.graphs.discovered.DiscoveredGraph` store (all
     predecessors/currents are fetched by the time this runs), and the MHRW
     self-loop's neighbor degrees go through ``degrees_batch`` — charging
-    exactly the nodes the scalar full-row computation charges.
+    exactly the nodes the scalar full-row computation charges.  Each lazy
+    layer, innermost first, scales the inner law by 1 − λ and adds λ on
+    the diagonal.
 
     *symmetric* asserts the view's visible edge relation is symmetric
     (unrestricted API): every non-self predecessor was drawn from the
@@ -424,17 +392,15 @@ def _transition_batch(
     """
     discovered = view.discovered
     _require_rows_alive(predecessors, pred_degrees)
-    if isinstance(design, SimpleRandomWalk):
+    out = np.zeros(predecessors.size, dtype=np.float64)
+    loops = predecessors == currents
+    if design.code == SRW:
         if symmetric:
-            member = predecessors != currents
+            member = ~loops
         else:
             member = discovered.rows_contain(predecessors, currents)
-        out = np.zeros(predecessors.size, dtype=np.float64)
         out[member] = 1.0 / pred_degrees[member]
-        return out
-    if isinstance(design, MetropolisHastingsWalk):
-        out = np.zeros(predecessors.size, dtype=np.float64)
-        loops = predecessors == currents
+    elif design.code == MHRW:
         edges = np.flatnonzero(~loops)
         if edges.size:
             if symmetric:
@@ -455,8 +421,7 @@ def _transition_batch(
             per_edge = (1.0 / du) * np.minimum(1.0, du / neighbor_degrees)
             self_mass = 1.0 - _segment_sums(per_edge, lengths)
             out[loop_idx] = np.where(self_mass > 1e-15, self_mass, 0.0)
-        return out
-    if isinstance(design, MaxDegreeWalk):
+    else:
         over = pred_degrees > design.max_degree
         if np.any(over):
             bad = int(np.flatnonzero(over)[0])
@@ -465,8 +430,6 @@ def _transition_batch(
                 f"{int(pred_degrees[bad])} > declared "
                 f"max_degree {design.max_degree}"
             )
-        out = np.zeros(predecessors.size, dtype=np.float64)
-        loops = predecessors == currents
         out[loops] = 1.0 - pred_degrees[loops] / design.max_degree
         edges = np.flatnonzero(~loops)
         if edges.size:
@@ -477,25 +440,10 @@ def _transition_batch(
                     predecessors[edges], currents[edges]
                 )
                 out[edges[member]] = 1.0 / design.max_degree
-        return out
-    if isinstance(design, LazyWalk):
-        inner = _transition_batch(
-            view,
-            design.inner,
-            predecessors,
-            currents,
-            pred_degrees,
-            current_degrees,
-            symmetric,
-        )
-        out = (1.0 - design.laziness) * inner
-        loops = predecessors == currents
-        out[loops] = design.laziness + out[loops]
-        return out
-    raise ConfigurationError(
-        f"design {design.name!r} has no batched transition probability; "
-        "use the scalar weighted_backward_estimate"
-    )
+    for laziness in reversed(design.laziness):
+        out = (1.0 - laziness) * out
+        out[loops] = laziness + out[loops]
+    return out
 
 
 def ws_bw_batch(
@@ -540,7 +488,10 @@ def ws_bw_batch(
     private row-memoizing adapter.  Type-1 (fresh-subset) restricted APIs
     are rejected: their responses change per invocation, so no cached
     batch walk can reproduce the scalar estimator's query pattern — use
-    :func:`weighted_backward_estimate` there.
+    :func:`weighted_backward_estimate` there.  So is, before any query is
+    charged, a design :func:`~repro.walks.kernels.compile_design` does
+    not match by exact type: ``BidirectionalWalk``, or a subclass of a
+    batch design, whose law this pricing would take for its parent's.
 
     Returns an array of shape ``(len(nodes),)`` of non-negative
     realizations, each with expectation ``p_t(node)``.
@@ -564,7 +515,13 @@ def ws_bw_batch(
         raise ConfigurationError(
             f"nodes must be 1-d, got shape {tuple(current.shape)}"
         )
-    _require_batchable(design)
+    # Classify before the first fetch: a refused design is charged nothing.
+    compiled = compile_design(design)
+    if compiled is None:
+        raise ConfigurationError(
+            f"design {design.name!r} has no batched transition probability; "
+            "use the scalar weighted_backward_estimate"
+        )
     rng = ensure_rng(seed)
     if stats is not None:
         stats.walks += int(current.size)
@@ -583,7 +540,7 @@ def ws_bw_batch(
     weights = np.ones(current.size, dtype=np.float64)
     results = np.zeros(current.size, dtype=np.float64)
     active = np.ones(current.size, dtype=bool)
-    self_loop = 1 if design.may_self_loop else 0
+    self_loop = 1 if compiled.may_self_loop else 0
     for depth in range(t, -1, -1):
         alive = np.flatnonzero(active)
         if alive.size == 0:
@@ -665,7 +622,7 @@ def ws_bw_batch(
         # a scalar walk would; self entries are cache hits.
         pred_degrees = view.degrees_batch(predecessors)
         transitions = _transition_batch(
-            view, design, predecessors, cur, pred_degrees, lengths, symmetric
+            view, compiled, predecessors, cur, pred_degrees, lengths, symmetric
         )
         weights[alive] *= transitions / proposal
         died = alive[weights[alive] == 0.0]

@@ -33,6 +33,19 @@ def plain_mean(values: Sequence[float]) -> float:
     return float(np.mean(values))
 
 
+def _checked(values, target_weights) -> Tuple[np.ndarray, np.ndarray]:
+    """*values* and *target_weights* as aligned float arrays, or raise."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(target_weights, dtype=float)
+    if values.size == 0:
+        raise EstimationError("cannot average an empty sample")
+    if values.shape != weights.shape:
+        raise EstimationError(f"{values.size} values but {weights.size} weights")
+    if np.any(weights <= 0):
+        raise EstimationError("target weights must be positive")
+    return values, weights
+
+
 def importance_weighted_mean(
     values: Sequence[float], target_weights: Sequence[float]
 ) -> float:
@@ -42,21 +55,14 @@ def importance_weighted_mean(
     the sample was drawn with (degree for SRW).  Weighting by their
     reciprocals de-biases toward the node-uniform population mean.
     """
-    if len(values) == 0:
-        raise EstimationError("cannot average an empty sample")
-    if len(values) != len(target_weights):
-        raise EstimationError(f"{len(values)} values but {len(target_weights)} weights")
-    weights = np.asarray(target_weights, dtype=float)
-    if np.any(weights <= 0):
-        raise EstimationError("target weights must be positive")
-    inverse = 1.0 / weights
-    return float(np.dot(np.asarray(values, dtype=float), inverse) / inverse.sum())
+    values, weights = _checked(values, target_weights)
+    return importance_estimate(values, 1.0 / weights)[0]
 
 
 def average_estimate_arrays(values, target_weights) -> float:
     """AVG estimate from aligned NumPy arrays, no Python-loop fan-in.
 
-    The array-native twin of :func:`average_estimate` for the batch
+    The array-native form of :func:`average_estimate` for the batch
     pipeline: ``values[i]`` is the measured quantity of sample *i* and
     ``target_weights[i]`` its unnormalized stationary weight ``q̃`` (e.g.
     :attr:`~repro.core.walk_estimate.BatchWalkEstimateResult.weights`).
@@ -64,18 +70,10 @@ def average_estimate_arrays(values, target_weights) -> float:
     otherwise self-normalized importance weighting — the same
     arithmetic/harmonic rule, decided and computed vectorized.
     """
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(target_weights, dtype=float)
-    if values.size == 0:
-        raise EstimationError("cannot average an empty sample")
-    if values.shape != weights.shape:
-        raise EstimationError(f"{values.size} values but {weights.size} weights")
-    if np.any(weights <= 0):
-        raise EstimationError("target weights must be positive")
+    values, weights = _checked(values, target_weights)
     if np.allclose(weights, weights.flat[0]):
         return float(values.mean())
-    inverse = 1.0 / weights
-    return float(np.dot(values, inverse) / inverse.sum())
+    return importance_estimate(values, 1.0 / weights)[0]
 
 
 def importance_estimate(values: np.ndarray, weights: np.ndarray) -> Tuple[float, float]:
@@ -83,10 +81,9 @@ def importance_estimate(values: np.ndarray, weights: np.ndarray) -> Tuple[float,
 
     The self-normalized mean for importance weights ``w = 1/q̃`` and its
     linearized stderr; ``(nan, inf)`` when the weights' sum is not positive.
-    :func:`importance_weighted_mean` and :func:`average_estimate_arrays`
-    compute the same mean through ``np.dot``, which rounds differently
-    from ``np.sum`` in about half of random cases, so the three stay apart
-    until their callers' pinned values may move.
+    The one implementation of the mean Σ f/q̃ / Σ 1/q̃: the service's job,
+    the CLI, the crawl pipeline, :func:`importance_weighted_mean` and the
+    AVG estimates all take it from here, so they round alike.
     """
     total = float(np.sum(weights))
     if not total > 0:
@@ -104,16 +101,7 @@ def average_estimate(batch: SampleBatch, values: Sequence[float]) -> float:
     weighting.  This mirrors the paper's arithmetic/harmonic rule without
     the caller having to know which sampler produced the batch.
     """
-    if len(batch) == 0:
-        raise EstimationError("empty sample batch")
-    if len(values) != len(batch):
-        raise EstimationError(
-            f"{len(values)} values for a batch of {len(batch)} samples"
-        )
-    weights = np.asarray(batch.target_weights, dtype=float)
-    if np.allclose(weights, weights[0]):
-        return plain_mean(values)
-    return importance_weighted_mean(values, batch.target_weights)
+    return average_estimate_arrays(values, batch.target_weights)
 
 
 def attribute_average_estimate(api, batch: SampleBatch, attribute: str | None) -> float:

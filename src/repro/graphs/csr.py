@@ -323,8 +323,8 @@ class CSRGraph:
     # * ``_mhrw_selfloop`` — :meth:`mhrw_selfloop_mass`;
     # * ``_backward_tables`` — :mod:`repro.core.unbiased`'s backward
     #   candidate tables (every C(u) row with its |C(u)|·T(x, u)
-    #   factors), one per design structure, keyed by the flattened
-    #   :func:`repro.walks.kernels.compile_design`.
+    #   factors), one per design structure, keyed by its
+    #   :func:`repro.walks.kernels.compile_design` record.
     #
     # Id lookups are not memoized: the service publishes a new graph each
     # epoch and asks it a handful of questions, so :meth:`position_of`

@@ -33,10 +33,13 @@ Supported designs: :class:`~repro.walks.transitions.SimpleRandomWalk`,
 :class:`~repro.walks.transitions.MaxDegreeWalk`,
 :class:`~repro.walks.transitions.LazyWalk` around any supported inner
 design, and the non-backtracking walk (:func:`run_nbrw_walk_batch`).
-Designs whose step law cannot be expressed as a fixed per-step array
-recipe (e.g. the restriction-aware
+:func:`repro.walks.kernels.compile_design` decides which designs every
+batch path runs, by exact type, and flattens each into the record the
+step kernel branches on.  Designs whose step law cannot be expressed as
+a fixed per-step array recipe (e.g. the restriction-aware
 :class:`~repro.walks.transitions.BidirectionalWalk`, whose mutual-edge
-check is a per-candidate query) stay on the scalar path.
+check is a per-candidate query) stay on the scalar path, and so does a
+subclass of a supported design, which may override any part of its law.
 """
 
 from __future__ import annotations
@@ -50,14 +53,15 @@ from repro.errors import ConfigurationError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike, bounded_integers, ensure_rng
-from repro.walks.kernels import require_backend
-from repro.walks.transitions import (
-    LazyWalk,
-    MaxDegreeWalk,
-    MetropolisHastingsWalk,
-    SimpleRandomWalk,
-    TransitionDesign,
+from repro.walks.kernels import (
+    MAXDEG,
+    MHRW,
+    SRW,
+    BatchDesign,
+    compile_design,
+    require_backend,
 )
+from repro.walks.transitions import MaxDegreeWalk, TransitionDesign
 
 GraphLike = Union[Graph, CSRGraph]
 
@@ -134,81 +138,17 @@ def _require_alive(degrees: np.ndarray, current: np.ndarray, csr: CSRGraph) -> N
         raise GraphError(f"random walk stuck: node {stuck} has no neighbors")
 
 
-def _srw_step(
-    csr: CSRGraph,
-    design: TransitionDesign,
-    current: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One vectorized SRW step: uniform neighbor per walk."""
-    deg = csr.degrees[current]
-    _require_alive(deg, current, csr)
-    idx = bounded_integers(rng, deg)
-    return csr.indices[csr.indptr[current] + idx]
-
-
-def _mhrw_step(
-    csr: CSRGraph,
-    design: TransitionDesign,
-    current: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One vectorized MHRW step: uniform proposal, degree-ratio acceptance.
-
-    The uniform acceptance draw happens only for walks whose proposal has
-    strictly higher degree — the same conditional consumption as the
-    scalar design, which is what keeps k=1 seed parity exact.
-    """
-    du = csr.degrees[current]
-    _require_alive(du, current, csr)
-    idx = bounded_integers(rng, du)
-    proposal = csr.indices[csr.indptr[current] + idx]
-    dv = csr.degrees[proposal]
-    contested = dv > du
-    if not contested.any():
-        return proposal
-    accept = np.ones(current.size, dtype=bool)
-    coins = rng.random(int(contested.sum()))
-    accept[contested] = coins < du[contested] / dv[contested]
-    return np.where(accept, proposal, current)
-
-
-def _lazy_step(
-    csr: CSRGraph,
-    design: LazyWalk,
-    current: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One vectorized lazy step: laziness coin, inner kernel for the movers.
-
-    The inner kernel runs only on the sub-batch whose coin said "move", so
-    per walk the stream sees one uniform plus — conditionally — the inner
-    design's draws, exactly the scalar ``LazyWalk.step`` order.  Walks that
-    stay put this step never touch their neighbor row, so (like the scalar
-    twin) a lazily-parked walk on an isolated node only fails when it
-    actually tries to move.
-    """
-    inner_kernel = _KERNELS[type(design.inner)]
-    coins = rng.random(current.size)
-    moving = coins >= design.laziness
-    if moving.all():
-        return inner_kernel(csr, design.inner, current, rng)
-    nxt = current.copy()
-    if moving.any():
-        nxt[moving] = inner_kernel(csr, design.inner, current[moving], rng)
-    return nxt
-
-
 def check_max_degree(
     csr: CSRGraph,
-    design: MaxDegreeWalk,
+    design: Union[MaxDegreeWalk, BatchDesign],
     positions: np.ndarray,
     degrees: np.ndarray,
 ) -> None:
     """Raise if any position's degree exceeds the design's declared bound.
 
     The vectorized twin of ``MaxDegreeWalk._check_degree`` — one message,
-    shared by the step kernel and the batch backward estimator.
+    shared by the step kernel and the batch backward estimator.  Takes a
+    :class:`MaxDegreeWalk` or its compiled :class:`BatchDesign`.
     """
     over = degrees > design.max_degree
     if np.any(over):
@@ -218,60 +158,58 @@ def check_max_degree(
         )
 
 
-def _maxdeg_step(
+def _step(
     csr: CSRGraph,
-    design: MaxDegreeWalk,
+    design: BatchDesign,
     current: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One vectorized max-degree step: virtual-degree coin, masked move.
+    """One vectorized step of every walk in *current*.
 
-    Every node behaves as if padded with self-loops up to ``max_degree``:
-    the walk moves with probability ``d(u)/d_max`` (one uniform per walk)
-    and draws the uniform neighbor index only for the movers — the scalar
-    design's exact conditional stream.
+    Per walk the stream sees what the scalar ``step`` draws, in the same
+    order and on the same conditions: one coin per lazy layer, outermost
+    first, while the walk still moves; then the inner design's draws —
+    SRW one neighbor index; MHRW a proposal index, then an acceptance
+    uniform only where the proposal has strictly higher degree; the
+    max-degree walk a virtual-degree coin, then a neighbor index only
+    where the coin says move.  Each draw covers the sub-batch still
+    moving at once, so a walk parked by a coin never touches its
+    neighbor row: on an isolated node it only fails when it tries to move.
     """
-    deg = csr.degrees[current]
-    _require_alive(deg, current, csr)
-    check_max_degree(csr, design, current, deg)
-    coins = rng.random(current.size)
-    moving = coins < design.move_probability(deg)
-    if moving.all():
-        idx = bounded_integers(rng, deg)
-        return csr.indices[csr.indptr[current] + idx]
+    movers = None  # indices into current of the walks still moving; None: all
+    sub = current
+    for stay in design.laziness:
+        keep = rng.random(sub.size) >= stay
+        if not keep.all():
+            movers = np.flatnonzero(keep) if movers is None else movers[keep]
+            sub = current[movers]
+    deg = csr.degrees[sub]
+    _require_alive(deg, sub, csr)
+    if design.code == MAXDEG:
+        check_max_degree(csr, design, sub, deg)
+        keep = rng.random(sub.size) < deg / design.max_degree
+        if not keep.all():
+            movers = np.flatnonzero(keep) if movers is None else movers[keep]
+            sub, deg = current[movers], deg[keep]
+    proposal = csr.indices[csr.indptr[sub] + bounded_integers(rng, deg)]
+    if design.code == MHRW:
+        dv = csr.degrees[proposal]
+        contested = dv > deg
+        if contested.any():
+            accept = np.ones(sub.size, dtype=bool)
+            coins = rng.random(int(contested.sum()))
+            accept[contested] = coins < deg[contested] / dv[contested]
+            proposal = np.where(accept, proposal, sub)
+    if movers is None:
+        return proposal
     nxt = current.copy()
-    if moving.any():
-        idx = bounded_integers(rng, deg[moving])
-        nxt[moving] = csr.indices[csr.indptr[current[moving]] + idx]
+    nxt[movers] = proposal
     return nxt
 
 
-_KERNELS = {
-    SimpleRandomWalk: _srw_step,
-    MetropolisHastingsWalk: _mhrw_step,
-    LazyWalk: _lazy_step,
-    MaxDegreeWalk: _maxdeg_step,
-}
-
-
-def _resolve_kernel(design: TransitionDesign):
-    """The step kernel for *design*, or ``None`` if it has no batch form.
-
-    A :class:`LazyWalk` is only batchable when its inner design is — the
-    lazy kernel delegates the moving sub-batch to the inner kernel, however
-    deeply the wrappers nest.
-    """
-    kernel = _KERNELS.get(type(design))
-    if kernel is None:
-        return None
-    if isinstance(design, LazyWalk) and _resolve_kernel(design.inner) is None:
-        return None
-    return kernel
-
-
 def has_batch_kernel(design: TransitionDesign) -> bool:
-    """True if *design* has a vectorized step kernel."""
-    return _resolve_kernel(design) is not None
+    """True if the batch engines run *design* (see ``compile_design``)."""
+    return compile_design(design) is not None
 
 
 def run_walk_batch(
@@ -290,8 +228,9 @@ def run_walk_batch(
         A :class:`CSRGraph` (preferred) or a :class:`Graph`, compiled on
         the fly.
     design:
-        A design with a batch kernel (SRW, MHRW, MaxDegreeWalk, or a
-        LazyWalk over any of these; see :func:`has_batch_kernel`).
+        A design the batch engines run (SRW, MHRW, MaxDegreeWalk, or a
+        LazyWalk over any of these, by exact type; see
+        :func:`has_batch_kernel`).
     starts:
         Array-like of starting node ids, one per walk; repeat a node to
         launch many walks from it (``np.full(k, start)``).
@@ -310,17 +249,17 @@ def run_walk_batch(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if _resolve_kernel(design) is None:
+    compiled = compile_design(design)
+    if compiled is None:
         raise ConfigurationError(
             f"design {design.name!r} has no batch kernel; use the scalar "
-            "walker (run_walk) or one of: "
-            + ", ".join(sorted(cls.name for cls in _KERNELS))
+            "walker (run_walk) or one of: lazy, maxdeg, mhrw, srw"
         )
     executor = require_backend(backend)
     csr = as_csr(graph)
     rng = ensure_rng(seed)
     current = _start_positions(csr, starts)
-    paths = executor.run_walks(csr, design, current, steps, rng)
+    paths = executor.run_walks(csr, compiled, current, steps, rng)
     if not csr.contiguous:
         paths = csr.node_ids[paths]
     return BatchWalkResult(paths=paths)
@@ -384,20 +323,22 @@ def target_weights_batch(
     """Unnormalized stationary weights ``q̃(v)`` for an array of nodes.
 
     Vectorized counterpart of ``design.target_weight`` for the designs the
-    batch engine supports: degree for SRW, 1 for the uniform-target designs
+    batch engine runs: degree for SRW, 1 for the uniform-target designs
     (MHRW, MaxDegreeWalk); a LazyWalk inherits its inner design's target —
     laziness rescales the transition law without moving the stationary
-    distribution.
+    distribution.  A subclass, which may weigh its targets otherwise, is
+    refused like every design ``compile_design`` does not match.
     """
-    if isinstance(design, LazyWalk):
-        return target_weights_batch(graph, design.inner, nodes)
+    compiled = compile_design(design)
+    if compiled is None:
+        raise ConfigurationError(
+            f"design {design.name!r} has no vectorized target weight"
+        )
     csr = as_csr(graph)
     positions = csr.positions_of(nodes)
-    if isinstance(design, SimpleRandomWalk):
+    if compiled.code == SRW:
         return csr.degrees[positions].astype(np.float64)
-    if design.uniform_target():
-        return np.ones(positions.size, dtype=np.float64)
-    raise ConfigurationError(f"design {design.name!r} has no vectorized target weight")
+    return np.ones(positions.size, dtype=np.float64)
 
 
 def walk_attribute_matrix(

@@ -9,7 +9,7 @@ below memory bandwidth (ROADMAP open item 2).
 
 This module makes the step executor pluggable:
 
-* ``numpy`` — the reference backend.  Delegates to the per-step kernels
+* ``numpy`` — the reference backend.  Delegates to the per-step kernel
   in :mod:`repro.walks.batch`; always available; the semantics other
   backends are pinned against.
 * ``native`` — a Numba ``@njit`` backend that compiles the **whole
@@ -54,7 +54,7 @@ selected, so no result is ever labeled with a backend that did not run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,37 +77,55 @@ except ImportError:  # pragma: no cover - the default CI matrix
 #: How to get the JIT backend; quoted by every unavailability message.
 NATIVE_INSTALL_HINT = 'pip install "walk-not-wait-repro[native]" (numba>=0.57)'
 
-# Inner-design codes for the compiled trajectory loop.
-_SRW, _MHRW, _MAXDEG = 0, 1, 2
+#: Inner-design codes of a :class:`BatchDesign`.
+SRW, MHRW, MAXDEG = 0, 1, 2
+
+_CODES = {SimpleRandomWalk: SRW, MetropolisHastingsWalk: MHRW, MaxDegreeWalk: MAXDEG}
 
 # Kernel exit codes; the wrapper converts them back into the byte-exact
 # errors the NumPy kernels raise.
 _OK, _ERR_STUCK, _ERR_OVER_DEGREE = 0, 1, 2
 
 
-def compile_design(
-    design: TransitionDesign,
-) -> Optional[Tuple[int, np.ndarray, int]]:
-    """Flatten *design* into ``(inner_code, laziness_chain, max_degree)``.
+class BatchDesign(NamedTuple):
+    """A transition design as the batch engines run it.
 
-    A :class:`LazyWalk` nest becomes a float64 chain (outermost coin
-    first); the innermost design becomes an integer code.  Returns
-    ``None`` for designs the trajectory loop cannot express — the same
-    closure as :func:`repro.walks.batch.has_batch_kernel`.
+    Built by :func:`compile_design`.  The NumPy step function, the
+    trajectory loops, the backward candidate table (memoized under this
+    record), the charged WS-BW pricing and the target weights all branch
+    on it.
+    """
+
+    #: The innermost design: :data:`SRW`, :data:`MHRW` or :data:`MAXDEG`.
+    code: int
+    #: Each enclosing :class:`LazyWalk`'s stay probability, outermost first.
+    laziness: Tuple[float, ...]
+    #: The :class:`MaxDegreeWalk` bound as declared; 0 for the other codes.
+    max_degree: int
+    #: Whether ``T(u, u)`` can be positive: any laziness, MHRW or max-degree.
+    may_self_loop: bool
+
+
+def compile_design(design: TransitionDesign) -> Optional[BatchDesign]:
+    """*design* as the batch engines run it, or ``None`` if they cannot.
+
+    The one place that decides which designs the batch paths run.  It
+    matches exact types: :class:`SimpleRandomWalk`,
+    :class:`MetropolisHastingsWalk` and :class:`MaxDegreeWalk`, each
+    under any chain of :class:`LazyWalk`.  A subclass may override any
+    part of its parent's law, so every batch path refuses it rather than
+    price it as the parent; the ``charged`` engine runs it on its scalar
+    loop, as it runs :class:`~repro.walks.transitions.BidirectionalWalk`.
     """
     chain: List[float] = []
-    inner: TransitionDesign = design
-    while isinstance(inner, LazyWalk):
-        chain.append(inner.laziness)
-        inner = inner.inner
-    laziness = np.asarray(chain, dtype=np.float64)
-    if isinstance(inner, SimpleRandomWalk):
-        return _SRW, laziness, 0
-    if isinstance(inner, MetropolisHastingsWalk):
-        return _MHRW, laziness, 0
-    if isinstance(inner, MaxDegreeWalk):
-        return _MAXDEG, laziness, int(inner.max_degree)
-    return None
+    while type(design) is LazyWalk:
+        chain.append(float(design.laziness))
+        design = design.inner
+    code = _CODES.get(type(design))
+    if code is None:
+        return None
+    max_degree = design.max_degree if code == MAXDEG else 0
+    return BatchDesign(code, tuple(chain), max_degree, bool(chain) or code != SRW)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +165,7 @@ def _walk_trajectory(
         for i in range(k):
             if moving[i] and degrees[current[i]] == 0:
                 return paths, _ERR_STUCK, current[i], np.int64(0)
-        if code == _MAXDEG:
+        if code == MAXDEG:
             for i in range(k):
                 if moving[i] and degrees[current[i]] > max_degree:
                     node = current[i]
@@ -163,7 +181,7 @@ def _walk_trajectory(
                 if moving[i]:
                     j = rng.integers(0, degrees[current[i]])
                     current[i] = indices[indptr[current[i]] + j]
-        elif code == _MHRW:
+        elif code == MHRW:
             # Proposal phase for every mover, then the acceptance coin
             # only where the proposal has strictly higher degree.
             for i in range(k):
@@ -264,9 +282,9 @@ class KernelBackend:
     """One way of executing the batch-walk trajectory loop.
 
     Subclasses implement :meth:`run_walks` / :meth:`run_nbrw` over CSR
-    *positions* (the id round-trip stays in :mod:`repro.walks.batch`)
-    and must consume the generator stream exactly as the ``numpy``
-    reference does.
+    *positions* (the id round-trip stays in :mod:`repro.walks.batch`),
+    the former for a design :func:`compile_design` flattened, and must
+    consume the generator stream exactly as the ``numpy`` reference does.
     """
 
     name: str = "abstract"
@@ -277,14 +295,10 @@ class KernelBackend:
         """Whether this backend can execute on this host."""
         return True
 
-    def supports(self, design: TransitionDesign) -> bool:
-        """Whether *design* has a trajectory kernel on this backend."""
-        return compile_design(design) is not None
-
     def run_walks(
         self,
         csr: CSRGraph,
-        design: TransitionDesign,
+        design: BatchDesign,
         starts: np.ndarray,
         steps: int,
         rng: np.random.Generator,
@@ -317,24 +331,14 @@ class NumpyKernelBackend(KernelBackend):
     name = "numpy"
     jit = False
 
-    def supports(self, design: TransitionDesign) -> bool:
-        from repro.walks import batch
-
-        return batch.has_batch_kernel(design)
-
     def run_walks(self, csr, design, starts, steps, rng):
         from repro.walks import batch
 
-        kernel = batch._resolve_kernel(design)
-        if kernel is None:  # pragma: no cover - run_walk_batch validates
-            raise ConfigurationError(
-                f"design {design.name!r} has no batch kernel"
-            )
         current = starts
         paths = np.empty((current.size, steps + 1), dtype=np.int64)
         paths[:, 0] = current
         for t in range(steps):
-            current = kernel(csr, design, current, rng)
+            current = batch._step(csr, design, current, rng)
             paths[:, t + 1] = current
         return paths
 
@@ -405,25 +409,19 @@ class TrajectoryLoopBackend(KernelBackend):
         return fn
 
     def run_walks(self, csr, design, starts, steps, rng):
-        compiled = compile_design(design)
-        if compiled is None:  # pragma: no cover - run_walk_batch validates
-            raise ConfigurationError(
-                f"design {design.name!r} has no trajectory kernel"
-            )
-        code, laziness, max_degree = compiled
         paths, err, node, degree = self._dispatcher("walk")(
             csr.indptr,
             csr.indices,
             csr.degrees,
             starts,
             steps,
-            code,
-            laziness,
-            max_degree,
+            design.code,
+            np.asarray(design.laziness, dtype=np.float64),
+            design.max_degree,
             rng,
         )
         if err != _OK:
-            _raise_kernel_error(csr, err, int(node), int(degree), max_degree)
+            _raise_kernel_error(csr, err, int(node), int(degree), design.max_degree)
         return paths
 
     def run_nbrw(self, csr, starts, steps, rng):

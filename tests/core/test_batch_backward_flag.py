@@ -19,11 +19,11 @@ import pytest
 from repro.core.config import WalkEstimateConfig
 from repro.core.estimate import ProbabilityEstimator
 from repro.core.walk_estimate import WalkEstimateSampler
-from repro.core.weighted import has_batched_transition
 from repro.graphs.generators import barabasi_albert_graph
 from repro.markov.distributions import step_distributions
 from repro.markov.matrix import TransitionMatrix
 from repro.osn.api import SocialNetworkAPI
+from repro.walks.batch import has_batch_kernel
 from repro.walks.transitions import (
     BidirectionalWalk,
     LazyWalk,
@@ -130,13 +130,13 @@ class TestFallback:
             means[flag] = estimator.estimate(3, refine=False).mean
         assert means[True] == means[False]
 
-    def test_has_batched_transition_predicate(self):
-        assert has_batched_transition(SimpleRandomWalk())
-        assert has_batched_transition(MetropolisHastingsWalk())
-        assert has_batched_transition(MaxDegreeWalk(100))
-        assert has_batched_transition(LazyWalk(SimpleRandomWalk(), 0.5))
-        assert not has_batched_transition(BidirectionalWalk())
-        assert not has_batched_transition(LazyWalk(BidirectionalWalk(), 0.5))
+    def test_has_batch_kernel_predicate(self):
+        assert has_batch_kernel(SimpleRandomWalk())
+        assert has_batch_kernel(MetropolisHastingsWalk())
+        assert has_batch_kernel(MaxDegreeWalk(100))
+        assert has_batch_kernel(LazyWalk(SimpleRandomWalk(), 0.5))
+        assert not has_batch_kernel(BidirectionalWalk())
+        assert not has_batch_kernel(LazyWalk(BidirectionalWalk(), 0.5))
 
 
 class TestUnbiasedness:

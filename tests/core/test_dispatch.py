@@ -273,14 +273,20 @@ class TestScalarParity:
         # scalar loop whenever a candidate needs K > 1 repetitions.
         scalar = estimate(
             EstimationJobSpec(
-                design="srw", samples=6, seed=33, walk=config,
+                design="srw",
+                samples=6,
+                seed=33,
+                walk=config,
                 engine=EngineConfig(backend="scalar"),
             ),
             api=SocialNetworkAPI(hidden),
         )
         charged = estimate(
             EstimationJobSpec(
-                design="srw", samples=6, seed=33, walk=config,
+                design="srw",
+                samples=6,
+                seed=33,
+                walk=config,
                 engine=EngineConfig(backend="charged"),
             ),
             api=SocialNetworkAPI(hidden),
@@ -339,7 +345,10 @@ class TestBatchParity:
 
     def test_plain_graph_accepted(self, hidden, config):
         spec = EstimationJobSpec(
-            design="srw", samples=10, seed=4, walk=config,
+            design="srw",
+            samples=10,
+            seed=4,
+            walk=config,
             engine=EngineConfig(backend="batch"),
         )
         via_graph = estimate(spec, graph=hidden)
@@ -401,7 +410,10 @@ class TestDispatchResources:
 
     def test_seed_override_wins(self, csr, config):
         spec = EstimationJobSpec(
-            design="srw", samples=10, seed=1, walk=config,
+            design="srw",
+            samples=10,
+            seed=1,
+            walk=config,
             engine=EngineConfig(backend="batch"),
         )
         overridden = estimate(spec, graph=csr, seed=99)
@@ -412,19 +424,28 @@ class TestDispatchResources:
 
     def test_rng_stream_accepted_as_seed(self, csr, config):
         spec = EstimationJobSpec(
-            design="srw", samples=10, walk=config,
+            design="srw",
+            samples=10,
+            walk=config,
             engine=EngineConfig(backend="batch"),
         )
         one = estimate(spec, graph=csr, seed=np.random.default_rng(42))
         two = walk_estimate_batch(
-            csr, SimpleRandomWalk(), 0, 10, config=config,
+            csr,
+            SimpleRandomWalk(),
+            0,
+            10,
+            config=config,
             seed=np.random.default_rng(42),
         )
         assert batch_results_equal(one.raw, two)
 
     def test_result_walk_steps_and_batch_view(self, csr, config):
         spec = EstimationJobSpec(
-            design="srw", samples=10, seed=2, walk=config,
+            design="srw",
+            samples=10,
+            seed=2,
+            walk=config,
             engine=EngineConfig(backend="batch"),
         )
         result = estimate(spec, graph=csr)

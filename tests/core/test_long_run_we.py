@@ -132,8 +132,13 @@ class TestLongRunBatch:
     def test_per_run_start_array(self, graph, config):
         starts = np.array([0, 3, 5, 7], dtype=np.int64)
         result = long_run_walk_estimate_batch(
-            graph, SimpleRandomWalk(), starts, k_runs=4, segments=3,
-            config=config, seed=2,
+            graph,
+            SimpleRandomWalk(),
+            starts,
+            k_runs=4,
+            segments=3,
+            config=config,
+            seed=2,
         )
         assert result.candidates.shape == (12,)
 
@@ -180,8 +185,13 @@ class TestLongRunBatch:
         nodes = []
         for rep in range(4):
             result = long_run_walk_estimate_batch(
-                graph, SimpleRandomWalk(), 0, k_runs=64, segments=10,
-                config=config, seed=rep,
+                graph,
+                SimpleRandomWalk(),
+                0,
+                k_runs=64,
+                segments=10,
+                config=config,
+                seed=rep,
             )
             nodes.extend(int(v) for v in result.nodes)
         pdf = empirical_distribution(nodes, n)

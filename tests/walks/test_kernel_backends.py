@@ -94,14 +94,19 @@ class TestRegistry:
         assert native["available"] is NUMBA_PRESENT
         assert "pip install" in native["requires"]
 
-    def test_supports_mirrors_the_batch_kernel_closure(self):
+    def test_every_backend_runs_the_compile_design_closure(self):
         from repro.walks.transitions import BidirectionalWalk
 
+        csr = barabasi_albert_graph(30, 2, seed=1).relabeled().compile()
         for name in kernels.backend_names():
-            backend = kernels.get_backend(name)
-            assert backend.supports(LazyWalk(SimpleRandomWalk(), 0.5))
-            assert not backend.supports(BidirectionalWalk())
-            assert not backend.supports(LazyWalk(BidirectionalWalk(), 0.5))
+            if not kernels.get_backend(name).available:
+                continue
+            lazy = LazyWalk(SimpleRandomWalk(), 0.5)
+            run_walk_batch(csr, lazy, [0, 1], 4, seed=1, backend=name)
+            for design in (BidirectionalWalk(), LazyWalk(BidirectionalWalk(), 0.5)):
+                assert kernels.compile_design(design) is None
+                with pytest.raises(ConfigurationError, match="no batch kernel"):
+                    run_walk_batch(csr, design, [0], 4, seed=1, backend=name)
 
 
 @pytest.mark.skipif(NUMBA_PRESENT, reason="fallback path needs numba absent")
