@@ -46,15 +46,18 @@ from repro.core.config import WalkEstimateConfig
 from repro.core.estimate import ProbabilityEstimator
 from repro.core.rejection import RejectionSampler, ScaleFactorBootstrap
 from repro.core.sharded import run_round
-from repro.core.unbiased import unbiased_estimate_batch
-from repro.core.walk_estimate import BatchWalkEstimateResult
+from repro.core.walk_estimate import (
+    BatchWalkEstimateResult,
+    calibrate_round,
+    judge_round,
+)
 from repro.core.weighted import BackwardStats, ForwardHistory
 from repro.errors import ConfigurationError, QueryBudgetExceededError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.osn.api import SocialNetworkAPI
 from repro.rng import RngLike, ensure_rng
-from repro.walks.batch import run_walk_batch, target_weights_batch
+from repro.walks.batch import run_walk_batch
 from repro.walks.parallel import InlineExecutor, ShardedWalkEngine
 from repro.walks.samplers import SampleBatch
 from repro.walks.transitions import Node, TransitionDesign
@@ -239,59 +242,25 @@ def _long_run_round(
     rng: np.random.Generator,
 ) -> BatchWalkEstimateResult:
     """One shard of :func:`long_run_walk_estimate_batch`, run by the executor."""
-    k_runs = starts.size
     t = config.effective_walk_length
-    repetitions = config.backward_repetitions + config.refine_repetitions
-    light_repetitions = config.calibration_repetitions
-    calibration = -(-config.calibration_walks // k_runs)  # ceil division
+    calibration = -(-config.calibration_walks // starts.size)  # ceil division
     total = calibration + segments
-
     walks = run_walk_batch(
         csr, design, starts, total * t, seed=rng, backend=config.kernel_backend
     )
     entries = walks.paths[:, 0 : total * t : t]
     ends = walks.paths[:, t :: t]
-
-    bootstrap = ScaleFactorBootstrap(percentile=config.scale_percentile)
-    rejection = RejectionSampler(bootstrap, seed=rng)
-    calibration_estimates = unbiased_estimate_batch(
+    calibration_ends = ends[:, :calibration].ravel()
+    rejection = calibrate_round(
+        csr, design, calibration_ends, entries[:, :calibration].ravel(), config, rng
+    )
+    return judge_round(
         csr,
         design,
-        ends[:, :calibration].ravel(),
-        entries[:, :calibration].ravel(),
-        t,
-        seed=rng,
-        repetitions=light_repetitions,
-    )
-    calibration_weights = target_weights_batch(
-        csr, design, ends[:, :calibration].ravel()
-    )
-    bootstrap.observe_many(calibration_estimates / calibration_weights)
-    bootstrap.ensure_ready()
-
-    candidates = ends[:, calibration:].ravel()
-    estimates = unbiased_estimate_batch(
-        csr,
-        design,
-        candidates,
+        ends[:, calibration:].ravel(),
         entries[:, calibration:].ravel(),
-        t,
-        seed=rng,
-        repetitions=repetitions,
-    )
-    weights = target_weights_batch(csr, design, candidates)
-    accepted, betas = rejection.accept_batch(estimates, weights)
-
-    backward = (
-        k_runs * calibration * light_repetitions
-        + k_runs * segments * repetitions
-    ) * t
-    return BatchWalkEstimateResult(
-        candidates=candidates,
-        estimates=estimates,
-        target_weights=weights,
-        acceptance=betas,
-        accepted=accepted,
-        forward_steps=k_runs * total * t,
-        backward_steps=backward,
+        config,
+        rng,
+        rejection,
+        calibration_ends.size,
     )

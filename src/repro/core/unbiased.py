@@ -35,6 +35,13 @@ draw (one block of 32-bit values for a wide batch, see
 and predecessor.  The slots of every level are kept; after the last
 level only the walks that ended at their start, the only ones worth
 more than 0, multiply their slots' factors.
+
+In law this is the no-history case of
+:func:`repro.core.weighted.ws_bw_batch`, but not bit for bit: WS-BW
+multiplies ``T(x, u)/π(x)`` at every level (SRW values move in the last
+bit), and stops drawing for a walk whose weight reached 0 (MHRW and
+max-degree streams diverge).  It also gathers every live walk's whole
+candidate row per level, where this walk reads one slot.
 """
 
 from __future__ import annotations

@@ -383,12 +383,6 @@ def _we_round(
 ) -> BatchWalkEstimateResult:
     """One shard of :func:`walk_estimate_batch`, run by the executor."""
     t = config.effective_walk_length
-    repetitions = config.backward_repetitions + config.refine_repetitions
-
-    bootstrap = ScaleFactorBootstrap(percentile=config.scale_percentile)
-    rejection = RejectionSampler(bootstrap, seed=rng)
-
-    # Calibration: a small batch seeds the scale-factor pool (§6.3.2).
     calibration = run_walk_batch(
         csr,
         design,
@@ -397,21 +391,7 @@ def _we_round(
         seed=rng,
         backend=config.kernel_backend,
     )
-    light_repetitions = config.calibration_repetitions
-    calibration_estimates = unbiased_estimate_batch(
-        csr,
-        design,
-        calibration.ends,
-        start,
-        t,
-        seed=rng,
-        repetitions=light_repetitions,
-    )
-    calibration_weights = target_weights_batch(csr, design, calibration.ends)
-    bootstrap.observe_many(calibration_estimates / calibration_weights)
-    bootstrap.ensure_ready()
-
-    # Main round: K candidates, estimated and judged together.
+    rejection = calibrate_round(csr, design, calibration.ends, start, config, rng)
     walks = run_walk_batch(
         csr,
         design,
@@ -420,24 +400,67 @@ def _we_round(
         seed=rng,
         backend=config.kernel_backend,
     )
-    estimates = unbiased_estimate_batch(
-        csr, design, walks.ends, start, t, seed=rng, repetitions=repetitions
+    return judge_round(
+        csr, design, walks.ends, start, config, rng, rejection, calibration.ends.size
     )
-    weights = target_weights_batch(csr, design, walks.ends)
-    accepted, betas = rejection.accept_batch(estimates, weights)
 
-    forward = (config.calibration_walks + k_walks) * t
-    backward = (
-        config.calibration_walks * light_repetitions + k_walks * repetitions
-    ) * t
+
+def calibrate_round(
+    csr: CSRGraph,
+    design: TransitionDesign,
+    ends: np.ndarray,
+    entries,
+    config: WalkEstimateConfig,
+    rng: np.random.Generator,
+) -> RejectionSampler:
+    """A free-graph round's rejection step, calibrated on its own walks.
+
+    Estimates the calibration endpoints *ends* from their *entries* at
+    ``calibration_repetitions`` and observes their ratios p̂/q̃ (§6.3.2),
+    padding the pool if too few were positive.
+    """
+    t = config.effective_walk_length
+    light = config.calibration_repetitions
+    estimates = unbiased_estimate_batch(
+        csr, design, ends, entries, t, seed=rng, repetitions=light
+    )
+    bootstrap = ScaleFactorBootstrap(percentile=config.scale_percentile)
+    bootstrap.observe_many(estimates / target_weights_batch(csr, design, ends))
+    bootstrap.ensure_ready()
+    return RejectionSampler(bootstrap, seed=rng)
+
+
+def judge_round(
+    csr: CSRGraph,
+    design: TransitionDesign,
+    candidates: np.ndarray,
+    entries,
+    config: WalkEstimateConfig,
+    rng: np.random.Generator,
+    rejection: RejectionSampler,
+    calibrated: int,
+) -> BatchWalkEstimateResult:
+    """Estimate, weigh and judge a free-graph round's candidates at once.
+
+    *calibrated* counts the endpoints :func:`calibrate_round` estimated.
+    Every endpoint ended ``t`` forward steps, so the step counts follow.
+    """
+    t = config.effective_walk_length
+    repetitions = config.backward_repetitions + config.refine_repetitions
+    estimates = unbiased_estimate_batch(
+        csr, design, candidates, entries, t, seed=rng, repetitions=repetitions
+    )
+    weights = target_weights_batch(csr, design, candidates)
+    accepted, betas = rejection.accept_batch(estimates, weights)
+    calibration_walks = calibrated * config.calibration_repetitions
     return BatchWalkEstimateResult(
-        candidates=walks.ends,
+        candidates=candidates,
         estimates=estimates,
         target_weights=weights,
         acceptance=betas,
         accepted=accepted,
-        forward_steps=forward,
-        backward_steps=backward,
+        forward_steps=(calibrated + candidates.size) * t,
+        backward_steps=(calibration_walks + candidates.size * repetitions) * t,
     )
 
 

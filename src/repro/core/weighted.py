@@ -31,16 +31,17 @@ documents both deviations; tests verify unbiasedness by exhaustive
 enumeration.
 
 **Two grains.**  :func:`weighted_backward_estimate` is the scalar
-reference: one walk, one realization.  :func:`ws_bw_batch` is its
-charged-API batch twin: K backward walks advance per depth level over one
-shared :class:`ForwardHistory`, the proposal/pick/importance arithmetic is
-vectorized, and every neighbor fetch goes through the view's batch
-interface — so a :class:`~repro.osn.api.SocialNetworkAPI` charges each
-level in one accounting operation against its discovered-graph store
-(§2.4: the first access to a node costs one query, every repeat is a free
-cache hit, so batching never changes what a campaign pays — only how fast
-it runs).  At K = 1 the batch consumes the RNG stream exactly as the
-scalar does and reproduces its realization bit for bit.
+reference: one walk, one realization.  :func:`ws_bw_batch` is its batch
+twin: K backward walks advance per depth level over one shared
+:class:`ForwardHistory`, and the proposal/pick/importance arithmetic is
+vectorized.  Each grain writes the proposal once.  The batch reads its
+rows from one kind of view, a :class:`~repro.osn.api.SocialNetworkAPI`
+and its discovered-graph store, which charges each level in one
+accounting operation (§2.4: the first access to a node costs one query,
+every repeat is a free cache hit, so batching never changes what a
+campaign pays — only how fast it runs); a free graph is wrapped in an
+uncharged API.  At K = 1 the batch consumes the RNG stream exactly as
+the scalar does and reproduces its realization bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.arrays import sorted_lookup
 from repro.core.crawl import InitialCrawl
 from repro.core.unbiased import backward_candidates
 from repro.errors import ConfigurationError, GraphError
-from repro.graphs.discovered import DiscoveredGraph
+from repro.osn.api import SocialNetworkAPI
 from repro.rng import RngLike, ensure_rng
 from repro.walks.kernels import MHRW, SRW, BatchDesign, compile_design
 from repro.walks.transitions import NeighborView, Node, TransitionDesign
@@ -204,31 +205,6 @@ def smoothing_constant(total_visits: int, k: int, epsilon: float) -> float:
     return max(1.0, epsilon * total_visits / ((1.0 - epsilon) * k))
 
 
-def backward_step_distribution(
-    candidates: tuple[Node, ...],
-    history: Optional[ForwardHistory],
-    step: int,
-    epsilon: float,
-) -> np.ndarray:
-    """WS-BW's π over *candidates* for predecessors at forward step *step*.
-
-    ``π(x) ∝ visits(x) + c`` with the smoothing constant above; uniform when
-    there is no history.  Every candidate keeps positive mass, preserving
-    unbiasedness of the importance-weighted estimator.
-    """
-    k = len(candidates)
-    if k == 0:
-        raise ConfigurationError("empty candidate set")
-    if history is None or history.total_walks == 0:
-        return np.full(k, 1.0 / k)
-    visits = np.array(
-        [history.count(c, step) for c in candidates], dtype=float
-    )
-    total = int(visits.sum())
-    c = smoothing_constant(total, k, epsilon)
-    return (visits + c) / (total + c * k)
-
-
 def weighted_backward_estimate(
     view: NeighborView,
     design: TransitionDesign,
@@ -302,7 +278,7 @@ def weighted_backward_estimate(
 
 
 # ----------------------------------------------------------------------
-# Vectorized batch WS-BW (charged-API backend)
+# Vectorized batch WS-BW (over an API row store)
 # ----------------------------------------------------------------------
 def smoothing_constants(
     total_visits: np.ndarray, k: np.ndarray, epsilon: float
@@ -316,33 +292,6 @@ def smoothing_constants(
         1.0, epsilon * total_visits[positive] / ((1.0 - epsilon) * k[positive])
     )
     return out
-
-
-class _CachingView:
-    """Adapter giving a free :class:`NeighborView` the charged batch surface.
-
-    The batched walk is written once, against ``degrees_batch`` plus a
-    :class:`~repro.graphs.discovered.DiscoveredGraph` row store — exactly
-    what :class:`~repro.osn.api.SocialNetworkAPI` exposes.  Wrapping a
-    plain graph in this adapter (fetch rows on first miss, memoize them
-    in a private store) lets free in-memory views run the same code path
-    with no accounting and no second implementation to keep in sync.
-    """
-
-    cacheable = True
-    restriction = None
-
-    def __init__(self, view: NeighborView) -> None:
-        self._view = view
-        self.discovered = DiscoveredGraph(name="ws-bw-view")
-
-    def degrees_batch(self, nodes) -> np.ndarray:
-        degrees, known = self.discovered.try_degrees(nodes)
-        if not np.all(known):
-            for node in np.unique(nodes[~known]).tolist():
-                self.discovered.record(node, self._view.neighbors(node))
-            degrees, _ = self.discovered.try_degrees(nodes)
-        return degrees
 
 
 def _require_rows_alive(nodes: np.ndarray, degrees: np.ndarray) -> None:
@@ -483,11 +432,17 @@ def ws_bw_batch(
     With ``history=None`` this degrades to the uniform backward walk;
     *crawl*, when given, terminates every walk the moment its remaining
     depth is covered by the exact ``p_s`` tables, via one array lookup.
-    Free in-memory views (a plain :class:`~repro.graphs.Graph` or
-    :class:`~repro.graphs.csr.CSRGraph`) run the same code path through a
-    private row-memoizing adapter.  Type-1 (fresh-subset) restricted APIs
-    are rejected: their responses change per invocation, so no cached
-    batch walk can reproduce the scalar estimator's query pattern — use
+    A free in-memory view (a plain :class:`~repro.graphs.Graph` or
+    :class:`~repro.graphs.csr.CSRGraph`) is wrapped in an uncharged
+    :class:`~repro.osn.api.SocialNetworkAPI` (no budget, restriction or
+    rate limiter), which reads the same rows by id.  Each level gathers
+    every live walk's whole candidate row and its visit counts, so the
+    plain table walk of :func:`~repro.core.unbiased.unbiased_estimate_batch`,
+    which reads one slot per walk, stays the free graph's fast path.
+
+    Type-1 (fresh-subset) restricted APIs are rejected: their responses
+    change per invocation, so no cached batch walk can reproduce the
+    scalar estimator's query pattern — use
     :func:`weighted_backward_estimate` there.  So is, before any query is
     charged, a design :func:`~repro.walks.kernels.compile_design` does
     not match by exact type: ``BidirectionalWalk``, or a subclass of a
@@ -496,15 +451,11 @@ def ws_bw_batch(
     Returns an array of shape ``(len(nodes),)`` of non-negative
     realizations, each with expectation ``p_t(node)``.
 
-    .. note:: **Compatibility front end.**  External callers wanting the
-       charged batched-backward regime should go through
-       :func:`repro.core.estimate` with ``EngineConfig(backend="charged")``
-       (the dispatcher builds the sampler with ``batch_backward=True``,
-       which routes each candidate's top-up to its base backward
-       repetitions here; ``ProbabilityEstimator.refine`` still draws
-       every refinement walk through the scalar
-       :func:`weighted_backward_estimate`); this direct signature
-       remains the internal building block.
+    .. note:: **Compatibility front end.**  For the charged regime go
+       through :func:`repro.core.estimate` with
+       ``EngineConfig(backend="charged")``, which batches each
+       candidate's base backward repetitions here (refinement walks stay
+       on the scalar :func:`weighted_backward_estimate`).
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -526,9 +477,9 @@ def ws_bw_batch(
     if stats is not None:
         stats.walks += int(current.size)
     if getattr(view, "discovered", None) is None:
-        # Free in-memory view: memoize rows locally so the one batched
-        # code path below serves graphs and charged APIs alike.
-        view = _CachingView(view)
+        # A free graph walks through an uncharged API: the same row store
+        # and lookups, with no budget, restriction or rate limiter.
+        view = SocialNetworkAPI(view)
     elif not view.cacheable:
         raise ConfigurationError(
             "type-1 (fresh-subset) restrictions have no batched WS-BW — "
@@ -602,11 +553,8 @@ def ws_bw_batch(
             # Per-segment inverse-CDF over visits + c.  The cumulative sums
             # run over the weighted walks' candidates only, so at K = 1 the
             # running sum is bit-identical to the scalar accumulator.
-            if weighted.size == alive.size:
-                sub_vpc = visits + np.repeat(c, sizes)
-            else:
-                sub_mask = np.repeat(~uniform, sizes)
-                sub_vpc = visits[sub_mask] + np.repeat(c, sizes[weighted])
+            sub_mask = np.repeat(~uniform, sizes)
+            sub_vpc = visits[sub_mask] + np.repeat(c, sizes[weighted])
             cumulative = np.cumsum(sub_vpc)
             ends = np.cumsum(sizes[weighted])
             starts = ends - sizes[weighted]

@@ -22,6 +22,7 @@ from repro.core.unbiased import unbiased_estimate
 from repro.core.walk_estimate import we_full_sampler
 from repro.core.weighted import ForwardHistory, weighted_backward_estimate
 from repro.datasets.registry import build_dataset
+from repro.errors import GraphError
 from repro.estimators.aggregates import average_estimate
 from repro.estimators.metrics import (
     empirical_distribution,
@@ -179,12 +180,20 @@ def restrictions(scale: str = "quick", seed: RngLike = 52) -> ExperimentResult:
         columns=["restriction / walk", "mean_rel_error", "mean_query_cost"]
     )
     starts = [int(ensure_rng(run_rng).integers(0, 800)) for _ in range(repetitions)]
+    short = []
     for label, (make_restriction, design) in cases.items():
         errors, costs = [], []
         for rep in range(repetitions):
             api = SocialNetworkAPI(dataset.graph, restriction=make_restriction())
             sampler = BurnInSampler(design, min_steps=30, max_steps=1500)
-            batch = sampler.sample(api, starts[rep], count=samples, seed=run_rng)
+            try:
+                batch = sampler.sample(api, starts[rep], count=samples, seed=run_rng)
+            except GraphError:
+                # A start the walk cannot leave (under types 2/3, a node
+                # with no mutual edge) is skipped like an empty batch.
+                if _can_leave(api, design, starts[rep]):
+                    raise
+                continue
             if len(batch) == 0:
                 continue
             values = [
@@ -193,6 +202,8 @@ def restrictions(scale: str = "quick", seed: RngLike = 52) -> ExperimentResult:
             estimate = average_estimate(batch, values)
             errors.append(relative_error(estimate, truth))
             costs.append(api.query_cost)
+        if len(errors) < repetitions:
+            short.append(f"{label}: {len(errors)} of {repetitions} repetitions ran")
         table.rows.append([label, float(np.mean(errors)), float(np.mean(costs))])
     result = ExperimentResult(
         experiment_id="restrictions",
@@ -202,11 +213,20 @@ def restrictions(scale: str = "quick", seed: RngLike = 52) -> ExperimentResult:
         notes=[
             f"BA(800,6); burn-in sampler; {samples} samples x "
             f"{repetitions} repetitions; restriction size k={k}; "
-            "estimated aggregate: AVG true degree (profile attribute)"
+            "estimated aggregate: AVG true degree (profile attribute)",
+            *short,
         ],
     )
     result.tables["average degree estimation"] = table
     return result
+
+
+def _can_leave(api: SocialNetworkAPI, design, node: int) -> bool:
+    """Whether *design* has a move out of *node* on *api*."""
+    try:
+        return bool(design.transition_row(api, node))
+    except GraphError:
+        return False
 
 
 def long_run(scale: str = "quick", seed: RngLike = 53) -> ExperimentResult:

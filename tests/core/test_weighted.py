@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.crawl import InitialCrawl
-from repro.core.unbiased import backward_candidates
 from repro.core.weighted import (
     BackwardStats,
     ForwardHistory,
-    backward_step_distribution,
     smoothing_constant,
     weighted_backward_estimate,
 )
@@ -53,35 +51,6 @@ def test_smoothing_constant_limits():
     c = smoothing_constant(10000, 10, 0.2)
     uniform_share = c * 10 / (10000 + c * 10)
     assert uniform_share == pytest.approx(0.2, rel=0.01)
-
-
-def test_backward_step_distribution_sums_to_one(small_ba, rng):
-    design = SimpleRandomWalk()
-    history = make_history(small_ba, design, 0, 4, 25, rng)
-    candidates = backward_candidates(small_ba, design, 3)
-    pi = backward_step_distribution(candidates, history, 2, epsilon=0.2)
-    assert pi.shape == (len(candidates),)
-    assert pi.sum() == pytest.approx(1.0)
-    assert np.all(pi > 0)  # smoothing keeps every candidate reachable
-
-
-def test_backward_step_distribution_uniform_without_history(small_ba):
-    candidates = backward_candidates(small_ba, SimpleRandomWalk(), 3)
-    pi = backward_step_distribution(candidates, None, 2, epsilon=0.2)
-    assert np.allclose(pi, 1.0 / len(candidates))
-
-
-def test_backward_step_distribution_tracks_visits(small_ba, rng):
-    design = SimpleRandomWalk()
-    history = make_history(small_ba, design, 0, 4, 60, rng)
-    candidates = backward_candidates(small_ba, design, 0)
-    pi = backward_step_distribution(candidates, history, 1, epsilon=0.2)
-    visits = np.array([history.count(c, 1) for c in candidates], dtype=float)
-    if visits.sum() > 0:
-        # More-visited candidates must get at least as much proposal mass.
-        order_pi = np.argsort(pi)
-        order_visits = np.argsort(visits)
-        assert list(order_pi) == list(order_visits)
 
 
 @pytest.mark.parametrize(

@@ -146,25 +146,37 @@ def test_k1_parity_under_call_stable_restrictions(small_ba):
                 assert r1.bit_generator.state == r2.bit_generator.state
 
 
-def test_free_graph_view_matches_charged_api(small_ba):
-    # The generic (tuple) path over a plain Graph draws the same stream.
-    design = SimpleRandomWalk()
-    history = build_history(small_ba, design)
-    for seed in range(6):
-        node = int(np.random.default_rng(seed).integers(0, 30))
-        r1, r2 = ensure_rng(seed), ensure_rng(seed)
-        value_graph = float(
-            ws_bw_batch(
-                small_ba, design, np.array([node]), 0, T, history=history, seed=r1
-            )[0]
-        )
-        api = SocialNetworkAPI(small_ba)
-        value_api = float(
-            ws_bw_batch(api, design, np.array([node]), 0, T, history=history, seed=r2)[
-                0
-            ]
-        )
-        assert value_graph == value_api
+@pytest.mark.parametrize("compiled", [False, True], ids=["graph", "csr"])
+@pytest.mark.parametrize("use_history", [False, True], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("crawl_hops", [0, 2], ids=["nocrawl", "crawl2"])
+def test_free_graph_view_matches_charged_api(
+    small_ba, compiled, use_history, crawl_hops
+):
+    # A free graph walks through an uncharged API over itself: the same
+    # values, generator state and effort as a charged API over the graph.
+    free = small_ba.compile() if compiled else small_ba
+    for design in designs_for(small_ba):
+        history = build_history(small_ba, design) if use_history else None
+        crawl = InitialCrawl(small_ba, design, 0, crawl_hops) if crawl_hops else None
+        for seed in range(4):
+            nodes = np.random.default_rng(seed).integers(0, 30, size=5)
+            outcomes = []
+            for view in (free, SocialNetworkAPI(small_ba)):
+                rng, stats = ensure_rng(seed), BackwardStats()
+                values = ws_bw_batch(
+                    view,
+                    design,
+                    nodes,
+                    0,
+                    T,
+                    history=history,
+                    epsilon=0.2,
+                    seed=rng,
+                    crawl=crawl,
+                    stats=stats,
+                )
+                outcomes.append((values.tobytes(), rng.bit_generator.state, stats))
+            assert outcomes[0] == outcomes[1], (design.name, seed)
 
 
 def test_full_graph_estimation_has_identical_query_cost(small_ba):

@@ -28,7 +28,15 @@ from repro.experiments.figures import (
     figure12,
 )
 from repro.experiments.tables import table1
-from repro.experiments.extras import backward_variance, long_run
+from repro.experiments.extras import (
+    _can_leave,
+    backward_variance,
+    long_run,
+    restrictions,
+)
+from repro.osn.api import SocialNetworkAPI
+from repro.osn.restrictions import TruncatedKRestriction
+from repro.walks.transitions import BidirectionalWalk, SimpleRandomWalk
 
 
 def test_figure2_panels_and_models():
@@ -90,6 +98,26 @@ def test_long_run_table_shows_ess_collapse():
     assert long_ess < short_ess  # correlated samples are worth less
     # One long run amortizes burn-in: far cheaper in queries.
     assert by_name["one long run"][4] < by_name["many short runs"][4]
+
+
+def test_restrictions_skips_a_start_that_cannot_move():
+    # At the default seed the second start, node 534, has no mutual edge
+    # under the first-8 restriction: the bidirectional walk cannot leave
+    # it, so that repetition is skipped and named, not raised.
+    result = restrictions(scale="quick")
+    (table,) = result.tables.values()
+    assert len(table.rows) == 7
+    assert all(math.isfinite(row[1]) and math.isfinite(row[2]) for row in table.rows)
+    assert result.notes[1:] == ["type3 first-8 / bidirectional: 2 of 3 repetitions ran"]
+
+
+def test_can_leave_tells_a_stuck_start(path4):
+    # 0 sees only 1 under first-1, but 1 sees only 0 too; 2 sees only 1,
+    # which does not see it back.
+    api = SocialNetworkAPI(path4, restriction=TruncatedKRestriction(1))
+    assert _can_leave(api, BidirectionalWalk(), 0)
+    assert not _can_leave(api, BidirectionalWalk(), 2)
+    assert _can_leave(api, SimpleRandomWalk(), 2)
 
 
 def test_crawl_baselines_walks_beat_crawls():

@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.crawl import InitialCrawl
 from repro.core.unbiased import backward_candidates
-from repro.core.weighted import (
-    ForwardHistory,
-    backward_step_distribution,
-    smoothing_constant,
-)
+from repro.core.weighted import ForwardHistory, smoothing_constant
 from repro.graphs.generators import barabasi_albert_graph
 from repro.markov.matrix import TransitionMatrix
 from repro.osn.api import SocialNetworkAPI
@@ -32,7 +28,6 @@ def exact_ws_bw_expectation(graph, design, node, start, t, history, epsilon, cra
     if t == 0:
         return 1.0 if node == start else 0.0
     candidates = backward_candidates(graph, design, node)
-    backward_step_distribution(candidates, history, t - 1, epsilon)
     total = 0.0
     for index, predecessor in enumerate(candidates):
         transition = design.transition_probability(graph, predecessor, node)
