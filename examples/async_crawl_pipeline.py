@@ -1,12 +1,13 @@
-"""Walk a graph while you are still crawling it.
+"""Estimate while you are still crawling.
 
 The async crawl pipeline applies the paper's "walk, not wait" premise to
 the crawl phase itself: an AsyncCrawler keeps several neighbor-list
-fetches in flight against the charged API, a TopologyPublisher
-periodically compacts everything discovered so far into a fresh CSR
-graph (one epoch), and an in-process walk round runs over each
-published epoch — so the estimate refines while the network is still
-answering, instead of waiting for the crawl to finish.
+fetches in flight against the charged API, and after every chunk of new
+rows (one epoch) the pipeline reports the mean true degree over every
+row fetched so far.  A fetched row is free to read again, so that mean
+is exact for the rows held and costs no query; as coverage completes it
+converges to the hidden graph's average degree, which a completed crawl
+reports exactly.
 
 All waiting happens on a simulated clock (scripted per-batch latency plus
 rate-limit waits), so the run is deterministic and the wall-clock numbers
@@ -16,7 +17,7 @@ Run:  PYTHONPATH=src python examples/async_crawl_pipeline.py
 """
 
 from repro.core.config import CrawlPipelineConfig
-from repro.crawl import CrawlWalkPipeline, FakeClock
+from repro.crawl import CrawlPipeline, FakeClock
 from repro.graphs.generators import barabasi_albert_graph
 from repro.osn.api import SocialNetworkAPI
 from repro.osn.ratelimit import TokenBucketRateLimiter
@@ -35,28 +36,23 @@ def run_campaign(concurrency: int) -> None:
     )
     clock = FakeClock()
     config = CrawlPipelineConfig(
-        concurrency=concurrency,
-        batch_size=16,
-        rows_per_epoch=160,
-        walks_per_epoch=128,
-        steps_per_walk=50,
+        concurrency=concurrency, batch_size=16, rows_per_epoch=160
     )
     print(f"--- concurrency={concurrency} ---")
-    with CrawlWalkPipeline(
+    with CrawlPipeline(
         api,
         0,
         config=config,
         clock=clock,
         latency=[0.8, 0.3, 1.2, 0.5],  # scripted per-batch network latency
-        seed=42,
     ) as pipeline:
         result = pipeline.run()
-    print(f"{'epoch':>5} {'rows':>5} {'walked':>6} {'estimate':>9} {'sim-s':>8}")
+    # estimate: the mean true degree over the rows fetched so far.
+    print(f"{'epoch':>5} {'rows':>5} {'estimate':>9} {'sim-s':>8}")
     for record in result.epochs:
         print(
             f"{record.epoch:>5} {record.fetched_nodes:>5} "
-            f"{record.walk_nodes:>6} {record.estimate:>9.3f} "
-            f"{record.clock_seconds:>8.1f}"
+            f"{record.estimate:>9.3f} {record.clock_seconds:>8.1f}"
         )
     print(
         f"true average degree {true_value:.3f}; paid {result.query_cost} "

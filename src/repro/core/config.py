@@ -1,5 +1,5 @@
 """Configuration for WALK-ESTIMATE with the paper's defaults (§7.1),
-plus the async crawl→compact→walk pipeline's knobs."""
+plus the async crawl pipeline's knobs."""
 
 from __future__ import annotations
 
@@ -150,7 +150,7 @@ class WalkEstimateConfig:
 
 @dataclass(frozen=True)
 class CrawlPipelineConfig:
-    """Knobs of the async crawl→compact→walk pipeline (:mod:`repro.crawl`).
+    """Knobs of the async crawl pipeline (:mod:`repro.crawl`).
 
     Attributes
     ----------
@@ -163,13 +163,8 @@ class CrawlPipelineConfig:
         Frontier nodes per fetch batch — one accounting settlement (one
         counter charge, one budget decision, one rate acquisition) each.
     rows_per_epoch:
-        New neighbor rows to crawl before each compact→publish→walk
-        round.  Smaller epochs refine estimates more often but pay the
-        compaction more often.
-    walks_per_epoch:
-        Walks launched over each published topology.
-    steps_per_walk:
-        Transitions per walk within an epoch's round.
+        New neighbor rows to crawl before each epoch reports the held
+        rows' mean.
     max_depth:
         Crawl radius around the start (``None`` = everything reachable);
         matches ``InitialCrawl(hops=max_depth)`` semantics.
@@ -178,18 +173,10 @@ class CrawlPipelineConfig:
     concurrency: int = 4
     batch_size: int = 32
     rows_per_epoch: int = 128
-    walks_per_epoch: int = 128
-    steps_per_walk: int = 50
     max_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "concurrency",
-            "batch_size",
-            "rows_per_epoch",
-            "walks_per_epoch",
-            "steps_per_walk",
-        ):
+        for field_name in ("concurrency", "batch_size", "rows_per_epoch"):
             value = getattr(self, field_name)
             if value < 1:
                 raise ConfigurationError(f"{field_name} must be >= 1, got {value}")

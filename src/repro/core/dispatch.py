@@ -37,6 +37,7 @@ route through :func:`estimate`.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -56,6 +57,7 @@ from repro.errors import ConfigurationError, checked_fields
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike
+from repro.walks.kernels import MAXDEG, MHRW, SRW, compile_design
 from repro.walks.kernels import require_backend as require_kernel_backend
 from repro.walks.samplers import SampleBatch
 from repro.walks.transitions import (
@@ -86,7 +88,7 @@ def design_from_spec(spec: Union[str, Mapping[str, Any]]) -> TransitionDesign:
 
         "srw"                                   # shorthand for {"name": "srw"}
         {"name": "mhrw"}
-        {"name": "maxdeg", "max_degree": 40}
+        {"name": "maxdeg", "max_degree": 40}    # any finite real >= 1
         {"name": "lazy", "laziness": 0.5, "inner": "srw"}   # inner nests
 
     Only the WALK-ESTIMATE-capable designs are constructible here (SRW,
@@ -112,7 +114,13 @@ def design_from_spec(spec: Union[str, Mapping[str, Any]]) -> TransitionDesign:
         if missing:
             raise ConfigurationError("maxdeg design spec needs 'max_degree'")
         _reject_extras(name, {k: v for k, v in extras.items() if k != "max_degree"})
-        return MaxDegreeWalk(max_degree=int(extras["max_degree"]))
+        bound = extras["max_degree"]
+        real = isinstance(bound, numbers.Real) and not isinstance(bound, bool)
+        if not (real and 1 <= bound < float("inf")):
+            raise ConfigurationError(
+                f"maxdeg 'max_degree' must be a finite number >= 1, got {bound!r}"
+            )
+        return MaxDegreeWalk(max_degree=bound)
     if name == "lazy":
         if "inner" not in extras:
             raise ConfigurationError("lazy design spec needs an 'inner' design")
@@ -133,23 +141,30 @@ def _reject_extras(name: str, extras: Mapping[str, Any]) -> None:
         )
 
 
+#: The spec name of each inner design code :func:`compile_design` returns.
+_SPEC_NAMES = {SRW: "srw", MHRW: "mhrw", MAXDEG: "maxdeg"}
+
+
 def design_to_spec(design: TransitionDesign) -> Dict[str, Any]:
-    """The inverse of :func:`design_from_spec`: a JSON-safe design spec."""
-    if isinstance(design, SimpleRandomWalk):
-        return {"name": "srw"}
-    if isinstance(design, MetropolisHastingsWalk):
-        return {"name": "mhrw"}
-    if isinstance(design, MaxDegreeWalk):
-        return {"name": "maxdeg", "max_degree": int(design.max_degree)}
-    if isinstance(design, LazyWalk):
-        return {
-            "name": "lazy",
-            "laziness": float(design.laziness),
-            "inner": design_to_spec(design.inner),
-        }
-    raise ConfigurationError(
-        f"design {design!r} has no spec form (not WALK-ESTIMATE-capable)"
-    )
+    """The inverse of :func:`design_from_spec`: a JSON-safe design spec.
+
+    Read off :func:`~repro.walks.kernels.compile_design`'s record: a
+    subclass, whose law may differ from its parent's, has no spec.  A
+    max-degree bound is written unchanged, as an int when integral.
+    """
+    compiled = compile_design(design)
+    if compiled is None:
+        raise ConfigurationError(
+            f"design {design!r} has no spec form (specs name SRW, MHRW, "
+            "MaxDegreeWalk and LazyWalk by exact type)"
+        )
+    spec: Dict[str, Any] = {"name": _SPEC_NAMES[compiled.code]}
+    if compiled.code == MAXDEG:
+        bound = compiled.max_degree
+        spec["max_degree"] = int(bound) if float(bound).is_integer() else float(bound)
+    for laziness in reversed(compiled.laziness):
+        spec = {"name": "lazy", "laziness": laziness, "inner": spec}
+    return spec
 
 
 # ----------------------------------------------------------------------

@@ -12,16 +12,17 @@ network answers one neighbor-list request, the frontier keeps moving.
   concurrency 1);
 * :class:`~repro.crawl.publisher.TopologyPublisher` — periodic
   ``compact()`` of the discovered graph into frozen CSR epochs, swapped
-  under running walk rounds without tearing them (a reader keeps the
-  epoch it took until it lets go);
-* :class:`~repro.crawl.pipeline.CrawlWalkPipeline` — the front end that
-  interleaves crawl epochs with in-process walk rounds so estimates
-  refine as the graph grows.
+  under the service's running walk rounds without tearing them (a reader
+  keeps the epoch it took until it lets go);
+* :class:`~repro.crawl.pipeline.CrawlPipeline` — the front end that
+  crawls in epochs and reports, after each, the estimand's exact mean
+  over every row fetched so far (a fetched row is free to read again,
+  so the pipeline does not walk).
 """
 
 from repro.crawl.clock import FakeClock, drive, resolve_latency
 from repro.crawl.crawler import CRAWLER_STATE_KEYS, AsyncCrawler, CrawlChunkStats
-from repro.crawl.pipeline import CrawlEpochRecord, CrawlWalkPipeline, PipelineResult
+from repro.crawl.pipeline import CrawlEpochRecord, CrawlPipeline, PipelineResult
 from repro.crawl.publisher import PublishedTopology, TopologyPublisher
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
     "CRAWLER_STATE_KEYS",
     "CrawlChunkStats",
     "CrawlEpochRecord",
-    "CrawlWalkPipeline",
+    "CrawlPipeline",
     "FakeClock",
     "PipelineResult",
     "PublishedTopology",

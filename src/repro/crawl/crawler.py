@@ -7,7 +7,7 @@ with a bounded number of concurrent batches over a BFS frontier.  Every
 completed row lands in the API's shared
 :class:`~repro.graphs.discovered.DiscoveredGraph` immediately, so the
 topology the walkers sample from grows while the network is still
-answering — the producer half of the crawl→compact→walk pipeline.
+answering — the producer half of the service's crawl→compact→walk loop.
 
 **Accounting is exactly the serial crawl's.**  Each batch settles through
 the ordinary charged ``neighbors_batch`` path: one counter charge, one
@@ -41,8 +41,8 @@ the authoritative campaign duration.
 
 The crawler is resumable: :meth:`crawl` (or the async
 :meth:`crawl_chunk`) fetches up to ``max_new_rows`` rows, drains its
-in-flight batches, and returns with the frontier intact — the pipeline
-calls it once per epoch and compacts between calls.
+in-flight batches, and returns with the frontier intact — the crawl
+pipeline and the service call it once per epoch.
 """
 
 from __future__ import annotations

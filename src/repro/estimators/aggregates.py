@@ -82,8 +82,8 @@ def importance_estimate(values: np.ndarray, weights: np.ndarray) -> Tuple[float,
     The self-normalized mean for importance weights ``w = 1/q̃`` and its
     linearized stderr; ``(nan, inf)`` when the weights' sum is not positive.
     The one implementation of the mean Σ f/q̃ / Σ 1/q̃: the service's job,
-    the CLI, the crawl pipeline, :func:`importance_weighted_mean` and the
-    AVG estimates all take it from here, so they round alike.
+    the CLI, :func:`importance_weighted_mean` and the AVG estimates all
+    take it from here, so they round alike.
     """
     total = float(np.sum(weights))
     if not total > 0:

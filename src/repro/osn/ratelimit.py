@@ -100,10 +100,11 @@ class TokenBucketRateLimiter:
     def acquire_or_wait_many(self, count: int) -> float:
         """Consume *count* tokens as one batch; returns total simulated wait.
 
-        Exactly equivalent to *count* successive :meth:`acquire_or_wait`
-        calls (the bucket refills linearly while draining, so the waits
-        telescope into one closed-form advance), but O(1) — the batch API
-        settles a whole step's invocations without a per-call loop.
+        Equal in exact arithmetic to *count* successive
+        :meth:`acquire_or_wait` calls (the bucket refills linearly while
+        draining, so the waits telescope into one closed-form advance),
+        and within rounding in floats, but O(1) — the batch API settles a
+        whole step's invocations without a per-call loop.
         """
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")

@@ -66,8 +66,6 @@ class TestCrawlPipelineConfig:
             {"concurrency": 0},
             {"batch_size": 0},
             {"rows_per_epoch": 0},
-            {"walks_per_epoch": 0},
-            {"steps_per_walk": 0},
             {"max_depth": -1},
         ],
     )

@@ -27,12 +27,22 @@ from repro.core import dispatch
 from repro.errors import ConfigurationError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.osn.api import SocialNetworkAPI
+from repro.walks.batch import run_walk_batch
 from repro.walks.parallel import ShardedWalkEngine
 from repro.walks.transitions import (
     LazyWalk,
+    MaxDegreeWalk,
     MetropolisHastingsWalk,
     SimpleRandomWalk,
 )
+
+class _SubSRW(SimpleRandomWalk):
+    pass
+
+
+class _SubMaxDegree(MaxDegreeWalk):
+    pass
+
 
 DESIGN_SPECS = {
     "srw": "srw",
@@ -121,13 +131,45 @@ class TestDesignSpecs:
             design_from_spec({"name": "lazy"})
 
     def test_unspecable_design_rejected(self):
-        class Odd(SimpleRandomWalk):
-            pass
-
         with pytest.raises(ConfigurationError, match="no spec form"):
             design_to_spec(object())
-        # Subclasses of specable designs still serialize by isinstance.
-        assert design_to_spec(Odd()) == {"name": "srw"}
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["bare", "lazy"])
+    @pytest.mark.parametrize(
+        "subclass", [_SubSRW(), _SubMaxDegree(40)], ids=["srw", "maxdeg"]
+    )
+    def test_subclass_has_no_spec(self, subclass, lazy):
+        # The parent's spec would run the parent's law, which a subclass
+        # may override: a subclass has no spec form, bare or nested.
+        design = LazyWalk(subclass, laziness=0.5) if lazy else subclass
+        with pytest.raises(ConfigurationError, match="no spec form"):
+            design_to_spec(design)
+
+    def test_fractional_max_degree_round_trips(self, csr):
+        spec = {"name": "maxdeg", "max_degree": 40.5}
+        design = design_from_spec(spec)
+        assert design.max_degree == 40.5
+        assert design_to_spec(design) == spec
+        assert EstimationJobSpec(design=spec).design == spec
+        assert csr.degrees.max() <= 40
+        starts = np.zeros(64, dtype=np.int64)
+        built = run_walk_batch(csr, design, starts, 30, seed=3).paths
+        declared = run_walk_batch(csr, MaxDegreeWalk(40.5), starts, 30, seed=3).paths
+        assert np.array_equal(built, declared)
+
+    def test_integral_max_degree_is_written_as_int(self):
+        spec = design_to_spec(MaxDegreeWalk(40.0))
+        assert spec == {"name": "maxdeg", "max_degree": 40}
+        assert isinstance(spec["max_degree"], int)
+
+    @pytest.mark.parametrize(
+        "bound",
+        ["40", True, float("nan"), float("inf"), 0.5, None],
+        ids=["string", "bool", "nan", "inf", "below-one", "none"],
+    )
+    def test_bad_max_degree_refused(self, bound):
+        with pytest.raises(ConfigurationError, match="max_degree"):
+            design_from_spec({"name": "maxdeg", "max_degree": bound})
 
 
 class TestEngineConfig:

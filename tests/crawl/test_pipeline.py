@@ -1,4 +1,4 @@
-"""CrawlWalkPipeline end-to-end: epochs, convergence, determinism, hygiene."""
+"""CrawlPipeline end-to-end: epochs, the held rows' mean, determinism, hygiene."""
 
 import multiprocessing
 
@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import CrawlPipelineConfig
-from repro.crawl import CrawlWalkPipeline, FakeClock
+from repro.crawl import CrawlPipeline, FakeClock
 from repro.errors import ConfigurationError
+from repro.graphs.discovered import DiscoveredGraph
 from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.shm import _LIVE_SEGMENTS
 from repro.osn.accounting import QueryBudget
 from repro.osn.api import SocialNetworkAPI
-from repro.walks.batch import run_walk_batch, target_weights_batch
-from repro.walks.transitions import MetropolisHastingsWalk
 
 LATENCY_SCRIPT = [1.0, 0.25, 0.5, 2.0, 0.75]
 
@@ -23,23 +22,12 @@ def hidden():
     return barabasi_albert_graph(150, 3, seed=31).relabeled()
 
 
-def build(hidden, concurrency, seed=42, budget=None, **overrides):
+def build(hidden, concurrency, budget=None, **overrides):
     config = CrawlPipelineConfig(
-        concurrency=concurrency,
-        batch_size=8,
-        rows_per_epoch=40,
-        walks_per_epoch=64,
-        steps_per_walk=40,
-        **overrides,
+        concurrency=concurrency, batch_size=8, rows_per_epoch=40, **overrides
     )
     api = SocialNetworkAPI(hidden, budget=budget)
-    return CrawlWalkPipeline(
-        api,
-        0,
-        config=config,
-        latency=LATENCY_SCRIPT,
-        seed=seed,
-    )
+    return CrawlPipeline(api, 0, config=config, latency=LATENCY_SCRIPT)
 
 
 class TestEndToEnd:
@@ -47,12 +35,11 @@ class TestEndToEnd:
         true_value = 2 * hidden.number_of_edges() / hidden.number_of_nodes()
         with build(hidden, concurrency=4) as pipeline:
             result = pipeline.run()
-        # The acceptance pin: at least 3 crawl→compact→walk epochs...
+        # The acceptance pin: at least 3 crawl epochs...
         assert len(result.epochs) >= 3
         assert not result.budget_exhausted
         # ...covering the whole graph by the end...
         assert result.epochs[-1].fetched_nodes == hidden.number_of_nodes()
-        assert result.epochs[-1].walk_nodes == hidden.number_of_nodes()
         # ...with the estimate refining toward the full-graph value.
         errors = np.abs(result.estimates - true_value)
         assert errors[-1] < errors[0]
@@ -62,12 +49,12 @@ class TestEndToEnd:
         assert fetched == sorted(fetched)
         costs = [r.query_cost for r in result.epochs]
         assert costs == sorted(costs)
-        # Walks were free: the campaign paid exactly the crawled rows.
+        # The campaign paid exactly the crawled rows.
         assert result.query_cost == hidden.number_of_nodes()
 
-    def test_deterministic_per_seed(self, hidden):
+    def test_replays_bit_for_bit(self, hidden):
         def once():
-            with build(hidden, concurrency=4, seed=7) as pipeline:
+            with build(hidden, concurrency=4) as pipeline:
                 result = pipeline.run()
             return (
                 [r.estimate for r in result.epochs],
@@ -77,20 +64,10 @@ class TestEndToEnd:
 
         assert once() == once()
 
-    def test_seed_changes_walks_not_coverage(self, hidden):
-        with build(hidden, concurrency=4, seed=1) as pipeline:
-            a = pipeline.run()
-        with build(hidden, concurrency=4, seed=2) as pipeline:
-            b = pipeline.run()
-        assert [r.fetched_nodes for r in a.epochs] == [
-            r.fetched_nodes for r in b.epochs
-        ]
-        assert a.estimates.tolist() != b.estimates.tolist()
-
     def test_concurrency_beats_serial_wall_clock(self, hidden):
         # The paper's point, measured on the simulated clock: the same
         # crawl at concurrency 4 finishes in less simulated time than the
-        # serial (concurrency 1) crawl-then-walk, with identical coverage
+        # serial (concurrency 1) crawl, with identical coverage
         # and identical query cost.
         with build(hidden, concurrency=1) as serial:
             serial_result = serial.run()
@@ -102,30 +79,6 @@ class TestEndToEnd:
             == serial_result.epochs[-1].fetched_nodes
         )
         assert wide_result.query_cost == serial_result.query_cost
-
-    def test_mhrw_design_round_trips(self, hidden):
-        true_value = 2 * hidden.number_of_edges() / hidden.number_of_nodes()
-        api = SocialNetworkAPI(hidden)
-        config = CrawlPipelineConfig(
-            concurrency=4,
-            batch_size=8,
-            rows_per_epoch=60,
-            walks_per_epoch=64,
-            steps_per_walk=40,
-        )
-        with CrawlWalkPipeline(
-            api,
-            0,
-            design=MetropolisHastingsWalk(),
-            config=config,
-            seed=5,
-        ) as pipeline:
-            result = pipeline.run()
-        # MHRW targets uniform, and f is the true degree: the estimate is
-        # a plain mean over visits — still a consistent average-degree
-        # estimator on the full graph.
-        assert np.isfinite(result.final_estimate)
-        assert abs(result.final_estimate - true_value) < 0.35 * true_value
 
 
 class TestBudgetAndEdges:
@@ -170,22 +123,15 @@ class TestBudgetAndEdges:
         values = {n: float(n % 5) for n in hidden.nodes()}
         truth = float(np.mean([v for v in values.values()]))
         api = SocialNetworkAPI(hidden)
-        config = CrawlPipelineConfig(
-            concurrency=4,
-            batch_size=8,
-            rows_per_epoch=80,
-            walks_per_epoch=96,
-            steps_per_walk=50,
-        )
-        with CrawlWalkPipeline(
+        config = CrawlPipelineConfig(concurrency=4, batch_size=8, rows_per_epoch=80)
+        with CrawlPipeline(
             api,
             0,
             config=config,
             attribute=lambda nodes: np.array([values[int(n)] for n in nodes]),
-            seed=3,
         ) as pipeline:
             result = pipeline.run()
-        assert abs(result.final_estimate - truth) < 0.35 * truth
+        assert result.final_estimate == truth
 
     def test_empty_result_properties(self):
         from repro.crawl import PipelineResult
@@ -198,21 +144,8 @@ class TestBudgetAndEdges:
     def test_shared_clock_reads_total_campaign_time(self, hidden):
         clock = FakeClock()
         api = SocialNetworkAPI(hidden)
-        config = CrawlPipelineConfig(
-            concurrency=4,
-            batch_size=8,
-            rows_per_epoch=50,
-            walks_per_epoch=8,
-            steps_per_walk=5,
-        )
-        with CrawlWalkPipeline(
-            api,
-            0,
-            config=config,
-            clock=clock,
-            latency=1.0,
-            seed=1,
-        ) as pipeline:
+        config = CrawlPipelineConfig(concurrency=4, batch_size=8, rows_per_epoch=50)
+        with CrawlPipeline(api, 0, config=config, clock=clock, latency=1.0) as pipeline:
             result = pipeline.run()
         assert clock.now == result.simulated_seconds > 0.0
 
@@ -236,45 +169,6 @@ class TestHygiene:
             pipeline.run()
         assert set(_LIVE_SEGMENTS) == live_before
 
-
-class TestInProcessRounds:
-    def test_each_epoch_walks_the_graph_just_published(self, hidden):
-        with build(hidden, concurrency=2) as pipeline:
-            while (record := pipeline.run_epoch()) is not None:
-                topology = pipeline.publisher.acquire()
-                assert record.epoch == topology.epoch
-                assert record.fetched_nodes == topology.rows
-                assert record.walk_nodes == topology.graph.number_of_nodes()
-            assert len(pipeline.epochs) >= 3
-
-    def test_generator_advances_with_every_walked_epoch(self, hidden):
-        # Each epoch walks its published graph from the pipeline's one
-        # generator, continuing where the previous epoch stopped: the
-        # estimates equal a replay that walks every epoch's graph from
-        # one continuing stream.
-        replay_rng = np.random.default_rng(7)
-        estimates, replayed = [], []
-        with build(hidden, concurrency=4, seed=7) as pipeline:
-            cfg, design = pipeline.config, pipeline.design
-            while (record := pipeline.run_epoch()) is not None:
-                estimates.append(record.estimate)
-                topology = pipeline.publisher.acquire()
-                assert topology.epoch == record.epoch
-                starts = np.zeros(cfg.walks_per_epoch, dtype=np.int64)
-                paths = run_walk_batch(
-                    topology.graph,
-                    design,
-                    starts,
-                    cfg.steps_per_walk,
-                    seed=replay_rng,
-                ).paths
-                nodes = paths[:, 1:].ravel()
-                weights = 1.0 / target_weights_batch(topology.graph, design, nodes)
-                values = pipeline.api.discovered.degrees_of(nodes).astype(np.float64)
-                replayed.append(float(np.sum(values * weights) / np.sum(weights)))
-        assert len(estimates) >= 3
-        assert estimates == replayed
-
     def test_run_starts_no_child_process(self, hidden):
         def child_pids():
             return {child.pid for child in multiprocessing.active_children()}
@@ -288,48 +182,18 @@ class TestInProcessRounds:
 
 
 class TestSmallSurfaces:
-    def test_unwalkable_first_epoch_yields_nan_then_recovers(self, hidden):
-        # rows_per_epoch=1: epoch 1 publishes only the start node (its
-        # neighbors are frontier, not fetched), so the induced graph has
-        # no edges and the round is skipped with a NaN estimate; later
-        # epochs walk normally.
+    def test_one_row_epoch_reports_that_rows_true_degree(self, hidden):
+        # rows_per_epoch=1: epoch 1 fetches only the start's row (its
+        # neighbors are frontier, not fetched), so it reports the start's
+        # true degree; each later epoch adds one row.
         api = SocialNetworkAPI(hidden)
-        config = CrawlPipelineConfig(
-            concurrency=1,
-            batch_size=1,
-            rows_per_epoch=1,
-            walks_per_epoch=8,
-            steps_per_walk=5,
-        )
-        with CrawlWalkPipeline(api, 0, config=config, seed=4) as pipeline:
+        config = CrawlPipelineConfig(concurrency=1, batch_size=1, rows_per_epoch=1)
+        with CrawlPipeline(api, 0, config=config) as pipeline:
             first = pipeline.run_epoch()
-            assert np.isnan(first.estimate)
-            assert first.walk_nodes == 1 and first.walk_edges == 0
-            for _ in range(30):
-                record = pipeline.run_epoch()
-            assert np.isfinite(record.estimate)
-
-    def test_unwalked_epoch_reports_no_walks(self, hidden):
-        # The same unwalkable first epoch must not report the round it
-        # skipped: zero walks of zero steps, while walked epochs report
-        # the configured round.
-        api = SocialNetworkAPI(hidden)
-        config = CrawlPipelineConfig(
-            concurrency=1,
-            batch_size=1,
-            rows_per_epoch=1,
-            walks_per_epoch=8,
-            steps_per_walk=5,
-        )
-        with CrawlWalkPipeline(api, 0, config=config, seed=4) as pipeline:
-            result = pipeline.run(max_epochs=10)
-        first = result.epochs[0]
-        assert np.isnan(first.estimate) and first.walk_nodes == 1
-        assert (first.walks, first.steps) == (0, 0)
-        for record in result.epochs:
-            walked = bool(np.isfinite(record.estimate))
-            assert (record.walks, record.steps) == ((8, 5) if walked else (0, 0))
-        assert np.isfinite(result.final_estimate)
+            second = pipeline.run_epoch()
+        assert (first.epoch, first.fetched_nodes) == (1, 1)
+        assert first.estimate == hidden.degree(0)
+        assert (second.epoch, second.fetched_nodes) == (2, 2)
 
     def test_reprs_and_properties(self, hidden):
         from repro.crawl import AsyncCrawler, TopologyPublisher
@@ -347,7 +211,7 @@ class TestSmallSurfaces:
         assert publisher.acquire().epoch == publisher.current_epoch == 1
         assert "epoch=1" in repr(publisher)
         pipeline = build(hidden, concurrency=2)
-        assert "CrawlWalkPipeline" in repr(pipeline)
+        assert "CrawlPipeline" in repr(pipeline)
         pipeline.close()
 
     def test_clock_repr(self):
@@ -367,3 +231,75 @@ class TestBudgetEpochAccounting:
         last = result.epochs[-1]
         if last.new_rows:
             assert last.crawl_seconds > 0.0
+
+
+class TestHeldRowsEstimate:
+    def test_each_epoch_reports_the_held_rows_mean_degree(self, hidden):
+        with build(hidden, concurrency=4) as pipeline:
+            discovered = pipeline.api.discovered
+            while (record := pipeline.run_epoch()) is not None:
+                degrees = discovered.degrees_of(discovered.fetched_ids())
+                assert record.estimate == np.mean(degrees)
+            assert len(pipeline.epochs) >= 3
+
+    def test_each_epoch_reports_the_held_rows_attribute_mean(self, hidden):
+        def attribute(nodes):
+            return np.sqrt(nodes + 0.5)
+
+        api = SocialNetworkAPI(hidden)
+        config = CrawlPipelineConfig(concurrency=4, batch_size=8, rows_per_epoch=40)
+        with CrawlPipeline(api, 0, config=config, attribute=attribute) as pipeline:
+            while (record := pipeline.run_epoch()) is not None:
+                held = api.discovered.fetched_ids()
+                assert record.estimate == np.mean(attribute(held))
+            assert len(pipeline.epochs) >= 3
+
+    def test_completed_crawl_reports_the_hidden_graph_exactly(self, hidden):
+        with build(hidden, concurrency=4) as pipeline:
+            result = pipeline.run()
+        assert result.epochs[-1].fetched_nodes == hidden.number_of_nodes()
+        true_value = 2 * hidden.number_of_edges() / hidden.number_of_nodes()
+        assert result.final_estimate == true_value
+
+    def test_run_never_compacts(self, hidden, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the pipeline compacted the discovered store")
+
+        monkeypatch.setattr(DiscoveredGraph, "compact", refuse)
+        with build(hidden, concurrency=4) as pipeline:
+            result = pipeline.run()
+        assert result.epochs[-1].fetched_nodes == hidden.number_of_nodes()
+
+    def test_zero_budget_reports_one_nan_epoch(self, hidden):
+        with build(hidden, concurrency=4, budget=QueryBudget(0)) as pipeline:
+            first = pipeline.run_epoch()
+            assert pipeline.run_epoch() is None
+            assert pipeline.result().budget_exhausted
+        assert (first.epoch, first.fetched_nodes, first.query_cost) == (1, 0, 0)
+        assert np.isnan(first.estimate)
+
+
+#: ``BENCH_asynccrawl``'s smoke crawl, per epoch: rows held (equal to the
+#: query cost and the raw calls) and the simulated clock.
+SMOKE_CRAWL = {
+    1: ([80, 160, 240, 320, 400], [6.0, 10.5, 15.75, 19.75, 25.25]),
+    4: ([80, 160, 240, 320, 400], [3.0, 5.0, 7.0, 9.25, 10.75]),
+}
+
+
+@pytest.mark.parametrize("concurrency", sorted(SMOKE_CRAWL))
+def test_smoke_crawl_numbers_are_pinned(concurrency):
+    hidden = barabasi_albert_graph(400, 4, seed=42).relabeled()
+    api = SocialNetworkAPI(hidden)
+    config = CrawlPipelineConfig(
+        concurrency=concurrency, batch_size=16, rows_per_epoch=80
+    )
+    latency = [1.0, 0.25, 0.5, 2.0, 0.75, 1.5]
+    with CrawlPipeline(api, 0, config=config, latency=latency) as pipeline:
+        epochs = pipeline.run().epochs
+    rows, seconds = SMOKE_CRAWL[concurrency]
+    assert [r.epoch for r in epochs] == [1, 2, 3, 4, 5]
+    assert [r.fetched_nodes for r in epochs] == rows
+    assert [r.query_cost for r in epochs] == rows
+    assert [r.raw_calls for r in epochs] == rows
+    assert [r.clock_seconds for r in epochs] == seconds

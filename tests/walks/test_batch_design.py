@@ -225,8 +225,8 @@ BATCH_DESIGNS = {
     "LazyWalk",
 }
 
-#: The classifier, and the spec names a design serializes under.
-ALLOWED = {"walks/kernels.py", "core/dispatch.py"}
+#: The classifier (design specs are read off its record).
+ALLOWED = {"walks/kernels.py"}
 
 
 def _names(node) -> set:
