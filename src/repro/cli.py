@@ -209,8 +209,8 @@ def _load_job_spec(path: str):
 def run_job_spec(spec, *, dataset="ba_synthetic", dataset_seed=0, seed=None):
     """Run one job spec against a dataset surrogate; return a JSON-safe dict.
 
-    The backend the spec names decides the resources: scalar/charged specs
-    get a fresh charged :class:`~repro.osn.api.SocialNetworkAPI`, batch
+    The backend the spec names decides the resources: charged specs get
+    a fresh charged :class:`~repro.osn.api.SocialNetworkAPI`, batch
     specs the compiled CSR, and sharded specs an
     :class:`~repro.walks.parallel.InlineExecutor` that runs the spec's
     ``n_workers``-shard plan in process (one shard when unset), as the
@@ -231,9 +231,8 @@ def run_job_spec(spec, *, dataset="ba_synthetic", dataset_seed=0, seed=None):
     from repro.walks.parallel import InlineExecutor
 
     graph = build_dataset(dataset, seed=dataset_seed).graph
-    backend = spec.engine.backend
     api = None
-    if backend in ("scalar", "charged"):
+    if spec.engine.backend == "charged":
         api = SocialNetworkAPI(graph)
         result = estimate(spec, api=api, seed=seed)
     else:  # batch runs over graph=, sharded over engine=, as in the service

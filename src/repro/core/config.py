@@ -4,9 +4,10 @@ plus the async crawl pipeline's knobs."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_field
 
 
 @dataclass(frozen=True)
@@ -84,16 +85,14 @@ class WalkEstimateConfig:
     max_attempts_per_sample: int = 200
 
     def __post_init__(self) -> None:
-        if self.walk_length is not None and self.walk_length < 1:
-            raise ConfigurationError(
-                f"walk_length must be >= 1 or None, got {self.walk_length}"
-            )
-        if self.diameter_hint < 1:
-            raise ConfigurationError(
-                f"diameter_hint must be >= 1, got {self.diameter_hint}"
-            )
-        if self.crawl_hops < 0:
-            raise ConfigurationError(f"crawl_hops must be >= 0, got {self.crawl_hops}")
+        def check(name, kind, minimum=None, optional=False):
+            value = getattr(self, name)
+            check_field("WalkEstimateConfig", name, value, kind, minimum, optional)
+
+        check("walk_length", Integral, 1, optional=True)
+        check("diameter_hint", Integral, 1)
+        check("crawl_hops", Integral, 0)
+        check("weighted_sampling", bool)
         from repro.walks.kernels import backend_names
 
         if self.kernel_backend not in backend_names():
@@ -101,29 +100,18 @@ class WalkEstimateConfig:
                 f"unknown kernel_backend {self.kernel_backend!r}; "
                 "valid: " + ", ".join(backend_names())
             )
+        check("epsilon", Real)
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.backward_repetitions < 1:
-            raise ConfigurationError(
-                f"backward_repetitions must be >= 1, got {self.backward_repetitions}"
-            )
-        if self.refine_repetitions < 0:
-            raise ConfigurationError(
-                f"refine_repetitions must be >= 0, got {self.refine_repetitions}"
-            )
+        check("backward_repetitions", Integral, 1)
+        check("refine_repetitions", Integral, 0)
+        check("scale_percentile", Real)
         if not 0.0 < self.scale_percentile < 100.0:
             raise ConfigurationError(
                 f"scale_percentile must be in (0, 100), got {self.scale_percentile}"
             )
-        if self.calibration_walks < 1:
-            raise ConfigurationError(
-                f"calibration_walks must be >= 1, got {self.calibration_walks}"
-            )
-        if self.max_attempts_per_sample < 1:
-            raise ConfigurationError(
-                "max_attempts_per_sample must be >= 1, got "
-                f"{self.max_attempts_per_sample}"
-            )
+        check("calibration_walks", Integral, 1)
+        check("max_attempts_per_sample", Integral, 1)
 
     @property
     def effective_walk_length(self) -> int:

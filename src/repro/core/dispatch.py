@@ -1,8 +1,8 @@
 """One front door for every WALK-ESTIMATE engine: ``estimate(job)``.
 
-The estimation entry points come in two shapes: the charged samplers
-(:class:`~repro.core.walk_estimate.WalkEstimateSampler`, plain or with
-batched backward walks, and its long-run twin) and the free-graph rounds
+The estimation entry points come in two shapes: the charged sampler
+(:class:`~repro.core.walk_estimate.WalkEstimateSampler`, or its long-run
+twin) and the free-graph rounds
 (:func:`~repro.core.walk_estimate.walk_estimate_batch` /
 :func:`~repro.core.long_run_we.long_run_walk_estimate_batch`), which run
 in process over a graph or on the worker pool of a
@@ -12,11 +12,11 @@ for one regime, but a *caller* — the CLI, the serving layer, a notebook
 
 This module is the unification:
 
-* :class:`EngineConfig` names the regime — ``backend`` (``scalar`` /
-  ``charged`` / ``batch`` / ``sharded``) × ``long_run`` — plus the
-  worker count.  Each engine choice has one knob: ``backend`` alone
-  picks the engine, and the job's walk config alone names the kernel
-  backend (:attr:`~repro.core.config.WalkEstimateConfig.kernel_backend`);
+* :class:`EngineConfig` names the regime — ``backend`` (``charged`` /
+  ``batch`` / ``sharded``) × ``long_run`` — plus the worker count.
+  Each engine choice has one knob: ``backend`` alone picks the engine,
+  and the job's walk config alone names the kernel backend
+  (:attr:`~repro.core.config.WalkEstimateConfig.kernel_backend`);
 * :class:`EstimationJobSpec` is one complete, JSON-round-trippable job
   description: transition design, sample count, estimand, error target,
   query budget, tenant, seed, walk knobs, engine config.  It is the wire
@@ -37,8 +37,8 @@ route through :func:`estimate`.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
@@ -53,7 +53,7 @@ from repro.core.walk_estimate import (
     WalkEstimateSampler,
     walk_estimate_batch,
 )
-from repro.errors import ConfigurationError, checked_fields
+from repro.errors import ConfigurationError, check_field, checked_fields
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike
@@ -68,10 +68,10 @@ from repro.walks.transitions import (
     TransitionDesign,
 )
 
-#: Backends the dispatcher knows.  ``charged`` is the scalar sampler built
-#: with ``batch_backward=True`` — the batched-accounting charged-API regime
-#: of the ROADMAP engine table, and the only way to request it.
-BACKENDS = ("scalar", "charged", "batch", "sharded")
+#: Backends the dispatcher knows.  ``charged`` is the one charged-API
+#: engine, the scalar sampler; ``batch`` and ``sharded`` run free-graph
+#: rounds.
+BACKENDS = ("charged", "batch", "sharded")
 
 #: Estimands the serving layer can evaluate for free (from the discovered
 #: store, no API charges).  The spec carries the name; the service maps it.
@@ -115,16 +115,16 @@ def design_from_spec(spec: Union[str, Mapping[str, Any]]) -> TransitionDesign:
             raise ConfigurationError("maxdeg design spec needs 'max_degree'")
         _reject_extras(name, {k: v for k, v in extras.items() if k != "max_degree"})
         bound = extras["max_degree"]
-        real = isinstance(bound, numbers.Real) and not isinstance(bound, bool)
-        if not (real and 1 <= bound < float("inf")):
-            raise ConfigurationError(
-                f"maxdeg 'max_degree' must be a finite number >= 1, got {bound!r}"
-            )
+        check_field("maxdeg design", "max_degree", bound, Real, 1)
+        if bound == float("inf"):
+            raise ConfigurationError(f"maxdeg 'max_degree' must be finite, got {bound}")
         return MaxDegreeWalk(max_degree=bound)
     if name == "lazy":
         if "inner" not in extras:
             raise ConfigurationError("lazy design spec needs an 'inner' design")
-        laziness = float(extras.get("laziness", 0.5))
+        laziness = extras.get("laziness", 0.5)
+        check_field("lazy design", "laziness", laziness, Real)
+        laziness = float(laziness)
         unknown = set(extras) - {"inner", "laziness"}
         if unknown:
             _reject_extras(name, {k: extras[k] for k in unknown})
@@ -177,19 +177,18 @@ class EngineConfig:
     Attributes
     ----------
     backend:
-        ``scalar`` — the per-query charged sampler over a
-        :class:`~repro.osn.api.SocialNetworkAPI`; ``charged`` — the same
-        sampler built with ``batch_backward=True`` (each candidate's
-        backward repetitions advance together, one accounting settlement
-        per depth level); ``batch`` — the vectorized free-graph
-        round over a compiled :class:`~repro.graphs.csr.CSRGraph`;
-        ``sharded`` — the same round split into a shard plan and run on
-        an executor: in process, as the CLI and :mod:`repro.service` do,
-        or on a :class:`~repro.walks.parallel.ShardedWalkEngine`.
+        ``charged`` — the scalar WALK-ESTIMATE sampler over a charged
+        :class:`~repro.osn.api.SocialNetworkAPI`, one forward walk,
+        estimate and coin per candidate; ``batch`` — the vectorized
+        free-graph round over a compiled
+        :class:`~repro.graphs.csr.CSRGraph`; ``sharded`` — the same
+        round split into a shard plan and run on an executor: in
+        process, as the CLI and :mod:`repro.service` do, or on a
+        :class:`~repro.walks.parallel.ShardedWalkEngine`.
     long_run:
         Segment one (or K) continuous walks instead of restarting per
-        sample (§6.1 future work) — selects the ``long_run_*`` twin of
-        the chosen backend.  Not available for ``charged``.
+        sample (§6.1 future work) — selects the long-run twin of the
+        chosen backend.
     n_workers:
         Shard count of a ``sharded`` job the CLI runs in process (one
         when unset).  The shards run one after another, so the count
@@ -211,15 +210,9 @@ class EngineConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; valid: {', '.join(BACKENDS)}"
             )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1 or None, got {self.n_workers}"
-            )
-        if self.backend == "charged" and self.long_run:
-            raise ConfigurationError(
-                "the charged regime (batched backward walks) has no "
-                "long-run form; use backend='scalar' with long_run=True"
-            )
+        check_field("EngineConfig", "long_run", self.long_run, bool)
+        workers = self.n_workers
+        check_field("EngineConfig", "n_workers", workers, Integral, 1, optional=True)
 
     def with_overrides(self, **changes) -> "EngineConfig":
         """Copy with the given fields replaced (validation re-runs)."""
@@ -253,7 +246,7 @@ class EstimationJobSpec:
         Transition-design spec (see :func:`design_from_spec`); stored
         canonically as a dict, accepted as a shorthand string too.
     samples:
-        Scalar/charged: samples to draw.  Batch/sharded: walks per round
+        Charged: samples to draw.  Batch/sharded: walks per round
         (``k_walks``), or continuous runs (``k_runs``) under ``long_run``.
     start:
         Walk origin.
@@ -268,7 +261,7 @@ class EstimationJobSpec:
         under this (service-level semantics; ``None`` = run to budget).
     query_budget:
         Unique-node budget for this job's *tenant* (service-level
-        admission/preemption input; the scalar backends also honor the
+        admission/preemption input; the charged backend also honors the
         API's own budget).
     tenant:
         Accounting principal for :class:`~repro.osn.accounting.TenantLedger`
@@ -297,28 +290,39 @@ class EstimationJobSpec:
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
+        def check(name, kind, minimum=None, optional=False):
+            value = getattr(self, name)
+            check_field("EstimationJobSpec", name, value, kind, minimum, optional)
+
         # Canonicalize the design spec eagerly: errors surface at spec
         # construction, not mid-dispatch, and to_dict() is total.
         canonical = design_to_spec(design_from_spec(self.design))
         object.__setattr__(self, "design", canonical)
-        if self.samples < 1:
-            raise ConfigurationError(f"samples must be >= 1, got {self.samples}")
-        if self.segments < 1:
-            raise ConfigurationError(f"segments must be >= 1, got {self.segments}")
+        check("samples", Integral, 1)
+        check("start", Integral)
+        check("segments", Integral, 1)
         if self.estimand not in ESTIMANDS:
             raise ConfigurationError(
                 f"unknown estimand {self.estimand!r}; valid: {', '.join(ESTIMANDS)}"
             )
+        check("error_target", Real, optional=True)
         if self.error_target is not None and self.error_target <= 0:
             raise ConfigurationError(
                 f"error_target must be > 0 or None, got {self.error_target}"
             )
-        if self.query_budget is not None and self.query_budget < 0:
+        check("query_budget", Integral, 0, optional=True)
+        check("seed", Integral, optional=True)
+        for name, config in (("walk", WalkEstimateConfig), ("engine", EngineConfig)):
+            if not isinstance(getattr(self, name), config):
+                raise ConfigurationError(
+                    f"EstimationJobSpec {name!r} must be a {config.__name__}, "
+                    f"got {getattr(self, name)!r}"
+                )
+        if not isinstance(self.tenant, str) or not self.tenant:
             raise ConfigurationError(
-                f"query_budget must be >= 0 or None, got {self.query_budget}"
+                f"EstimationJobSpec 'tenant' must be a non-empty string, "
+                f"got {self.tenant!r}"
             )
-        if not self.tenant:
-            raise ConfigurationError("tenant must be a non-empty string")
         require_kernel_backend(self.walk.kernel_backend)
 
     def build_design(self) -> TransitionDesign:
@@ -452,8 +456,7 @@ def estimate(
     ========== =====================================================
     backend     required resource
     ========== =====================================================
-    scalar      ``api`` — a charged :class:`~repro.osn.api.SocialNetworkAPI`
-    charged     ``api`` (the sampler runs with batched backward walks)
+    charged     ``api`` — a charged :class:`~repro.osn.api.SocialNetworkAPI`
     batch       ``graph`` — a :class:`~repro.graphs.graph.Graph` or
                 compiled :class:`~repro.graphs.csr.CSRGraph`
     sharded     ``engine`` — an executor: an
@@ -476,7 +479,7 @@ def estimate(
     backend = job.engine.backend
     run_seed = seed if seed is not None else job.seed
 
-    if backend in ("scalar", "charged"):
+    if backend == "charged":
         if api is None:
             raise ConfigurationError(
                 f"backend {backend!r} estimates against a charged API; pass api=..."
@@ -484,9 +487,7 @@ def estimate(
         if job.engine.long_run:
             sampler: Any = LongRunWalkEstimateSampler(design, config)
         else:
-            sampler = WalkEstimateSampler(
-                design, config, batch_backward=backend == "charged"
-            )
+            sampler = WalkEstimateSampler(design, config)
         raw: Union[SampleBatch, BatchWalkEstimateResult] = sampler.sample(
             api, job.start, job.samples, seed=run_seed
         )

@@ -20,11 +20,9 @@ from repro.core.weighted import (
     BackwardStats,
     ForwardHistory,
     weighted_backward_estimate,
-    ws_bw_batch,
 )
 from repro.errors import EstimationError
 from repro.rng import RngLike, ensure_rng
-from repro.walks.batch import has_batch_kernel
 from repro.walks.transitions import NeighborView, Node, TransitionDesign
 
 
@@ -93,20 +91,13 @@ class ProbabilityEstimator:
         maintains).
     crawl:
         Exact-probability table from the initial crawl, or None.
-    batch_backward:
-        Route each estimate's top-up repetitions through
-        :func:`~repro.core.weighted.ws_bw_batch`: they advance together,
-        and each depth level's queries settle in one accounting
-        operation.  The walks interleave their draws level by level, so
-        the RNG stream differs from the scalar loop's (it has its own
-        golden fixtures rather than scalar parity); what a campaign
-        *pays* is unchanged, since every lookup lands in the API's
-        discovered-graph cache exactly as the scalar walks' would.
-        Designs the batch engines do not run, and type-1 restricted
-        views, stay on the scalar loop.  The designs are those
-        :func:`~repro.walks.kernels.compile_design` matches by exact
-        type, so ``BidirectionalWalk`` and any subclass of a batch
-        design run the scalar loop, which prices the subclass's own law.
+
+    Every realization is one scalar
+    :func:`~repro.core.weighted.weighted_backward_estimate` walk, so a
+    candidate's repetitions draw from the stream one walk after another.
+    (On a 2-core host, batching one candidate's 6 or 12 repetitions
+    through :func:`~repro.core.weighted.ws_bw_batch` took 1.5–3.3× as
+    long; it paid only from about 48.)
     """
 
     def __init__(
@@ -119,7 +110,6 @@ class ProbabilityEstimator:
         history: Optional[ForwardHistory] = None,
         crawl: Optional[InitialCrawl] = None,
         seed: RngLike = None,
-        batch_backward: bool = False,
     ) -> None:
         self.view = view
         self.design = design
@@ -128,7 +118,6 @@ class ProbabilityEstimator:
         self.config = config
         self.history = history if config.weighted_sampling else None
         self.crawl = crawl
-        self.batch_backward = batch_backward
         self._rng = ensure_rng(seed)
         self._estimates: Dict[Node, ProbabilityEstimate] = {}
         #: Backward-walk effort accumulated across all estimates.
@@ -139,43 +128,6 @@ class ProbabilityEstimator:
             self.view,
             self.design,
             node,
-            self.start,
-            self.walk_length,
-            history=self.history,
-            epsilon=self.config.epsilon,
-            seed=self._rng,
-            crawl=self.crawl,
-            stats=self.stats,
-        )
-
-    def _use_batch_backward(self) -> bool:
-        """Whether the top-up loop may route through :func:`ws_bw_batch`.
-
-        The flag is an opt-in; designs the batch engines do not run
-        and type-1 (fresh-subset) restricted views stay on the scalar
-        loop — both are outside the batched estimator's contract.
-        """
-        return (
-            self.batch_backward
-            and has_batch_kernel(self.design)
-            and getattr(self.view, "cacheable", True)
-        )
-
-    def _batch_realizations(self, node: Node, count: int) -> np.ndarray:
-        """*count* WS-BW realizations of ``p_t(node)`` in one batched walk.
-
-        K = *count* repetitions of the same candidate advance level by
-        level together; each level's queries settle in one accounting
-        operation against the view's discovered-graph cache, charging
-        exactly the unique nodes the scalar loop would.  The draws
-        interleave across repetitions, so the stream differs from the
-        scalar loop's — the ``batch_backward`` golden fixtures pin this
-        stream.
-        """
-        return ws_bw_batch(
-            self.view,
-            self.design,
-            np.full(count, node, dtype=np.int64),
             self.start,
             self.walk_length,
             history=self.history,
@@ -206,13 +158,8 @@ class ProbabilityEstimator:
         target = (
             repetitions if repetitions is not None else self.config.backward_repetitions
         )
-        needed = max(0, target - record.count)
-        if needed and self._use_batch_backward():
-            for value in self._batch_realizations(node, needed):
-                record.add(float(value))
-        else:
-            for _ in range(needed):
-                record.add(self._one_realization(node))
+        for _ in range(target - record.count):
+            record.add(self._one_realization(node))
         if refine and self.config.refine_repetitions > 0:
             self.refine(self.config.refine_repetitions)
         return record

@@ -108,10 +108,6 @@ class WalkEstimateSampler:
         Algorithm knobs; defaults follow the paper (§7.1).
     name:
         Label for reports; defaults to ``we-<design>``.
-    batch_backward:
-        Batch each candidate's backward repetitions (see
-        :class:`~repro.core.estimate.ProbabilityEstimator`).
-        :func:`repro.core.estimate` sets it for ``backend="charged"``.
     """
 
     def __init__(
@@ -119,12 +115,10 @@ class WalkEstimateSampler:
         design: TransitionDesign,
         config: Optional[WalkEstimateConfig] = None,
         name: Optional[str] = None,
-        batch_backward: bool = False,
     ) -> None:
         self.design = design
         self.config = config if config is not None else WalkEstimateConfig()
         self.name = name if name is not None else f"we-{design.name}"
-        self.batch_backward = batch_backward
         #: Report of the most recent :meth:`sample` call.
         self.last_report: Optional[WalkEstimateReport] = None
 
@@ -163,7 +157,6 @@ class WalkEstimateSampler:
                 history=history,
                 crawl=crawl,
                 seed=rng,
-                batch_backward=self.batch_backward,
             )
             bootstrap = ScaleFactorBootstrap(percentile=self.config.scale_percentile)
             rejection = RejectionSampler(bootstrap, seed=rng)

@@ -41,7 +41,9 @@ accounting operation (§2.4: the first access to a node costs one query,
 every repeat is a free cache hit, so batching never changes what a
 campaign pays — only how fast it runs); a free graph is wrapped in an
 uncharged API.  At K = 1 the batch consumes the RNG stream exactly as
-the scalar does and reproduces its realization bit for bit.
+the scalar does and reproduces its realization bit for bit.  Every
+engine estimates through the scalar grain: the batch pays only at
+widths of a whole round of candidates, which no engine runs yet.
 """
 
 from __future__ import annotations
@@ -451,11 +453,11 @@ def ws_bw_batch(
     Returns an array of shape ``(len(nodes),)`` of non-negative
     realizations, each with expectation ``p_t(node)``.
 
-    .. note:: **Compatibility front end.**  For the charged regime go
-       through :func:`repro.core.estimate` with
-       ``EngineConfig(backend="charged")``, which batches each
-       candidate's base backward repetitions here (refinement walks stay
-       on the scalar :func:`weighted_backward_estimate`).
+    .. note:: No engine calls this today.  ``EngineConfig(backend="charged")``
+       runs each candidate's repetitions through the scalar
+       :func:`weighted_backward_estimate`: on a 2-core host, one batch of
+       a candidate's 6 or 12 repetitions took 1.5–3.3× as long, and paid
+       only from about 48.  The batch is for rounds of many candidates.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")

@@ -8,6 +8,7 @@ graph input, configuration mistakes).
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Dict, Mapping
 
 
@@ -124,6 +125,34 @@ def checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
     return dict(data)
 
 
+#: How a refusal names each kind of field :func:`check_field` checks.
+_KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a number", bool: "a bool"}
+
+
+def check_field(
+    owner: str, name: str, value: Any, kind: type, minimum=None, optional=False
+) -> None:
+    """Refuse a number or flag field of the wrong kind, or below *minimum*.
+
+    *kind* is ``numbers.Integral``, ``numbers.Real`` or ``bool``.  Python
+    counts a bool as an integer, so a number field refuses one and a flag
+    takes nothing else; *optional* lets ``None`` through.  A refusal is a
+    :class:`ConfigurationError` naming *owner*'s field *name*.
+    """
+    if value is None and optional:
+        return
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        expected = _KIND_NAMES[kind]
+    elif minimum is not None and not value >= minimum:
+        expected = f"at least {minimum}"
+    else:
+        return
+    raise ConfigurationError(
+        f"{owner} {name!r} must be {expected}{' or None' if optional else ''}, "
+        f"got {value!r}"
+    )
+
+
 class EstimationError(ReproError):
     """Raised when a probability estimation cannot be produced.
 
@@ -141,7 +170,7 @@ class AdmissionError(ReproError):
 
     Two shapes: backpressure (the bounded pending queue is full — retry
     later or use the awaiting submit path) and rejection (the job spec is
-    one the service cannot run, e.g. a charged scalar backend against the
+    one the service cannot run, e.g. the charged backend against the
     shared free topology).
     """
 

@@ -52,7 +52,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.arrays import sorted_lookup
+from repro.arrays import rows_searchsorted, sorted_lookup
 from repro.errors import CheckpointError, NodeNotFoundError
 from repro.graphs.csr import CSRGraph
 
@@ -468,8 +468,8 @@ class DiscoveredGraph:
     def rows_contain(self, nodes, values) -> np.ndarray:
         """Per-row membership: is ``values[i]`` in *nodes[i]*'s cached row.
 
-        A vectorized binary search inside each (sorted) cached row —
-        O(log d_max) array passes for the whole batch.
+        One :func:`~repro.arrays.rows_searchsorted` over the (sorted)
+        cached rows for the whole batch.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
@@ -479,19 +479,7 @@ class DiscoveredGraph:
             slots = self._slots_of(nodes)
             starts = self._slot_starts[slots]
             lengths = self._slot_lengths[slots]
-            lo = np.zeros(nodes.size, dtype=np.int64)
-            hi = lengths.copy()
-            while True:
-                active = lo < hi
-                if not active.any():
-                    break
-                mid = (lo + hi) >> 1
-                less = np.zeros(nodes.size, dtype=bool)
-                less[active] = (
-                    self._pool[starts[active] + mid[active]] < values[active]
-                )
-                lo = np.where(active & less, mid + 1, lo)
-                hi = np.where(active & ~less, mid, hi)
+            lo = rows_searchsorted(self._pool, starts, lengths, values)
             found = lo < lengths
             found[found] = self._pool[starts[found] + lo[found]] == values[found]
             return found

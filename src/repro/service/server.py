@@ -74,9 +74,9 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import JobScheduler
 from repro.walks.parallel import InlineExecutor
 
-#: Backends the service can run over the shared free topology.  Scalar and
-#: charged backends issue per-sample API queries of their own and would
-#: bypass the ledger's phase attribution — submit them directly through
+#: Backends the service can run over the shared free topology.  The
+#: charged backend issues per-sample API queries of its own and would
+#: bypass the ledger's phase attribution — submit it directly through
 #: :func:`repro.core.estimate` instead.
 SERVICE_BACKENDS = ("batch", "sharded")
 

@@ -265,28 +265,6 @@ def run_walk_batch(
     return BatchWalkResult(paths=paths)
 
 
-def _rows_searchsorted(
-    csr: CSRGraph, rows: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Per-row ``searchsorted``: position of ``values[i]`` in row ``rows[i]``.
-
-    A vectorized binary search over the ragged CSR rows — O(log d_max)
-    array passes instead of a Python loop over walks.
-    """
-    lo = np.zeros(rows.size, dtype=np.int64)
-    hi = csr.degrees[rows].copy()
-    start = csr.indptr[rows]
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) >> 1
-        less = np.zeros(rows.size, dtype=bool)
-        less[active] = csr.indices[start[active] + mid[active]] < values[active]
-        lo = np.where(active & less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
-
-
 def run_nbrw_walk_batch(
     graph: GraphLike,
     starts,

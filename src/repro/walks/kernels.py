@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.arrays import rows_searchsorted
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.rng import bounded_integers
@@ -114,8 +115,9 @@ def compile_design(design: TransitionDesign) -> Optional[BatchDesign]:
     :class:`MetropolisHastingsWalk` and :class:`MaxDegreeWalk`, each
     under any chain of :class:`LazyWalk`.  A subclass may override any
     part of its parent's law, so every batch path refuses it rather than
-    price it as the parent; the ``charged`` engine runs it on its scalar
-    loop, as it runs :class:`~repro.walks.transitions.BidirectionalWalk`.
+    price it as the parent.  The ``charged`` engine walks node by node
+    and never asks: it runs any design, a subclass and
+    :class:`~repro.walks.transitions.BidirectionalWalk` included.
     """
     chain: List[float] = []
     while type(design) is LazyWalk:
@@ -209,8 +211,8 @@ def _nbrw_trajectory(indptr, indices, degrees, starts, steps, rng):
 
     One bounded draw per walker per step over ``degree - 1`` effective
     slots (degree-1 nodes may backtrack), with the arrival edge skipped
-    by a binary search over the sorted row — the compiled twin of the
-    vectorized ``_rows_searchsorted`` recipe.
+    by a binary search over the sorted row — the compiled twin of
+    :func:`repro.arrays.rows_searchsorted`.
     """
     k = starts.shape[0]
     paths = np.empty((k, steps + 1), dtype=np.int64)
@@ -356,8 +358,9 @@ class NumpyKernelBackend(KernelBackend):
             effective = deg - excluded
             idx = bounded_integers(rng, effective)
             if excluded.any():
-                slot = batch._rows_searchsorted(
-                    csr, current[excluded], previous[excluded]
+                rows = current[excluded]
+                slot = rows_searchsorted(
+                    csr.indices, csr.indptr[rows], deg[excluded], previous[excluded]
                 )
                 idx[excluded] += idx[excluded] >= slot
             nxt = csr.indices[csr.indptr[current] + idx]

@@ -6,6 +6,7 @@ front-end call with the same arguments and seed.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from repro.core import (
     long_run_walk_estimate_batch,
     walk_estimate_batch,
 )
-from repro.core import dispatch
 from repro.errors import ConfigurationError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.osn.api import SocialNetworkAPI
@@ -92,6 +92,38 @@ def sample_batches_equal(a, b):
         and a.query_cost == b.query_cost
         and a.walk_steps == b.walk_steps
     )
+
+
+def _lazy(laziness):
+    """A job document whose lazy design has the given *laziness*."""
+    return {"design": {"name": "lazy", "laziness": laziness, "inner": "srw"}}
+
+
+#: Job documents with a field of the wrong kind, and the field.
+WRONG_KINDS = {
+    "laziness-str": (_lazy("0.25"), "laziness"),
+    "laziness-null": (_lazy(None), "laziness"),
+    "laziness-list": (_lazy([0.5]), "laziness"),
+    "laziness-object": (_lazy({}), "laziness"),
+    "samples-float": ({"samples": 2.5}, "samples"),
+    "samples-bool": ({"samples": True}, "samples"),
+    "samples-str": ({"samples": "5"}, "samples"),
+    "start-str": ({"start": "0"}, "start"),
+    "seed-float": ({"seed": 1.5}, "seed"),
+    "error_target-str": ({"error_target": "0.1"}, "error_target"),
+    "query_budget-bool": ({"query_budget": True}, "query_budget"),
+    "tenant-list": ({"tenant": ["a"]}, "tenant"),
+    "repetitions-bool": (
+        {"walk": {"backward_repetitions": True}},
+        "backward_repetitions",
+    ),
+    "walk_length-float": ({"walk": {"walk_length": 5.0}}, "walk_length"),
+    "epsilon-str": ({"walk": {"epsilon": "0.2"}}, "epsilon"),
+    "weighted_sampling-int": ({"walk": {"weighted_sampling": 0}}, "weighted_sampling"),
+    "walk-str": ({"walk": "fast"}, "walk"),
+    "n_workers-str": ({"engine": {"n_workers": "2"}}, "n_workers"),
+    "long_run-int": ({"engine": {"long_run": 1}}, "long_run"),
+}
 
 
 class TestDesignSpecs:
@@ -184,35 +216,23 @@ class TestEngineConfig:
     def test_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
             EngineConfig.from_dict({"backend": "batch", "worker_count": 4})
-        # The process-layout keys that version 5 checkpoints carried, and
-        # the kernel backend that version 7 checkpoints carried.
+        # The flag that version 2 checkpoints carried, the process-layout
+        # keys that version 5 checkpoints carried, and the kernel backend
+        # that version 7 checkpoints carried.
+        with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
+            EngineConfig.from_dict({"backend": "charged", "batch_backward": True})
         for key in ("mp_context", "slab_storage", "slab_dir", "kernel_backend"):
             with pytest.raises(ConfigurationError, match="unknown EngineConfig keys"):
                 EngineConfig.from_dict({"backend": "batch", key: None})
 
-    def test_charged_implies_batch_backward(self, hidden, config, monkeypatch):
-        built = []
-
-        class Recording(WalkEstimateSampler):
-            def __init__(self, *args, batch_backward=False, **kwargs):
-                built.append(batch_backward)
-                super().__init__(*args, batch_backward=batch_backward, **kwargs)
-
-        monkeypatch.setattr(dispatch, "WalkEstimateSampler", Recording)
-
-        def folded(backend):
-            spec = EstimationJobSpec(walk=config, engine=EngineConfig(backend=backend))
-            estimate(spec, api=SocialNetworkAPI(hidden), seed=1)
-            return built[-1]
-
-        assert folded("charged")
-        assert not folded("scalar")
-        with pytest.raises(ConfigurationError, match="batch_backward"):
-            EngineConfig.from_dict({"backend": "scalar", "batch_backward": True})
-
-    def test_charged_has_no_long_run(self):
-        with pytest.raises(ConfigurationError, match="long-run"):
-            EngineConfig(backend="charged", long_run=True)
+    def test_scalar_backend_refused(self):
+        # A job file naming a value that left the table fails loudly and
+        # lists the valid ones; no alias runs it quietly.
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown backend 'scalar'; valid: charged, batch, sharded",
+        ):
+            EngineConfig(backend="scalar")
 
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError, match="n_workers"):
@@ -256,6 +276,17 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError, match=match):
             EstimationJobSpec(**{field: value})
 
+    @pytest.mark.parametrize("case", sorted(WRONG_KINDS))
+    def test_wrong_kind_refused_naming_the_field(self, case):
+        # A number field takes a number that is not a bool, a flag only a
+        # bool, the tenant only a string: outside input of the wrong kind
+        # is refused, never coerced and never left to fail as a TypeError
+        # inside an engine (a list tenant was admitted by the service and
+        # crashed its serve loop as an unhashable ledger key).
+        document, field = WRONG_KINDS[case]
+        with pytest.raises(ConfigurationError, match=f"'{field}'"):
+            EstimationJobSpec.from_json(json.dumps(document))
+
     def test_json_must_be_object(self):
         with pytest.raises(ConfigurationError, match="object"):
             EstimationJobSpec.from_json("[1, 2]")
@@ -276,78 +307,43 @@ class TestJobSpec:
             spec.with_overrides(samples=0)
 
 
-class TestScalarParity:
+class TestChargedParity:
     @pytest.mark.parametrize("name", list(DESIGN_SPECS), ids=list(DESIGN_SPECS))
-    def test_scalar_matches_direct_sampler(self, name, hidden, config):
+    def test_charged_matches_direct_sampler(self, name, hidden, config):
         spec = EstimationJobSpec(
             design=DESIGN_SPECS[name],
             samples=6,
-            seed=21,
-            walk=config,
-            engine=EngineConfig(backend="scalar"),
-        )
-        via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden))
-        direct_api = SocialNetworkAPI(hidden)
-        direct = WalkEstimateSampler(spec.build_design(), config).sample(
-            direct_api, 0, 6, seed=21
-        )
-        assert sample_batches_equal(via_dispatch.raw, direct)
-        assert via_dispatch.query_cost == direct.query_cost
-        assert via_dispatch.to_sample_batch() is via_dispatch.raw
-
-    def test_charged_matches_batch_backward_sampler(self, hidden, config):
-        spec = EstimationJobSpec(
-            design="srw",
-            samples=6,
-            seed=33,
             walk=config,
             engine=EngineConfig(backend="charged"),
         )
-        via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden))
-        direct = WalkEstimateSampler(
-            SimpleRandomWalk(), config, batch_backward=True
-        ).sample(SocialNetworkAPI(hidden), 0, 6, seed=33)
+        rng = np.random.default_rng(21)
+        via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden), seed=rng)
+        direct_rng = np.random.default_rng(21)
+        direct = WalkEstimateSampler(spec.build_design(), config).sample(
+            SocialNetworkAPI(hidden), 0, 6, seed=direct_rng
+        )
         assert sample_batches_equal(via_dispatch.raw, direct)
+        assert via_dispatch.query_cost == direct.query_cost
+        assert via_dispatch.attempts == direct.attempts
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
+        assert via_dispatch.to_sample_batch() is via_dispatch.raw
 
-    def test_charged_differs_from_plain_scalar_stream(self, hidden, config):
-        # Sanity that the charged flag actually reaches the sampler: the
-        # joint RNG stream of batched backward walks differs from the
-        # scalar loop whenever a candidate needs K > 1 repetitions.
-        scalar = estimate(
-            EstimationJobSpec(
-                design="srw",
-                samples=6,
-                seed=33,
-                walk=config,
-                engine=EngineConfig(backend="scalar"),
-            ),
-            api=SocialNetworkAPI(hidden),
-        )
-        charged = estimate(
-            EstimationJobSpec(
-                design="srw",
-                samples=6,
-                seed=33,
-                walk=config,
-                engine=EngineConfig(backend="charged"),
-            ),
-            api=SocialNetworkAPI(hidden),
-        )
-        assert scalar.raw.nodes != charged.raw.nodes
-
-    def test_scalar_long_run_matches_direct(self, hidden, config):
+    def test_charged_long_run_matches_direct(self, hidden, config):
         spec = EstimationJobSpec(
             design="mhrw",
             samples=5,
-            seed=9,
             walk=config,
-            engine=EngineConfig(backend="scalar", long_run=True),
+            engine=EngineConfig(backend="charged", long_run=True),
         )
-        via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden))
+        rng = np.random.default_rng(9)
+        via_dispatch = estimate(spec, api=SocialNetworkAPI(hidden), seed=rng)
+        direct_rng = np.random.default_rng(9)
         direct = LongRunWalkEstimateSampler(
             MetropolisHastingsWalk(), config
-        ).sample(SocialNetworkAPI(hidden), 0, 5, seed=9)
+        ).sample(SocialNetworkAPI(hidden), 0, 5, seed=direct_rng)
         assert sample_batches_equal(via_dispatch.raw, direct)
+        assert via_dispatch.attempts == direct.attempts
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
 
 
 class TestBatchParity:
@@ -436,7 +432,7 @@ class TestShardedParity:
 
 class TestDispatchResources:
     def test_missing_api(self, config):
-        spec = EstimationJobSpec(design="srw", engine=EngineConfig(backend="scalar"))
+        spec = EstimationJobSpec(design="srw", engine=EngineConfig(backend="charged"))
         with pytest.raises(ConfigurationError, match="api"):
             estimate(spec)
 

@@ -1,8 +1,8 @@
-"""Scalar and charged jobs report every accept/reject decision they made.
+"""Charged jobs report every accept/reject decision they made.
 
 A ``SampleBatch`` keeps only accepted samples, so ``EstimateResult`` used
 to report the accepted count as the attempts and 1.0 as the acceptance
-rate for every scalar, charged and scalar long-run job.  The samplers now
+rate for every charged job, long-run or not.  The samplers now
 record their attempts on the batch; these tests count the decisions the
 rejection sampler actually took and check ``estimate()`` and
 ``walk-not-wait estimate`` against them.
@@ -29,17 +29,14 @@ LONG_RUN_WALK = WalkEstimateConfig(
     walk_length=2, backward_repetitions=8, calibration_walks=10, scale_percentile=1.0
 )
 JOBS = {
-    "scalar": EstimationJobSpec(
-        design="srw", samples=10, walk=CHARGED_WALK, engine=EngineConfig("scalar")
-    ),
     "charged": EstimationJobSpec(
         design="srw", samples=10, walk=CHARGED_WALK, engine=EngineConfig("charged")
     ),
-    "scalar-long-run": EstimationJobSpec(
+    "charged-long-run": EstimationJobSpec(
         design="mhrw",
         samples=10,
         walk=LONG_RUN_WALK,
-        engine=EngineConfig("scalar", long_run=True),
+        engine=EngineConfig("charged", long_run=True),
     ),
 }
 SEED = 3
@@ -72,13 +69,10 @@ def test_estimate_reports_every_decision(yelp, decisions, job):
     assert result.acceptance_rate == sum(decisions) / len(decisions)
 
 
-@pytest.mark.parametrize("job", ["scalar", "charged"])
-def test_estimate_agrees_with_the_sampler_report(yelp, job):
-    spec = JOBS[job]
+def test_estimate_agrees_with_the_sampler_report(yelp):
+    spec = JOBS["charged"]
     result = repro.estimate(spec, api=SocialNetworkAPI(yelp), seed=SEED)
-    sampler = WalkEstimateSampler(
-        spec.build_design(), spec.walk, batch_backward=job == "charged"
-    )
+    sampler = WalkEstimateSampler(spec.build_design(), spec.walk)
     sampler.sample(SocialNetworkAPI(yelp), spec.start, spec.samples, seed=SEED)
     assert result.attempts == sampler.last_report.attempts
     assert result.acceptance_rate == sampler.last_report.acceptance_rate

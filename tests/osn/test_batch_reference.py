@@ -10,7 +10,8 @@ misses through a nested ``neighbors_batch``) verbatim.  The current grain
 looks a batch up once and settles only its misses against the counter's
 set.  Every test here demands the same answers, charges, raw calls, log,
 clock, cache contents and exceptions from both, one call at a time and
-over whole WALK-ESTIMATE campaigns.
+over whole charged campaigns: a crawl, scalar forward walks and batched
+backward walks.
 """
 
 from typing import List, Optional, Tuple
@@ -20,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.arrays import sorted_lookup
-from repro.core import EngineConfig, EstimationJobSpec, WalkEstimateConfig
+from repro.core import WalkEstimateConfig, design_from_spec
+from repro.core.crawl import InitialCrawl
+from repro.core.weighted import ForwardHistory, ws_bw_batch
 from repro.errors import ConfigurationError, NodeNotFoundError, QueryBudgetExceededError
 from repro.faults import FaultPlan, FaultRule, FaultyAPI
 from repro.graphs.generators import barabasi_albert_graph
@@ -36,6 +38,7 @@ from repro.osn.restrictions import (
     RandomKRestriction,
     TruncatedKRestriction,
 )
+from repro.walks.walker import run_walk
 
 
 class ReferenceCounter(QueryCounter):
@@ -380,6 +383,7 @@ CAMPAIGN_GRAPH = barabasi_albert_graph(300, 3, seed=5).relabeled()
 WALK = WalkEstimateConfig(
     crawl_hops=1, diameter_hint=4, backward_repetitions=6, calibration_walks=10
 )
+SAMPLES = 6
 DESIGNS = {
     "srw": "srw",
     "mhrw": "mhrw",
@@ -407,14 +411,40 @@ POLICY = RetryPolicy(max_attempts=3, base_backoff=0.25, jitter=0.1)
 
 
 def campaign(api, design):
-    spec = EstimationJobSpec(
-        design=DESIGNS[design],
-        samples=6,
-        walk=WALK,
-        engine=EngineConfig(backend="charged"),
-    )
+    """A charged campaign's scalar and batch calls, interleaved.
+
+    An h = 1 crawl from node 0, then ``calibration_walks + SAMPLES``
+    scalar forward walks into one history, each followed by one
+    ``ws_bw_batch`` over ``backward_repetitions`` copies of its endpoint.
+    Stops where the budget runs out; returns each endpoint's estimates
+    and the generator.
+    """
+    walk_design = design_from_spec(DESIGNS[design])
+    t = WALK.effective_walk_length
     rng = np.random.default_rng(3)
-    return repro.estimate(spec, api=api, seed=rng), rng
+    estimates = []
+    try:
+        crawl = InitialCrawl(api, walk_design, 0, WALK.crawl_hops)
+        history = ForwardHistory(0, t)
+        for _ in range(WALK.calibration_walks + SAMPLES):
+            walk = run_walk(api, walk_design, 0, t, seed=rng)
+            history.record(walk)
+            estimates.append(
+                ws_bw_batch(
+                    api,
+                    walk_design,
+                    np.full(WALK.backward_repetitions, walk.end),
+                    0,
+                    t,
+                    history=history,
+                    epsilon=WALK.epsilon,
+                    seed=rng,
+                    crawl=crawl,
+                )
+            )
+    except QueryBudgetExceededError:
+        pass
+    return estimates, rng
 
 
 _BUDGETS = {}
@@ -452,16 +482,13 @@ def test_campaign_matches_reference(design, budgeted, wrapped):
         if wrapped:
             faulty = FaultyAPI(api, PLAN)
             view = ResilientAPI(faulty, POLICY, seed=4)
-        result, rng = campaign(view, design)
+        estimates, rng = campaign(view, design)
         if faulty is not None:
             kinds.update(fault.kind for _, _, fault in faulty.history)
         runs.append(
             (
-                result.nodes.tolist(),
-                result.weights.tolist(),
-                result.query_cost,
-                result.attempts,
-                result.walk_steps,
+                [values.tobytes() for values in estimates],
+                view.query_cost,
                 api.counter.state(),
                 api.raw_calls,
                 rng.bit_generator.state,
@@ -471,5 +498,8 @@ def test_campaign_matches_reference(design, budgeted, wrapped):
         )
     assert runs[0] == runs[1]
     if budgeted:
-        assert runs[0][2] == budget
+        assert runs[0][1] == budget
+        assert len(runs[0][0]) < WALK.calibration_walks + SAMPLES
+    else:
+        assert len(runs[0][0]) == WALK.calibration_walks + SAMPLES
     assert kinds == ({"error", "timeout", "rate_limit", "slow"} if wrapped else set())

@@ -227,10 +227,10 @@ class TestAdmissionControl:
             assert (bob.state, bob.reason) == (JobState.PREEMPTED, "stalled")
             assert carol.state is JobState.COMPLETED
 
-    def test_scalar_backend_rejected(self, hidden):
+    def test_charged_backend_rejected(self, hidden):
         with make_service(hidden) as service:
-            with pytest.raises(AdmissionError, match="charged"):
-                service.submit_nowait(job_spec("alice", backend="scalar"))
+            with pytest.raises(AdmissionError, match="'charged' issues its own"):
+                service.submit_nowait(job_spec("alice", backend="charged"))
             assert service.metrics.jobs_rejected.value == 1
 
     def test_submit_after_close_refused(self, hidden):

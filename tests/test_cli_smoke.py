@@ -140,13 +140,13 @@ def test_estimate_is_deterministic_per_seed(tmp_path, capsys):
     assert run("3") != run("4")
 
 
-def test_estimate_scalar_backend_charges_queries(tmp_path, capsys):
+def test_estimate_charged_backend_charges_queries(tmp_path, capsys):
     import json
 
-    path = _write_job(tmp_path, backend="scalar")
+    path = _write_job(tmp_path, backend="charged")
     assert cli.main(["estimate", "--job", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["query_cost"] > 0  # scalar front end pays per unique node
+    assert report["query_cost"] > 0  # the charged engine pays per unique node
 
 
 def test_estimate_rejects_malformed_spec(tmp_path):

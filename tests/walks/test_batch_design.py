@@ -3,11 +3,11 @@
 :func:`repro.walks.kernels.compile_design` matches designs by exact type
 and flattens each into the record every batch path runs: the step
 kernels, the trajectory loops, the backward candidate table, the charged
-WS-BW pricing, the target weights and the ``batch_backward`` gate.  A
-subclass may override any part of its parent's law, so every batch path
-refuses it, and the estimator's batch gate leaves it on the scalar loop,
-which prices the subclass's own law.  The last class scans ``src/repro``
-so that no other module classifies designs by type.
+WS-BW pricing and the target weights.  A subclass may override any part
+of its parent's law, so every batch path refuses it; the ``charged``
+engine walks node by node and prices the subclass's own law.  The last
+class scans ``src/repro`` so that no other module classifies designs by
+type.
 """
 
 import ast
@@ -18,8 +18,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.config import WalkEstimateConfig
-from repro.core.estimate import ProbabilityEstimator
 from repro.core.unbiased import unbiased_estimate_batch
 from repro.core.weighted import ws_bw_batch
 from repro.errors import ConfigurationError
@@ -192,27 +190,6 @@ class TestNoParentPricing:
             graph.compile(), SimpleRandomWalk(), [5], 0, 4, seed=2, repetitions=2000
         )
         assert after.tobytes() == fresh.tobytes()
-
-    @pytest.mark.parametrize("name", ["half-lazy-srw", "lazy-over-subclass"])
-    def test_batch_backward_leaves_a_subclass_on_the_scalar_loop(self, graph, name):
-        # Like BidirectionalWalk: with the flag on, the estimator runs the
-        # scalar loop and reproduces the flag-off stream exactly.
-        design = SUBCLASSES[name]
-        config = WalkEstimateConfig(
-            diameter_hint=3,
-            crawl_hops=0,
-            backward_repetitions=200,
-            refine_repetitions=0,
-            calibration_walks=4,
-        )
-        means = {}
-        for flag in (False, True):
-            api = SocialNetworkAPI(graph)
-            estimator = ProbabilityEstimator(
-                api, design, 0, 4, config, seed=11, batch_backward=flag
-            )
-            means[flag] = estimator.estimate(5, refine=False).mean
-        assert means[True] == means[False] > 0.0
 
 
 # ----------------------------------------------------------------------
