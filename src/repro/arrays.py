@@ -5,14 +5,24 @@ do I know about?" — a binary search into a sorted id array followed by a
 clamped equality check.  It is subtle enough (the ``np.minimum`` clamp is
 what keeps the probe of past-the-end positions in bounds) that every
 copy is a bug waiting to happen, so it lives here once.  So does its
-ragged twin, one binary search per row of a flat array of sorted rows.
+ragged twin, one binary search per row of a flat array of sorted rows,
+and the sorted id array itself, built from an id-keyed dict.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
+
+
+def sorted_table(table: Mapping[int, object], dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """*table* as ``(ids, values)`` arrays sorted by id, values of *dtype*:
+    the form :func:`sorted_lookup` searches."""
+    ids = np.fromiter(table, dtype=np.int64, count=len(table))
+    values = np.fromiter(table.values(), dtype=dtype, count=ids.size)
+    order = np.argsort(ids)
+    return ids[order], values[order]
 
 
 def sorted_lookup(sorted_ids: np.ndarray, values) -> Tuple[np.ndarray, np.ndarray]:

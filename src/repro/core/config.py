@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Optional
 
-from repro.errors import ConfigurationError, check_field
+from repro.errors import ConfigurationError, check_field, check_fields, checked
 
 
 @dataclass(frozen=True)
@@ -72,46 +72,30 @@ class WalkEstimateConfig:
         Safety valve on rejection loops.
     """
 
-    walk_length: int | None = None
-    diameter_hint: int = 10
-    crawl_hops: int = 2
-    weighted_sampling: bool = True
+    walk_length: int | None = checked(Integral, 1, optional=True, default=None)
+    diameter_hint: int = checked(Integral, 1, default=10)
+    crawl_hops: int = checked(Integral, 0, default=2)
+    weighted_sampling: bool = checked(bool, default=True)
     kernel_backend: str = "numpy"
-    epsilon: float = 0.2
-    backward_repetitions: int = 12
-    refine_repetitions: int = 4
-    scale_percentile: float = 25.0
-    calibration_walks: int = 15
-    max_attempts_per_sample: int = 200
+    epsilon: float = checked(Real, default=0.2)
+    backward_repetitions: int = checked(Integral, 1, default=12)
+    refine_repetitions: int = checked(Integral, 0, default=4)
+    scale_percentile: float = checked(Real, default=25.0)
+    calibration_walks: int = checked(Integral, 1, default=15)
+    max_attempts_per_sample: int = checked(Integral, 1, default=200)
 
     def __post_init__(self) -> None:
-        def check(name, kind, minimum=None, optional=False):
-            value = getattr(self, name)
-            check_field("WalkEstimateConfig", name, value, kind, minimum, optional)
-
-        check("walk_length", Integral, 1, optional=True)
-        check("diameter_hint", Integral, 1)
-        check("crawl_hops", Integral, 0)
-        check("weighted_sampling", bool)
+        check_fields("WalkEstimateConfig", vars(self), WalkEstimateConfig)
         from repro.walks.kernels import backend_names
 
-        if self.kernel_backend not in backend_names():
-            raise ConfigurationError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                "valid: " + ", ".join(backend_names())
-            )
-        check("epsilon", Real)
+        owner = "WalkEstimateConfig"
+        check_field(owner, "kernel_backend", self.kernel_backend, backend_names())
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        check("backward_repetitions", Integral, 1)
-        check("refine_repetitions", Integral, 0)
-        check("scale_percentile", Real)
         if not 0.0 < self.scale_percentile < 100.0:
             raise ConfigurationError(
                 f"scale_percentile must be in (0, 100), got {self.scale_percentile}"
             )
-        check("calibration_walks", Integral, 1)
-        check("max_attempts_per_sample", Integral, 1)
 
     @property
     def effective_walk_length(self) -> int:
@@ -158,20 +142,13 @@ class CrawlPipelineConfig:
         matches ``InitialCrawl(hops=max_depth)`` semantics.
     """
 
-    concurrency: int = 4
-    batch_size: int = 32
-    rows_per_epoch: int = 128
-    max_depth: Optional[int] = None
+    concurrency: int = checked(Integral, 1, default=4)
+    batch_size: int = checked(Integral, 1, default=32)
+    rows_per_epoch: int = checked(Integral, 1, default=128)
+    max_depth: Optional[int] = checked(Integral, 0, optional=True, default=None)
 
     def __post_init__(self) -> None:
-        for field_name in ("concurrency", "batch_size", "rows_per_epoch"):
-            value = getattr(self, field_name)
-            if value < 1:
-                raise ConfigurationError(f"{field_name} must be >= 1, got {value}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigurationError(
-                f"max_depth must be >= 0 or None, got {self.max_depth}"
-            )
+        check_fields("CrawlPipelineConfig", vars(self), CrawlPipelineConfig)
 
     def with_overrides(self, **changes) -> "CrawlPipelineConfig":
         """Copy with the given fields replaced (validation re-runs)."""

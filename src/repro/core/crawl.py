@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arrays import sorted_lookup
+from repro.arrays import sorted_lookup, sorted_table
 from repro.errors import ConfigurationError
 from repro.walks.transitions import NeighborView, Node, TransitionDesign
 
@@ -141,15 +141,9 @@ class InitialCrawl:
 
     def _table_arrays(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted (node ids, probabilities) arrays for step *s* (cached)."""
-        cached = self._array_tables[s]
-        if cached is None:
-            table = self._tables[s]
-            ids = np.fromiter(table, dtype=np.int64, count=len(table))
-            values = np.fromiter(table.values(), dtype=np.float64, count=ids.size)
-            order = np.argsort(ids)
-            cached = (ids[order], values[order])
-            self._array_tables[s] = cached
-        return cached
+        if self._array_tables[s] is None:
+            self._array_tables[s] = sorted_table(self._tables[s], np.float64)
+        return self._array_tables[s]
 
     def probabilities_batch(self, nodes, s: int) -> np.ndarray:
         """Exact ``p_s`` for an array of nodes — one search, K lookups.

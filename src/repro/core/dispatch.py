@@ -37,7 +37,7 @@ route through :func:`estimate`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -53,7 +53,8 @@ from repro.core.walk_estimate import (
     WalkEstimateSampler,
     walk_estimate_batch,
 )
-from repro.errors import ConfigurationError, check_field, checked_fields
+from repro.errors import ConfigurationError, check_field, check_fields, checked
+from repro.errors import checked_fields
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.rng import RngLike
@@ -81,6 +82,15 @@ ESTIMANDS = ("degree",)
 # ----------------------------------------------------------------------
 # Transition-design specs (the JSON form of a TransitionDesign)
 # ----------------------------------------------------------------------
+#: The keys each design's spec may carry besides its name.
+_DESIGN_KEYS = {
+    "srw": (),
+    "mhrw": (),
+    "maxdeg": ("max_degree",),
+    "lazy": ("inner", "laziness"),
+}
+
+
 def design_from_spec(spec: Union[str, Mapping[str, Any]]) -> TransitionDesign:
     """Build a transition design from its JSON-safe spec.
 
@@ -102,43 +112,25 @@ def design_from_spec(spec: Union[str, Mapping[str, Any]]) -> TransitionDesign:
             f"design spec must be a name or a mapping with a 'name', got {spec!r}"
         )
     name = spec["name"]
-    extras = {k: v for k, v in spec.items() if k != "name"}
-    if name == "srw":
-        _reject_extras(name, extras)
-        return SimpleRandomWalk()
-    if name == "mhrw":
-        _reject_extras(name, extras)
-        return MetropolisHastingsWalk()
+    check_field("design spec", "design", name, tuple(_DESIGN_KEYS))
+    unexpected = set(spec) - {"name", *_DESIGN_KEYS[name]}
+    if unexpected:
+        raise ConfigurationError(
+            f"unexpected keys for design {name!r}: {sorted(unexpected)}"
+        )
     if name == "maxdeg":
-        missing = {"max_degree"} - set(extras)
-        if missing:
-            raise ConfigurationError("maxdeg design spec needs 'max_degree'")
-        _reject_extras(name, {k: v for k, v in extras.items() if k != "max_degree"})
-        bound = extras["max_degree"]
+        bound = spec.get("max_degree")
         check_field("maxdeg design", "max_degree", bound, Real, 1)
         if bound == float("inf"):
             raise ConfigurationError(f"maxdeg 'max_degree' must be finite, got {bound}")
         return MaxDegreeWalk(max_degree=bound)
     if name == "lazy":
-        if "inner" not in extras:
+        if "inner" not in spec:
             raise ConfigurationError("lazy design spec needs an 'inner' design")
-        laziness = extras.get("laziness", 0.5)
+        laziness = spec.get("laziness", 0.5)
         check_field("lazy design", "laziness", laziness, Real)
-        laziness = float(laziness)
-        unknown = set(extras) - {"inner", "laziness"}
-        if unknown:
-            _reject_extras(name, {k: extras[k] for k in unknown})
-        return LazyWalk(design_from_spec(extras["inner"]), laziness=laziness)
-    raise ConfigurationError(
-        f"unknown design {name!r}; valid: srw, mhrw, maxdeg, lazy"
-    )
-
-
-def _reject_extras(name: str, extras: Mapping[str, Any]) -> None:
-    if extras:
-        raise ConfigurationError(
-            f"unexpected keys for design {name!r}: {sorted(extras)}"
-        )
+        return LazyWalk(design_from_spec(spec["inner"]), laziness=float(laziness))
+    return SimpleRandomWalk() if name == "srw" else MetropolisHastingsWalk()
 
 
 #: The spec name of each inner design code :func:`compile_design` returns.
@@ -201,18 +193,12 @@ class EngineConfig:
     the job's :class:`~repro.core.config.WalkEstimateConfig` names it.
     """
 
-    backend: str = "batch"
-    long_run: bool = False
-    n_workers: Optional[int] = None
+    backend: str = checked(BACKENDS, default="batch")
+    long_run: bool = checked(bool, default=False)
+    n_workers: Optional[int] = checked(Integral, 1, optional=True, default=None)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; valid: {', '.join(BACKENDS)}"
-            )
-        check_field("EngineConfig", "long_run", self.long_run, bool)
-        workers = self.n_workers
-        check_field("EngineConfig", "n_workers", workers, Integral, 1, optional=True)
+        check_fields("EngineConfig", vars(self), EngineConfig)
 
     def with_overrides(self, **changes) -> "EngineConfig":
         """Copy with the given fields replaced (validation re-runs)."""
@@ -278,46 +264,29 @@ class EstimationJobSpec:
     """
 
     design: Union[str, Mapping[str, Any]] = "srw"
-    samples: int = 1
-    start: int = 0
-    segments: int = 1
-    estimand: str = "degree"
-    error_target: Optional[float] = None
-    query_budget: Optional[int] = None
+    samples: int = checked(Integral, 1, default=1)
+    start: int = checked(Integral, default=0)
+    segments: int = checked(Integral, 1, default=1)
+    estimand: str = checked(ESTIMANDS, default="degree")
+    error_target: Optional[float] = checked(Real, optional=True, default=None)
+    query_budget: Optional[int] = checked(Integral, 0, optional=True, default=None)
     tenant: str = "default"
-    seed: Optional[int] = None
-    walk: WalkEstimateConfig = field(default_factory=WalkEstimateConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
+    seed: Optional[int] = checked(Integral, optional=True, default=None)
+    walk: WalkEstimateConfig = checked(
+        WalkEstimateConfig, default_factory=WalkEstimateConfig
+    )
+    engine: EngineConfig = checked(EngineConfig, default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
-        def check(name, kind, minimum=None, optional=False):
-            value = getattr(self, name)
-            check_field("EstimationJobSpec", name, value, kind, minimum, optional)
-
         # Canonicalize the design spec eagerly: errors surface at spec
         # construction, not mid-dispatch, and to_dict() is total.
         canonical = design_to_spec(design_from_spec(self.design))
         object.__setattr__(self, "design", canonical)
-        check("samples", Integral, 1)
-        check("start", Integral)
-        check("segments", Integral, 1)
-        if self.estimand not in ESTIMANDS:
-            raise ConfigurationError(
-                f"unknown estimand {self.estimand!r}; valid: {', '.join(ESTIMANDS)}"
-            )
-        check("error_target", Real, optional=True)
-        if self.error_target is not None and self.error_target <= 0:
+        check_fields("EstimationJobSpec", vars(self), EstimationJobSpec)
+        if self.error_target is not None and not 0 < self.error_target:
             raise ConfigurationError(
                 f"error_target must be > 0 or None, got {self.error_target}"
             )
-        check("query_budget", Integral, 0, optional=True)
-        check("seed", Integral, optional=True)
-        for name, config in (("walk", WalkEstimateConfig), ("engine", EngineConfig)):
-            if not isinstance(getattr(self, name), config):
-                raise ConfigurationError(
-                    f"EstimationJobSpec {name!r} must be a {config.__name__}, "
-                    f"got {getattr(self, name)!r}"
-                )
         if not isinstance(self.tenant, str) or not self.tenant:
             raise ConfigurationError(
                 f"EstimationJobSpec 'tenant' must be a non-empty string, "

@@ -53,7 +53,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.arrays import sorted_lookup
+from repro.arrays import sorted_lookup, sorted_table
 from repro.core.crawl import InitialCrawl
 from repro.core.unbiased import backward_candidates
 from repro.errors import ConfigurationError, GraphError
@@ -154,15 +154,9 @@ class ForwardHistory:
         """
         if not 0 <= step <= self.walk_length:
             return _EMPTY_IDS, _EMPTY_COUNTS
-        cached = self._arrays[step]
-        if cached is None:
-            counts = self._counts[step]
-            ids = np.fromiter(counts, dtype=np.int64, count=len(counts))
-            values = np.fromiter(counts.values(), dtype=np.int64, count=ids.size)
-            order = np.argsort(ids)
-            cached = (ids[order], values[order])
-            self._arrays[step] = cached
-        return cached
+        if self._arrays[step] is None:
+            self._arrays[step] = sorted_table(self._counts[step], np.int64)
+        return self._arrays[step]
 
     def counts_dense(self, step: int) -> Optional[np.ndarray]:
         """One step's visit counts as a dense id-indexed float vector.

@@ -50,26 +50,31 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.crawl.clock import FakeClock, LatencyLike, drive, resolve_latency
 from repro.errors import CheckpointError, ConfigurationError, NodeNotFoundError
+from repro.errors import check_field, checked_fields
 from repro.walks.transitions import Node
 
-#: Keys of the resumable-state document (:meth:`AsyncCrawler.state_dict`).
-CRAWLER_STATE_KEYS = frozenset(
-    {
-        "start",
-        "frontier",
-        "enqueued",
-        "rows_fetched",
-        "batches_issued",
-        "failed",
-        "clock_now",
-    }
-)
+#: Kind and floor of each field of the resumable-state document
+#: (:meth:`AsyncCrawler.state_dict`); the frontier's pairs are checked
+#: where they are read.
+_STATE_FIELDS = {
+    "start": (Integral,),
+    "frontier": ([[Integral]],),
+    "enqueued": ([Integral],),
+    "rows_fetched": (Integral, 0),
+    "batches_issued": (Integral, 0),
+    "failed": (bool,),
+    "clock_now": (Real,),
+}
+
+#: Keys of the resumable-state document.
+CRAWLER_STATE_KEYS = frozenset(_STATE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -137,12 +142,9 @@ class AsyncCrawler:
         clock: Optional[FakeClock] = None,
         latency: LatencyLike = None,
     ) -> None:
-        if concurrency < 1:
-            raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if max_depth is not None and max_depth < 0:
-            raise ConfigurationError(f"max_depth must be >= 0, got {max_depth}")
+        check_field("AsyncCrawler", "concurrency", concurrency, Integral, 1)
+        check_field("AsyncCrawler", "batch_size", batch_size, Integral, 1)
+        check_field("AsyncCrawler", "max_depth", max_depth, Integral, 0, optional=True)
         if not api.has_node(start):
             raise NodeNotFoundError(start)
         self.api = api
@@ -219,31 +221,26 @@ class AsyncCrawler:
         clock is advanced (never rewound) to the snapshot's reading, so
         time-dependent machinery — rate limiters mirrored onto this
         clock, fault-plan time windows — continues from the same instant.
+        A missing or unknown key, or a field of the wrong kind or below
+        its floor, raises :class:`~repro.errors.CheckpointError` naming it.
         """
-        missing = CRAWLER_STATE_KEYS - set(state)
-        if missing:
-            raise CheckpointError(
-                f"crawler state is missing keys: {sorted(missing)}"
-            )
-        unknown = set(state) - CRAWLER_STATE_KEYS
-        if unknown:
-            raise CheckpointError(
-                f"crawler state has unknown keys: {sorted(unknown)}"
-            )
-        if int(state["start"]) != int(self.start):
+        owner = "crawler state"
+        state = checked_fields(owner, state, _STATE_FIELDS, CheckpointError)
+        if state["start"] != self.start:
             raise CheckpointError(
                 f"state was captured for start node {state['start']}, "
                 f"but this crawler starts at {self.start}"
             )
-        self._frontier = deque(
-            (int(node), int(depth)) for node, depth in state["frontier"]
-        )
-        self._enqueued = {int(node) for node in state["enqueued"]}
-        self.rows_fetched = int(state["rows_fetched"])
-        self.batches_issued = int(state["batches_issued"])
-        self._failed = bool(state["failed"])
-        if float(state["clock_now"]) > self.clock.now:
-            self.clock.advance_to(float(state["clock_now"]))
+        frontier = state["frontier"]
+        if any(len(pair) != 2 or pair[1] < 0 for pair in frontier):
+            raise CheckpointError(f"{owner} 'frontier' needs [node, depth >= 0] pairs")
+        self._frontier = deque(map(tuple, frontier))
+        self._enqueued = set(state["enqueued"])
+        self.rows_fetched = state["rows_fetched"]
+        self.batches_issued = state["batches_issued"]
+        self._failed = state["failed"]
+        if state["clock_now"] > self.clock.now:
+            self.clock.advance_to(state["clock_now"])
 
     # ------------------------------------------------------------------
     # Crawling

@@ -9,6 +9,7 @@ graph input, configuration mistakes).
 from __future__ import annotations
 
 import numbers
+from dataclasses import MISSING, field, fields
 from typing import Any, Dict, Mapping
 
 
@@ -114,43 +115,94 @@ class ConfigurationError(ReproError, ValueError):
     """Raised for invalid algorithm or experiment configuration values."""
 
 
-def checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
-    """*data* as a dict; a key that is no field of dataclass *cls* raises."""
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(data) - valid
+def checked_fields(owner, data, keys=None, error=ConfigurationError) -> Dict[str, Any]:
+    """*data* as a dict, refused unless it carries the keys of *owner*'s
+    documents: the one key rule of every document the package reads.
+
+    *owner* is a dataclass, whose fields are the keys (one with a default
+    may be left out), or a document's name, with *keys* the keys all its
+    documents carry; given as a :func:`check_fields` table, they check
+    the fields too.  A refusal is an *error* naming the document: *data*
+    is no mapping, has an unknown key, lacks a key, or fails a field rule.
+    """
+    if isinstance(owner, str):
+        name, valid, required = owner, set(keys), set(keys)
+    else:
+        name, known = owner.__name__, fields(owner)
+        valid = {f.name for f in known}
+        required = {f.name for f in known if f.default is f.default_factory is MISSING}
+    if not isinstance(data, Mapping):
+        raise error(f"{name} must be a mapping, got {type(data).__name__}")
+    unknown, missing = set(data) - valid, required - set(data)
     if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} keys: {sorted(unknown)}; valid: {sorted(valid)}"
-        )
+        raise error(f"unknown {name} keys: {sorted(unknown)}; valid: {sorted(valid)}")
+    if missing:
+        raise error(f"missing {name} keys: {sorted(missing)}")
+    if isinstance(keys, Mapping):
+        check_fields(name, data, keys, error)
     return dict(data)
 
 
-#: How a refusal names each kind of field :func:`check_field` checks.
-_KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a number", bool: "a bool"}
+#: How a refusal names a number field; any other kind goes by its name.
+_KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a number"}
 
 
 def check_field(
-    owner: str, name: str, value: Any, kind: type, minimum=None, optional=False
+    owner, name, value, kind, minimum=None, optional=False, error=ConfigurationError
 ) -> None:
-    """Refuse a number or flag field of the wrong kind, or below *minimum*.
+    """Refuse a field of the wrong kind, NaN, or below *minimum*: the one
+    field rule of every document and config the package reads.
 
-    *kind* is ``numbers.Integral``, ``numbers.Real`` or ``bool``.  Python
-    counts a bool as an integer, so a number field refuses one and a flag
-    takes nothing else; *optional* lets ``None`` through.  A refusal is a
-    :class:`ConfigurationError` naming *owner*'s field *name*.
+    *kind* is a class (``numbers.Integral``, ``numbers.Real``, ``bool``,
+    ``str``, ``list``, ``Mapping`` or a record), ``[kind]`` for a list of
+    such fields, or a tuple of the values the field may take.  A bool is
+    no number, and a flag takes nothing else; *optional* lets ``None``
+    through.  A refusal is an *error* naming *owner*'s field *name*.  A
+    check this rule cannot express (a range's upper end, a relation
+    between fields) stays with the owner, written so that NaN fails it.
     """
     if value is None and optional:
         return
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise error(f"unknown {name} {value!r}; valid: {', '.join(kind)}")
+        return
+    if isinstance(kind, list):
+        check_field(owner, name, value, list, error=error)
+        for index, item in enumerate(value):
+            check_field(owner, f"{name}[{index}]", item, kind[0], minimum, error=error)
+        return
     if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        expected = _KIND_NAMES[kind]
+        expected = _KIND_NAMES.get(kind, f"a {kind.__name__}")
+    elif value != value:
+        expected = "a number (not NaN)"
     elif minimum is not None and not value >= minimum:
         expected = f"at least {minimum}"
     else:
         return
-    raise ConfigurationError(
+    raise error(
         f"{owner} {name!r} must be {expected}{' or None' if optional else ''}, "
         f"got {value!r}"
     )
+
+
+def check_fields(owner, values, rules, error=ConfigurationError) -> None:
+    """:func:`check_field` on each field of *values* that *rules* names:
+    a table of ``name: (kind, minimum, optional)``, the last two optional,
+    or a dataclass whose fields declare theirs with :func:`checked`."""
+    if not isinstance(rules, Mapping):
+        declared = (f for f in fields(rules) if "rule" in f.metadata)
+        rules = {f.name: f.metadata["rule"] for f in declared}
+    for name, value in values.items():
+        if name in rules:
+            check_field(owner, name, value, *rules[name], error=error)
+
+
+def checked(kind, minimum=None, optional=False, **field_args):
+    """A dataclass field declaring the :func:`check_field` rule its values
+    pass; *field_args* (``default``, ``default_factory``) go to
+    :func:`dataclasses.field`."""
+    return field(metadata={"rule": (kind, minimum, optional)}, **field_args)
 
 
 class EstimationError(ReproError):

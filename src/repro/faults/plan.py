@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, checked_fields
+from repro.errors import ConfigurationError, check_field, check_fields, checked
+from repro.errors import checked_fields
 
 #: Failure modes a rule can inject.  ``timeout``/``error``/``rate_limit``
 #: raise (the retry layer's food); ``slow`` lets the call succeed but adds
@@ -94,56 +96,41 @@ class FaultRule:
         Fractional perturbation of *delay*, drawn per injection from the
         wrapper's seeded stream — scripted chaos can still have texture
         without giving up replay.
+
+    Each number field declares its kind and floor (:func:`~repro.errors.checked`);
+    a field of the wrong kind, NaN or below its floor is refused with a
+    :class:`~repro.errors.ConfigurationError` naming it, as are an unknown
+    kind, phase or op, ``jitter >= 1`` and an empty call or time window.
     """
 
     kind: str
-    first_call: int = 0
-    last_call: Optional[int] = None
+    first_call: int = checked(Integral, 0, default=0)
+    last_call: Optional[int] = checked(Integral, optional=True, default=None)
     op: str = "any"
     phase: str = "before"
-    after_time: Optional[float] = None
-    before_time: Optional[float] = None
-    delay: float = 0.0
-    jitter: float = 0.0
+    after_time: Optional[float] = checked(Real, optional=True, default=None)
+    before_time: Optional[float] = checked(Real, optional=True, default=None)
+    delay: float = checked(Real, 0, default=0.0)
+    jitter: float = checked(Real, 0, default=0.0)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; valid: {', '.join(FAULT_KINDS)}"
-            )
-        if self.phase not in FAULT_PHASES:
-            raise ConfigurationError(
-                f"unknown fault phase {self.phase!r}; valid: "
-                f"{', '.join(FAULT_PHASES)}"
-            )
-        if self.op not in FAULT_OPS:
-            raise ConfigurationError(
-                f"unknown fault op {self.op!r}; valid: {', '.join(FAULT_OPS)}"
-            )
-        if self.first_call < 0:
-            raise ConfigurationError(
-                f"first_call must be >= 0, got {self.first_call}"
-            )
-        if self.last_call is not None and self.last_call < self.first_call:
+        check_field("FaultRule", "fault kind", self.kind, FAULT_KINDS)
+        check_field("FaultRule", "fault phase", self.phase, FAULT_PHASES)
+        check_field("FaultRule", "fault op", self.op, FAULT_OPS)
+        check_fields("FaultRule", vars(self), FaultRule)
+        if self.last_call is not None and not self.last_call >= self.first_call:
             raise ConfigurationError(
                 f"last_call ({self.last_call}) must be >= first_call "
                 f"({self.first_call})"
             )
-        if self.delay < 0:
-            raise ConfigurationError(f"delay must be >= 0, got {self.delay}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1), got {self.jitter}"
-            )
-        if (
-            self.after_time is not None
-            and self.before_time is not None
-            and self.before_time <= self.after_time
-        ):
-            raise ConfigurationError(
-                f"before_time ({self.before_time}) must be > after_time "
-                f"({self.after_time})"
-            )
+        if not self.jitter < 1.0:
+            raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
+        if self.after_time is not None and self.before_time is not None:
+            if not self.before_time > self.after_time:
+                raise ConfigurationError(
+                    f"before_time ({self.before_time}) must be > after_time "
+                    f"({self.after_time})"
+                )
 
     def matches(self, call_index: int, op: str, now: float) -> bool:
         """Whether this rule covers one wrapper call."""
@@ -180,15 +167,12 @@ class FaultPlan:
     """
 
     rules: Tuple[FaultRule, ...] = ()
-    seed: int = 0
+    seed: int = checked(Integral, 0, default=0)
 
     def __post_init__(self) -> None:
+        check_fields("FaultPlan", vars(self), FaultPlan)
         object.__setattr__(self, "rules", tuple(self.rules))
-        for rule in self.rules:
-            if not isinstance(rule, FaultRule):
-                raise ConfigurationError(
-                    f"rules must be FaultRule instances, got {type(rule).__name__}"
-                )
+        check_field("FaultPlan", "rules", list(self.rules), [FaultRule])
 
     def resolve(
         self,
@@ -236,17 +220,10 @@ class FaultPlan:
             raise ConfigurationError(
                 f"rules must be a list of rule mappings, got {type(rules).__name__}"
             )
-        built = []
-        for rule in rules:
-            if isinstance(rule, FaultRule):
-                built.append(rule)
-            elif isinstance(rule, Mapping):
-                built.append(FaultRule.from_dict(rule))
-            else:
-                raise ConfigurationError(
-                    f"each rule must be a mapping, got {type(rule).__name__}"
-                )
-        fields["rules"] = tuple(built)
+        fields["rules"] = tuple(
+            rule if isinstance(rule, FaultRule) else FaultRule.from_dict(rule)
+            for rule in rules
+        )
         return cls(**fields)
 
     def to_json(self, indent: Optional[int] = None) -> str:

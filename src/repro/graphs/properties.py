@@ -18,22 +18,15 @@ from repro.rng import RngLike, ensure_rng
 
 def bfs_distances(graph: Graph, source: Node) -> Dict[Node, int]:
     """Hop distance from *source* to every reachable node (BFS)."""
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbor in graph.neighbors(current):
-            if neighbor not in distances:
-                distances[neighbor] = distances[current] + 1
-                queue.append(neighbor)
-    return distances
+    return k_hop_neighborhood(graph, source, None)
 
 
-def k_hop_neighborhood(graph: Graph, source: Node, hops: int) -> Dict[Node, int]:
-    """Nodes within *hops* of *source*, mapped to their distance."""
-    if hops < 0:
+def k_hop_neighborhood(
+    graph: Graph, source: Node, hops: Optional[int]
+) -> Dict[Node, int]:
+    """Nodes within *hops* of *source* (``None``: no cap), mapped to their
+    distance in BFS order."""
+    if hops is not None and hops < 0:
         raise GraphError(f"hops must be >= 0, got {hops}")
     if not graph.has_node(source):
         raise NodeNotFoundError(source)

@@ -32,6 +32,7 @@ value object, same discipline as :class:`~repro.core.dispatch.EngineConfig`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import (
@@ -40,6 +41,8 @@ from repro.errors import (
     ConfigurationError,
     RateLimitExceededError,
     TransientAPIError,
+    check_fields,
+    checked,
     checked_fields,
 )
 from repro.osn.api import APIWrapper
@@ -76,50 +79,36 @@ class RetryPolicy:
     circuit_reset_seconds:
         Clock seconds an open circuit stays closed to traffic before one
         half-open trial call is allowed through.
+
+    Each field declares its kind and floor (:func:`~repro.errors.checked`);
+    a field of the wrong kind, NaN or below its floor, or an unknown key,
+    is refused with a :class:`~repro.errors.ConfigurationError` naming
+    it, as are ``jitter >= 1``, ``max_backoff < base_backoff`` and a
+    ``call_timeout`` or ``circuit_reset_seconds`` not above 0.
     """
 
-    max_attempts: int = 4
-    base_backoff: float = 1.0
-    backoff_factor: float = 2.0
-    max_backoff: float = 60.0
-    jitter: float = 0.1
-    call_timeout: Optional[float] = None
-    circuit_threshold: int = 5
-    circuit_reset_seconds: float = 300.0
+    max_attempts: int = checked(Integral, 1, default=4)
+    base_backoff: float = checked(Real, 0, default=1.0)
+    backoff_factor: float = checked(Real, 1, default=2.0)
+    max_backoff: float = checked(Real, default=60.0)
+    jitter: float = checked(Real, 0, default=0.1)
+    call_timeout: Optional[float] = checked(Real, optional=True, default=None)
+    circuit_threshold: int = checked(Integral, 1, default=5)
+    circuit_reset_seconds: float = checked(Real, default=300.0)
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_backoff < 0:
-            raise ConfigurationError(
-                f"base_backoff must be >= 0, got {self.base_backoff}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.max_backoff < self.base_backoff:
+        check_fields("RetryPolicy", vars(self), RetryPolicy)
+        if not self.max_backoff >= self.base_backoff:
             raise ConfigurationError(
                 f"max_backoff ({self.max_backoff}) must be >= base_backoff "
                 f"({self.base_backoff})"
             )
-        if not 0.0 <= self.jitter < 1.0:
+        if not self.jitter < 1.0:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.call_timeout is not None and self.call_timeout <= 0:
-            raise ConfigurationError(
-                f"call_timeout must be > 0 or None, got {self.call_timeout}"
-            )
-        if self.circuit_threshold < 1:
-            raise ConfigurationError(
-                f"circuit_threshold must be >= 1, got {self.circuit_threshold}"
-            )
-        if self.circuit_reset_seconds <= 0:
-            raise ConfigurationError(
-                f"circuit_reset_seconds must be > 0, got "
-                f"{self.circuit_reset_seconds}"
-            )
+        for name in ("call_timeout", "circuit_reset_seconds"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
 
     def backoff_for(self, retry_index: int, rng) -> float:
         """Simulated seconds to wait before retry *retry_index* (1-based)."""
@@ -196,9 +185,11 @@ class ResilientAPI(APIWrapper):
     clock:
         Timebase for circuit-breaker windows.  ``None`` uses a private
         :class:`~repro.osn.ratelimit.VirtualClock` advanced only by this
-        wrapper's own backoffs; passing the campaign's clock (the crawl
-        :class:`~repro.crawl.clock.FakeClock`) makes reset windows follow
-        campaign time, which is what the serving layer wants.
+        wrapper's own backoffs.  A call refused by an open circuit waits
+        for nothing, so on that clock an open circuit never reaches its
+        reset time and never half-opens.  Pass the campaign's clock (the
+        crawl :class:`~repro.crawl.clock.FakeClock`) to make reset windows
+        follow campaign time, which is what the serving layer wants.
     seed:
         Root of the backoff-jitter stream (deterministic per call order).
     tenant:

@@ -47,6 +47,12 @@ labels an uninterrupted run streams, and the next publish is N + 1 only
 if the graph grew.  Live stream subscriptions are never captured (a
 handle is a connection, not state; ``partials`` history is preserved,
 replay is the caller's choice).
+
+**Reading refuses, never coerces.**  :func:`restore` reads each record
+through :func:`~repro.errors.checked_fields`: a missing or unknown key, or
+a field of the wrong kind, NaN or below its floor, raises
+:class:`~repro.errors.CheckpointError` naming it, and nothing is cast, so
+a valid document loads to exactly what :func:`capture` wrote.
 """
 
 from __future__ import annotations
@@ -54,14 +60,15 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import asdict
+from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.bench.io import atomic_write_json, load_json
 from repro.core.dispatch import EstimationJobSpec
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, check_field, check_fields, checked_fields
 from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 
 #: Schema version stamped into every checkpoint document.  Version 2
@@ -78,29 +85,50 @@ from repro.service.jobs import Job, JobResult, JobState, PartialEstimate
 #: ``kernel_backend`` from their engine config.
 CHECKPOINT_VERSION = 8
 
-#: Top-level keys every checkpoint document carries.
-CHECKPOINT_KEYS = frozenset(
-    {
-        "version",
-        "config",
-        "start",
-        "clock_now",
-        "rng_state",
-        "job_sequence",
-        "epochs_run",
-        "budget_exhausted",
-        "jobs",
-        "pending",
-        "running",
-        "driver_cursor",
-        "counter",
-        "ledger",
-        "discovered",
-        "crawler",
-        "topology",
-    }
-)
+#: Kind, floor and optionality of each top-level field of a checkpoint
+#: document, whose keys are the document's (:func:`read_record`); each
+#: nested record is checked where it is read.
+_FIELDS = {
+    "version": (Integral,),
+    "config": (Mapping,),
+    "start": (Integral,),
+    "clock_now": (Real,),
+    "rng_state": (Mapping,),
+    "job_sequence": (Integral, 0),
+    "epochs_run": (Integral, 0),
+    "budget_exhausted": (bool,),
+    "jobs": ([Mapping],),
+    "pending": ([str],),
+    "running": ([str],),
+    "driver_cursor": (Integral, 0),
+    "counter": (Mapping,),
+    "ledger": (Mapping,),
+    "discovered": (Mapping,),
+    "crawler": (Mapping,),
+    "topology": (Mapping, None, True),
+}
 
+#: The same for each job's record (:func:`_job_document`).
+_JOB_FIELDS = {
+    "job_id": (str,),
+    "spec": (Mapping,),
+    "rng_state": (Mapping,),
+    "state": (str,),
+    "rounds": (Integral, 0),
+    "exhausted_rounds": (Integral, 0),
+    "submitted_at": (Real,),
+    "first_partial_at": (Real, None, True),
+    "values": (str,),
+    "weights": (str,),
+    "partials": ([Mapping],),
+    "result": (Mapping, None, True),
+}
+
+#: The counter's, ledger's, live epoch's and discovered rows' records.
+_COUNTER_FIELDS = {"seen": ([Integral],), "raw_calls": (Integral, 0)}
+_LEDGER_FIELDS = {"baseline": (Integral, 0), "charges": (Mapping,)}
+_TOPOLOGY_FIELDS = {"epoch": (Integral, 0), "rows": (Integral, 0)}
+_ROW_FIELDS = dict.fromkeys(("ids", "lengths", "flat", "marked"), (str,))
 
 _FLOAT64 = np.dtype("<f8")
 _INT64 = np.dtype("<i8")
@@ -149,12 +177,33 @@ def _record_document(record) -> Dict[str, Any]:
     return doc
 
 
-def _record_fields(doc: Mapping[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`_record_document`: constructor keyword arguments."""
-    fields = dict(doc)
+def _record_from(owner: str, cls, doc: Any):
+    """Inverse of :func:`_record_document`: a *cls* record."""
+    fields = read_record(owner, doc, cls.__dataclass_fields__.keys())
+    check_fields(owner, fields, cls, CheckpointError)
     for field in _NONFINITE_FIELDS:
+        if not isinstance(fields[field], str):
+            check_field(owner, field, fields[field], Real, error=CheckpointError)
         fields[field] = _float_from(fields[field])
-    return fields
+    if "state" in fields:
+        fields["state"] = rebuild(f"{owner} state", JobState, fields["state"])
+    return cls(**fields)
+
+
+def read_record(owner: str, doc: Any, keys) -> Dict[str, Any]:
+    """:func:`~repro.errors.checked_fields`, refusing with a
+    :class:`CheckpointError`: how every record of a checkpoint is read."""
+    return checked_fields(owner, doc, keys, CheckpointError)
+
+
+def rebuild(what: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` it raises (a
+    ``ConfigurationError`` included) is refused as a
+    :class:`CheckpointError` naming *what*, chained from it."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"cannot rebuild the {what}: {exc}") from exc
 
 
 def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
@@ -170,7 +219,10 @@ def _restore_rng(rng: np.random.Generator, state: Mapping[str, Any]) -> None:
             f"checkpoint rng uses bit generator "
             f"{state.get('bit_generator')!r}, this build uses {expected!r}"
         )
-    rng.bit_generator.state = dict(state)
+    try:
+        rng.bit_generator.state = dict(state)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise CheckpointError(f"corrupt rng state in checkpoint: {exc!r}") from exc
 
 
 def _job_document(job: Job) -> Dict[str, Any]:
@@ -197,33 +249,32 @@ def _job_document(job: Job) -> Dict[str, Any]:
     return doc
 
 
-def _rebuild_job(doc: Mapping[str, Any]) -> Job:
+def _rebuild_job(doc: Any) -> Job:
     """Inverse of :meth:`_job_document`: a job mid-flight, bit for bit."""
-    job = Job(
-        str(doc["job_id"]),
-        EstimationJobSpec.from_dict(doc["spec"]),
-        np.random.default_rng(),
-    )
+    doc = read_record("checkpoint job", doc, _JOB_FIELDS)
+    owner = f"checkpoint job {doc['job_id']!r}"
+    spec = rebuild(f"{owner} spec", EstimationJobSpec.from_dict, doc["spec"])
+    state = rebuild(f"{owner} state", JobState, doc["state"])
+    job = Job(doc["job_id"], spec, np.random.default_rng())
     _restore_rng(job.rng, doc["rng_state"])
-    job.rounds = int(doc["rounds"])
-    job.exhausted_rounds = int(doc["exhausted_rounds"])
-    job.submitted_at = float(doc["submitted_at"])
-    first_partial = doc["first_partial_at"]
-    job.first_partial_at = None if first_partial is None else float(first_partial)
+    job.rounds = doc["rounds"]
+    job.exhausted_rounds = doc["exhausted_rounds"]
+    job.submitted_at = doc["submitted_at"]
+    job.first_partial_at = doc["first_partial_at"]
     # One absorb of the concatenated samples: the job keeps every absorbed
     # round in one contiguous buffer, so current_estimate() sums the
     # identical float64 sequence the original service would have.
-    job.absorb(_decode(doc["values"], _FLOAT64), _decode(doc["weights"], _FLOAT64))
+    values, weights = (_decode(doc[key], _FLOAT64) for key in ("values", "weights"))
+    rebuild(f"{owner} samples", job.absorb, values, weights)
     job.partials = [
-        PartialEstimate(**_record_fields(partial)) for partial in doc["partials"]
+        _record_from(f"{owner} partial", PartialEstimate, partial)
+        for partial in doc["partials"]
     ]
-    result = doc["result"]
-    if result is not None:
-        rebuilt = _record_fields(result)
-        rebuilt["state"] = JobState(rebuilt["state"])
-        job.resolve(JobResult(**rebuilt))
+    if doc["result"] is None:
+        job.state = state
     else:
-        job.state = JobState(doc["state"])
+        result = _record_from(f"{owner} result", JobResult, doc["result"])
+        rebuild(f"{owner} result", job.resolve, result)
     return job
 
 
@@ -236,17 +287,13 @@ def _topology_document(service) -> Optional[Dict[str, int]]:
     return {"epoch": int(current.epoch), "rows": int(current.rows)}
 
 
-def _restore_topology(service, document: Optional[Mapping[str, Any]]) -> None:
+def _restore_topology(service, document: Any) -> None:
     """Rebuild the checkpoint's live epoch from the restored rows under its
     recorded number, and point the service's rounds at it."""
     if document is None:
         return
-    try:
-        service.publisher.rebuild(
-            rows=int(document["rows"]), epoch=int(document["epoch"])
-        )
-    except ConfigurationError as exc:
-        raise CheckpointError(f"cannot rebuild the live epoch: {exc}") from exc
+    topology = read_record("checkpoint topology", document, _TOPOLOGY_FIELDS)
+    rebuild("checkpoint's live epoch", service.publisher.rebuild, **topology)
     service._swap_topology()
 
 
@@ -312,67 +359,64 @@ def load(path: Union[str, Path]) -> Dict[str, Any]:
     return validate(document)
 
 
-def validate(document: Mapping[str, Any]) -> Dict[str, Any]:
-    """Check a checkpoint document's shape; raise :class:`CheckpointError`."""
-    if not isinstance(document, Mapping):
+def validate(document: Any) -> Dict[str, Any]:
+    """Check a checkpoint document's version, keys and top-level fields;
+    raise :class:`CheckpointError`."""
+    if isinstance(document, Mapping) and document.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint must be a mapping, got {type(document).__name__}"
-        )
-    version = document.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r}; "
+            f"unsupported checkpoint version {document.get('version')!r}; "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    missing = CHECKPOINT_KEYS - set(document)
-    if missing:
-        raise CheckpointError(f"checkpoint is missing keys: {sorted(missing)}")
-    unknown = set(document) - CHECKPOINT_KEYS
-    if unknown:
-        raise CheckpointError(f"checkpoint has unknown keys: {sorted(unknown)}")
-    return dict(document)
+    return read_record("checkpoint", document, _FIELDS)
 
 
-def restore(service, document: Mapping[str, Any]) -> None:
-    """Load a validated *document* into a freshly constructed *service*.
+def restore(service, document: Any) -> None:
+    """Load a *document* into a freshly constructed *service*.
 
     The service must have been built over an API whose discovered store
     is empty (the row restore refuses otherwise) and must not have run
     any epoch or accepted any job yet.  Restore order matters: rows and
     counter first (the §2.4 cache and its proof of payment), then the
     ledger (whose balance check reads the counter), then crawler, jobs,
-    and scheduler.
+    and scheduler.  Each record is checked as it is read, and nothing
+    is coerced: a document that fails a check raises
+    :class:`CheckpointError`, naming the key or field.
     """
+    document = validate(document)
     if service.jobs or service.epochs_run:
         raise CheckpointError(
             "restore targets must be freshly constructed services "
             f"(this one has {len(service.jobs)} jobs and "
             f"{service.epochs_run} epochs run)"
         )
-    if int(document["start"]) != int(service.start):
+    if document["start"] != service.start:
         raise CheckpointError(
             f"checkpoint was captured for start node {document['start']}, "
             f"but this service starts at {service.start}"
         )
+    rows = read_record("checkpoint discovered", document["discovered"], _ROW_FIELDS)
     service.api.discovered.restore_rows(
-        {key: _decode(blob, _INT64) for key, blob in document["discovered"].items()}
+        {key: _decode(blob, _INT64) for key, blob in rows.items()}
     )
-    counter = document["counter"]
-    service.api.counter.restore(counter["seen"], int(counter["raw_calls"]))
-    ledger = document["ledger"]
-    service.ledger.restore(int(ledger["baseline"]), ledger["charges"])
-    service.crawler.restore_state(dict(document["crawler"]))
-    if float(document["clock_now"]) > service.clock.now:
-        service.clock.advance_to(float(document["clock_now"]))
+    counter = read_record("checkpoint counter", document["counter"], _COUNTER_FIELDS)
+    service.api.counter.restore(counter["seen"], counter["raw_calls"])
+    owner = "checkpoint ledger"
+    ledger = read_record(owner, document["ledger"], _LEDGER_FIELDS)
+    tenants, charges = [*ledger["charges"]], [*ledger["charges"].values()]
+    check_field(owner, "tenants", tenants, [str], error=CheckpointError)
+    check_field(owner, "charges", charges, [Integral], 0, error=CheckpointError)
+    rebuild(owner, service.ledger.restore, ledger["baseline"], ledger["charges"])
+    service.crawler.restore_state(document["crawler"])
+    if document["clock_now"] > service.clock.now:
+        service.clock.advance_to(document["clock_now"])
     _restore_rng(service._rng, document["rng_state"])
-    service._job_sequence = int(document["job_sequence"])
-    service.epochs_run = int(document["epochs_run"])
-    service.budget_exhausted = bool(document["budget_exhausted"])
+    service._job_sequence = document["job_sequence"]
+    service.epochs_run = document["epochs_run"]
+    service.budget_exhausted = document["budget_exhausted"]
     for doc in document["jobs"]:
         job = _rebuild_job(doc)
         service.jobs[job.job_id] = job
-    pending: List[str] = list(document["pending"])
-    running: List[str] = list(document["running"])
+    pending, running = document["pending"], document["running"]
     for job_id in pending + running:
         if job_id not in service.jobs:
             raise CheckpointError(
@@ -380,7 +424,7 @@ def restore(service, document: Mapping[str, Any]) -> None:
             )
     service.scheduler.pending.extend(service.jobs[job_id] for job_id in pending)
     service.scheduler.running.extend(service.jobs[job_id] for job_id in running)
-    service.scheduler._driver_cursor = int(document["driver_cursor"])
+    service.scheduler._driver_cursor = document["driver_cursor"]
     # Last, once rows and jobs are in place: rebuild the live epoch from
     # the rows restored above.
     _restore_topology(service, document["topology"])

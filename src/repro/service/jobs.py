@@ -18,12 +18,13 @@ from __future__ import annotations
 import asyncio
 import enum
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import AsyncIterator, List, Optional
 
 import numpy as np
 
 from repro.core.dispatch import EstimationJobSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, checked
 from repro.estimators.aggregates import importance_estimate
 
 
@@ -56,35 +57,37 @@ class PartialEstimate:
     The running self-normalized importance estimate over *every* sample
     the job has accumulated so far — each round's accepted WALK-ESTIMATE
     samples fold in, so successive partials converge as coverage and
-    sample count grow.
+    sample count grow.  Each field's :func:`~repro.errors.checked` rule
+    is what the checkpoint reader holds a stored partial to.
     """
 
-    job_id: str
-    tenant: str
-    round_index: int
-    epoch: int
+    job_id: str = checked(str)
+    tenant: str = checked(str)
+    round_index: int = checked(Integral, 0)
+    epoch: int = checked(Integral, 0)
     estimate: float
     stderr: float
-    samples: int
-    query_cost: int
-    clock_seconds: float
+    samples: int = checked(Integral, 0)
+    query_cost: int = checked(Integral, 0)
+    clock_seconds: float = checked(Real)
 
 
 @dataclass(frozen=True)
 class JobResult:
-    """Terminal outcome of a job."""
+    """Terminal outcome of a job; its fields' rules serve the checkpoint
+    reader, as :class:`PartialEstimate`'s do."""
 
-    job_id: str
-    tenant: str
+    job_id: str = checked(str)
+    tenant: str = checked(str)
     state: JobState
     estimate: float
     stderr: float
-    samples: int
-    rounds: int
-    query_cost: int
-    met_target: bool
-    reason: str
-    clock_seconds: float
+    samples: int = checked(Integral, 0)
+    rounds: int = checked(Integral, 0)
+    query_cost: int = checked(Integral, 0)
+    met_target: bool = checked(bool)
+    reason: str = checked(str)
+    clock_seconds: float = checked(Real)
 
 
 class Job:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -65,6 +66,8 @@ from repro.errors import (
     AdmissionError,
     ConfigurationError,
     QueryBudgetExceededError,
+    check_fields,
+    checked,
 )
 from repro.osn.accounting import TenantLedger
 from repro.rng import RngLike, ensure_rng, spawn
@@ -122,51 +125,34 @@ class ServiceConfig:
         :mod:`repro.service.checkpoint`); ``None`` disables them.
     checkpoint_every:
         Epochs between periodic checkpoints when a path is configured.
+
+    Each number field declares its kind and floor (:func:`~repro.errors.checked`);
+    a field of the wrong kind (a bool is no number), NaN or below its
+    floor is refused with a :class:`~repro.errors.ConfigurationError`
+    naming it, and a checkpoint's config with a :class:`~repro.errors.CheckpointError`.
     """
 
-    max_pending: int = 16
-    max_running: int = 8
-    rows_per_epoch: int = 40
-    batch_size: int = 8
-    concurrency: int = 4
-    max_depth: Optional[int] = None
-    max_rounds_per_job: int = 8
-    min_partial_samples: int = 8
-    grace_rounds: int = 2
-    monitor_interval: Optional[float] = 1.0
-    n_workers: int = 1
+    max_pending: int = checked(Integral, 1, default=16)
+    max_running: int = checked(Integral, 1, default=8)
+    rows_per_epoch: int = checked(Integral, 1, default=40)
+    batch_size: int = checked(Integral, 1, default=8)
+    concurrency: int = checked(Integral, 1, default=4)
+    max_depth: Optional[int] = checked(Integral, 0, optional=True, default=None)
+    max_rounds_per_job: int = checked(Integral, 1, default=8)
+    min_partial_samples: int = checked(Integral, 1, default=8)
+    grace_rounds: int = checked(Integral, 0, default=2)
+    monitor_interval: Optional[float] = checked(Real, optional=True, default=1.0)
+    n_workers: int = checked(Integral, 1, default=1)
     mp_context: str = "fork"
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 1
-    slab_storage: str = "shm"
+    checkpoint_every: int = checked(Integral, 1, default=1)
+    slab_storage: str = checked(("shm",), default="shm")
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_pending",
-            "max_running",
-            "rows_per_epoch",
-            "batch_size",
-            "concurrency",
-            "max_rounds_per_job",
-            "min_partial_samples",
-            "n_workers",
-            "checkpoint_every",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
-        if self.grace_rounds < 0:
-            raise ConfigurationError(
-                f"grace_rounds must be >= 0, got {self.grace_rounds}"
-            )
-        if self.monitor_interval is not None and self.monitor_interval <= 0:
+        check_fields("ServiceConfig", vars(self), ServiceConfig)
+        if self.monitor_interval is not None and not 0.0 < self.monitor_interval:
             raise ConfigurationError(
                 f"monitor_interval must be > 0 or None, got {self.monitor_interval}"
-            )
-        if self.slab_storage != "shm":
-            raise ConfigurationError(
-                f"unknown slab_storage {self.slab_storage!r}; valid: shm"
             )
 
 
@@ -632,10 +618,12 @@ class SamplingService:
             document = checkpoint_module.load(source)
         else:
             document = checkpoint_module.validate(source)
-        config = ServiceConfig(**document["config"])
+        owner, keys = "checkpoint config", ServiceConfig.__dataclass_fields__.keys()
+        fields = checkpoint_module.read_record(owner, document["config"], keys)
+        config = checkpoint_module.rebuild(owner, ServiceConfig, **fields)
         service = cls(
             api,
-            start=int(document["start"]),
+            start=document["start"],
             config=config,
             clock=clock,
             latency=latency,

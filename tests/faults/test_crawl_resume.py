@@ -146,9 +146,9 @@ class TestResumption:
         api = SocialNetworkAPI(hidden)
         crawler = AsyncCrawler(api, 0, latency=LATENCY)
         state = crawler.state_dict()
-        with pytest.raises(CheckpointError, match="missing keys"):
+        with pytest.raises(CheckpointError, match="missing crawler state keys"):
             crawler.restore_state({k: v for k, v in state.items() if k != "frontier"})
-        with pytest.raises(CheckpointError, match="unknown keys"):
+        with pytest.raises(CheckpointError, match="unknown crawler state keys"):
             crawler.restore_state({**state, "extra": 1})
         other = AsyncCrawler(api, 1, latency=LATENCY)
         with pytest.raises(CheckpointError, match="start node"):

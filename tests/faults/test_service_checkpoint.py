@@ -285,11 +285,11 @@ class TestValidation:
         assert document["version"] == CHECKPOINT_VERSION
         with pytest.raises(CheckpointError, match="version"):
             checkpoint_module.validate({**document, "version": 99})
-        with pytest.raises(CheckpointError, match="missing keys"):
+        with pytest.raises(CheckpointError, match="missing checkpoint keys"):
             checkpoint_module.validate(
                 {k: v for k, v in document.items() if k != "counter"}
             )
-        with pytest.raises(CheckpointError, match="unknown keys"):
+        with pytest.raises(CheckpointError, match="unknown checkpoint keys"):
             checkpoint_module.validate({**document, "extra": 1})
         with pytest.raises(CheckpointError, match="mapping"):
             checkpoint_module.validate([1, 2])
