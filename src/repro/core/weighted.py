@@ -237,19 +237,17 @@ def weighted_backward_estimate(
             return weight if current == start else 0.0
         candidates = backward_candidates(view, design, current)
         k = len(candidates)
-        # Pick a predecessor index and its probability π(x).  The uniform
-        # fast path avoids per-step overhead — this loop dominates
-        # WALK-ESTIMATE's wall-clock time.
+        # Pick a predecessor index and its probability π(x).  A history that
+        # shares no node with the candidates means zero visits (every count
+        # is at least 1): draw uniformly without building the visit list.
+        # This loop dominates WALK-ESTIMATE's wall-clock time.
         visit_counts = history.counts_at(depth - 1) if history is not None else None
-        total_visits = 0
-        visits: list[int] = []
-        if visit_counts:
-            visits = [visit_counts.get(c, 0) for c in candidates]
-            total_visits = sum(visits)
-        if total_visits == 0:
+        if not visit_counts or visit_counts.keys().isdisjoint(candidates):
             index = int(rng.integers(0, k))
             pi_x = 1.0 / k
         else:
+            visits = [visit_counts.get(c, 0) for c in candidates]
+            total_visits = sum(visits)
             c = smoothing_constant(total_visits, k, epsilon)
             normalizer = total_visits + c * k
             draw = rng.random() * normalizer

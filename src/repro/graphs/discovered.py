@@ -32,22 +32,25 @@ crawler appending rows) and a *consumer* (the publisher compacting) on
 the same store, potentially from different threads.  Rather than leaning
 on CPython's per-opcode atomicity — an implementation detail, and false
 for the multi-step array paths here — every mutator (:meth:`record`,
-:meth:`mark`, :meth:`clear`) and every multi-step reader (the array
-lookups and :meth:`compact`) serializes on one reentrant lock, so a
-compaction always sees a row-complete store and an append never tears a
-half-refreshed id array.  The single-dict scalar reads (:meth:`row`,
-:meth:`has_row`, :meth:`member`, the counts) stay lock-free on purpose:
-each is one dict/set operation returning an immutable value, atomic under
-the GIL by construction, and they sit on the scalar walkers' hot path.
-The lock is reentrant so a locked reader may call another locked reader
-(``compact`` → ``fetched_mask``) without deadlock; hold times are bounded
-by one compaction.
+:meth:`mark`, :meth:`clear`) and every reader of the arrays or the
+membership (the array lookups, :meth:`compact`, :meth:`member`) serializes
+on one reentrant lock.  :meth:`record` only queues a row, and the first
+such reader writes every queued row into the arrays and the membership,
+so a compaction always sees a row-complete store and an append never
+tears a half-refreshed id array.  The single-dict scalar reads
+(:meth:`row`, :meth:`has_row`, :attr:`fetched_count`) stay lock-free on
+purpose: each is one dict operation returning an immutable value, atomic
+under the GIL by construction, and they sit on the scalar walkers' hot
+path.  The lock is reentrant so a locked reader may call another locked
+reader (``compact`` → ``fetched_mask``) without deadlock; hold times are
+bounded by one compaction.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -122,14 +125,24 @@ class DiscoveredSlab:
         )
 
 
+def _grown(array: np.ndarray, needed: int) -> np.ndarray:
+    """*array* if it has *needed* entries, else a copy at least twice its
+    size, padded with -1 (the slot table's "no row")."""
+    if needed <= array.size:
+        return array
+    grown = np.full(max(2 * array.size, needed), -1, dtype=array.dtype)
+    grown[: array.size] = array
+    return grown
+
+
 class DiscoveredGraph:
     """Grow-only store of fetched neighbor rows with array-backed lookups.
 
     The scalar interface (:meth:`record` / :meth:`row` / :meth:`neighbors`)
     is plain dict work; the array interface (:meth:`fetched_mask` /
-    :meth:`degrees_of` / :meth:`member_ids`) maintains sorted id arrays
-    lazily — rebuilt at most once per growth generation — so batch callers
-    pay O(log n) per lookup with no per-node Python.
+    :meth:`degrees_of` / :meth:`member_ids`) writes the rows recorded since
+    its last read in one pass and rebuilds sorted id arrays at most once per
+    growth generation, so batch callers pay no per-node Python.
     """
 
     def __init__(self, name: str = "discovered") -> None:
@@ -146,9 +159,11 @@ class DiscoveredGraph:
         self._arrays_generation = -1
         self._slab: Optional[DiscoveredSlab] = None
         self._slab_generation = -1
-        # Incremental row pool: every fetched row is appended once as a
-        # flat int64 segment, so batch callers gather K ragged rows with
-        # pure array arithmetic instead of K tuple conversions per level.
+        # (node, row) pairs recorded since the last read, in record order.
+        self._pending: list[Tuple[Node, Tuple[Node, ...]]] = []
+        # Incremental row pool: _catch_up gives every recorded row one flat
+        # int64 segment, so batch callers gather K ragged rows with pure
+        # array arithmetic instead of K tuple conversions per level.
         self._pool = np.empty(1024, dtype=np.int64)
         self._pool_used = 0
         self._slot_starts = np.empty(256, dtype=np.int64)
@@ -166,49 +181,56 @@ class DiscoveredGraph:
     # Recording (the charged API writes here)
     # ------------------------------------------------------------------
     def record(self, node: Node, neighbors: Tuple[Node, ...]) -> None:
-        """Store the fetched neighbor row of *node* (idempotent)."""
+        """Store the fetched neighbor row of *node* (idempotent); dict work
+        only, until a read of the array form or membership catches up."""
         with self._lock:
             if self._rows.get(node) == neighbors:
                 return
             self._rows[node] = neighbors
-            self._append_pool_row(node, neighbors)
-            self._members.add(node)
-            self._members.update(neighbors)
+            self._pending.append((node, neighbors))
             self._generation += 1
 
-    def _append_pool_row(self, node: Node, neighbors: Tuple[Node, ...]) -> None:
-        length = len(neighbors)
-        needed = self._pool_used + length
-        if needed > self._pool.size:
-            grown = np.empty(max(2 * self._pool.size, needed), dtype=np.int64)
-            grown[: self._pool_used] = self._pool[: self._pool_used]
-            self._pool = grown
-        self._pool[self._pool_used : needed] = neighbors
-        slot = self._slot_by_id.get(node)
-        if slot is None:
-            slot = len(self._slot_by_id)
-            if slot == self._slot_starts.size:
-                self._slot_starts = np.concatenate(
-                    (self._slot_starts, np.empty(self._slot_starts.size, np.int64))
-                )
-                self._slot_lengths = np.concatenate(
-                    (self._slot_lengths, np.empty(self._slot_lengths.size, np.int64))
-                )
-            self._slot_by_id[node] = slot
-            if self._dense:
-                if 0 <= node < _DENSE_ID_LIMIT:
-                    if node >= self._slot_table.size:
-                        grown = np.full(
-                            max(2 * self._slot_table.size, node + 1), -1, np.int64
-                        )
-                        grown[: self._slot_table.size] = self._slot_table
-                        self._slot_table = grown
-                    self._slot_table[node] = slot
-                else:
-                    self._dense = False
-        self._slot_starts[slot] = self._pool_used
-        self._slot_lengths[slot] = length
+    def _catch_up(self) -> None:
+        """Write the queued rows into the array form and the membership.
+
+        One pass for all of them, leaving what appending them one by one
+        would: each row a pool segment in record order, each new node the
+        next slot (and its dense-table entry), each slot pointing at its
+        row's latest segment, so a row recorded again leaves its earlier
+        segment unused.  Call with the lock held.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        nodes, rows = zip(*pending)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        used, needed = self._pool_used, self._pool_used + int(lengths.sum())
+        self._pool = _grown(self._pool, needed)
+        self._pool[used:needed] = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=needed - used
+        )
+        by_id = self._slot_by_id
+        before = len(by_id)
+        slots = np.array([by_id.setdefault(n, len(by_id)) for n in nodes], np.int64)
+        self._slot_starts = _grown(self._slot_starts, len(by_id))
+        self._slot_lengths = _grown(self._slot_lengths, len(by_id))
+        # Each slot's last row only: NumPy leaves repeated indices unordered.
+        _, last = np.unique(slots[::-1], return_index=True)
+        last = slots.size - 1 - last
+        starts = used + np.cumsum(lengths) - lengths
+        self._slot_starts[slots[last]] = starts[last]
+        self._slot_lengths[slots[last]] = lengths[last]
+        fresh = slots >= before
+        if self._dense and fresh.any():
+            new_ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))[fresh]
+            if new_ids.min() < 0 or new_ids.max() >= _DENSE_ID_LIMIT:
+                self._dense = False
+            else:
+                self._slot_table = _grown(self._slot_table, int(new_ids.max()) + 1)
+                self._slot_table[new_ids] = slots[fresh]
+        self._members.update(nodes, *rows)
         self._pool_used = needed
+        self._pending = []
 
     def mark(self, node: Node, neighbors: Iterable[Node] = ()) -> None:
         """Add *node* (and optionally ids it exposed) to membership only.
@@ -218,6 +240,7 @@ class DiscoveredGraph:
         calls whose response changes per invocation.
         """
         with self._lock:
+            self._catch_up()
             before = len(self._members)
             self._members.add(node)
             self._members.update(neighbors)
@@ -228,6 +251,7 @@ class DiscoveredGraph:
         """Forget everything (new measurement epoch)."""
         with self._lock:
             self._rows.clear()
+            self._pending = []
             self._members.clear()
             self._pool_used = 0
             self._slot_by_id.clear()
@@ -256,10 +280,10 @@ class DiscoveredGraph:
         replay writes only the row's current contents.
         """
         with self._lock:
+            self._refresh_arrays()
             count = len(self._slot_by_id)
             ids = np.fromiter(self._slot_by_id, dtype=np.int64, count=count)
             flat, lengths = self._gather(np.arange(count, dtype=np.int64))
-            self._refresh_arrays()
             listed = np.union1d(ids, flat)
             marked = np.setdiff1d(self._member_ids, listed, assume_unique=True)
             return {"ids": ids, "lengths": lengths, "flat": flat, "marked": marked}
@@ -326,7 +350,9 @@ class DiscoveredGraph:
 
     def member(self, node: Node) -> bool:
         """True if the crawler has ever seen this node id."""
-        return node in self._members
+        with self._lock:
+            self._catch_up()
+            return node in self._members
 
     def __contains__(self, node: Node) -> bool:
         return self.member(node)
@@ -339,12 +365,15 @@ class DiscoveredGraph:
     @property
     def membership_size(self) -> int:
         """Number of distinct node ids ever seen (fetched ∪ listed ∪ marked)."""
-        return len(self._members)
+        with self._lock:
+            self._catch_up()
+            return len(self._members)
 
     # ------------------------------------------------------------------
     # Array lookups (the batch accounting layer reads here)
     # ------------------------------------------------------------------
     def _refresh_arrays(self) -> None:
+        self._catch_up()
         if self._arrays_generation == self._generation:
             return
         ids = np.fromiter(self._slot_by_id, dtype=np.int64, count=len(self._slot_by_id))
@@ -362,6 +391,7 @@ class DiscoveredGraph:
 
     def _slots_lookup(self, nodes: np.ndarray) -> np.ndarray:
         """Pool slots for an array of node ids; -1 where no row is cached."""
+        self._catch_up()
         if self._dense:
             table = self._slot_table
             inside = (nodes >= 0) & (nodes < table.size)
@@ -437,7 +467,8 @@ class DiscoveredGraph:
         if nodes.size == 0:
             return np.zeros(0, dtype=np.int64)
         with self._lock:
-            return self._slot_lengths[self._slots_of(nodes)]
+            slots = self._slots_of(nodes)  # catches up: may grow the arrays
+            return self._slot_lengths[slots]
 
     def rows_flat(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
         """Cached rows of *nodes* as ``(concatenated ids, lengths)`` arrays.

@@ -129,14 +129,10 @@ def local_clustering(graph: Graph, node: Node) -> float:
     k = len(neighbors)
     if k < 2:
         return 0.0
-    links = 0
     neighbor_set = set(neighbors)
-    for i, u in enumerate(neighbors):
-        # Count each pair once by only looking at later neighbors of u.
-        for v in neighbors[i + 1 :]:
-            if v in neighbor_set and graph.has_edge(u, v):
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+    # Each link between two neighbors is counted once from either end.
+    links = sum(len(neighbor_set.intersection(graph.neighbors(u))) for u in neighbors)
+    return 2.0 * (links // 2) / (k * (k - 1))
 
 
 def average_clustering(graph: Graph) -> float:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError, QueryBudgetExceededError
+from repro.errors import ConfigurationError, QueryBudgetExceededError, check_field
 
 
 @dataclass
@@ -144,12 +145,14 @@ class QueryCounter:
         The inverse of :meth:`state` for the crash-recovery path — a
         restored counter reports exactly the state the snapshot captured,
         so repeat lookups of already-paid-for nodes stay free (§2.4)
-        across a service restart.  Replaces whatever the counter held.
+        across a service restart.  Replaces whatever the counter held with
+        the values as given: integer ids and an integer *raw_calls* >= 0.
         """
-        if raw_calls < 0:
-            raise ValueError(f"raw_calls must be >= 0, got {raw_calls}")
-        self._seen = {int(node) for node in seen}
-        self._raw_calls = int(raw_calls)
+        seen = list(seen)
+        check_field("QueryCounter", "seen", seen, [Integral])
+        check_field("QueryCounter", "raw_calls", raw_calls, Integral, 0)
+        self._seen = set(seen)
+        self._raw_calls = raw_calls
 
     def reset(self) -> None:
         """Forget everything (new measurement epoch)."""
@@ -262,14 +265,18 @@ class TenantLedger:
         The counter must already hold its restored state — the balance
         invariant is checked against it immediately, so a mismatched pair
         of snapshots fails loudly at restore time instead of at the next
-        :meth:`assert_balanced`.
+        :meth:`assert_balanced`.  Stores string tenants and integer
+        baseline and charges (>= 0) as given.
         """
         if self._open_phase is not None:
             raise ConfigurationError(
                 "cannot restore a ledger while an attribution phase is open"
             )
-        self.baseline = int(baseline)
-        self._charges = {str(tenant): int(charge) for tenant, charge in charges.items()}
+        check_field("TenantLedger", "baseline", baseline, Integral, 0)
+        check_field("TenantLedger", "tenants", [*charges], [str])
+        check_field("TenantLedger", "charges", [*charges.values()], [Integral], 0)
+        self.baseline = baseline
+        self._charges = dict(charges)
         self.assert_balanced()
 
     def assert_balanced(self) -> None:

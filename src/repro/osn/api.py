@@ -94,9 +94,10 @@ class SocialNetworkAPI:
     @property
     def cacheable(self) -> bool:
         """Whether neighbor responses are call-stable (cacheable)."""
-        # Type-1 responses change per call and must not be cached;
-        # everything else is stable and cacheable client-side.
-        return not isinstance(self.restriction, RandomKRestriction)
+        # Type-1 responses change per call and must not be cached; everything
+        # else (most often no restriction, tested first) is cacheable.
+        restriction = self.restriction
+        return restriction is None or not isinstance(restriction, RandomKRestriction)
 
     # ------------------------------------------------------------------
     # Charged queries (scalar grain)

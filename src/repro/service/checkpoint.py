@@ -402,9 +402,6 @@ def restore(service, document: Any) -> None:
     service.api.counter.restore(counter["seen"], counter["raw_calls"])
     owner = "checkpoint ledger"
     ledger = read_record(owner, document["ledger"], _LEDGER_FIELDS)
-    tenants, charges = [*ledger["charges"]], [*ledger["charges"].values()]
-    check_field(owner, "tenants", tenants, [str], error=CheckpointError)
-    check_field(owner, "charges", charges, [Integral], 0, error=CheckpointError)
     rebuild(owner, service.ledger.restore, ledger["baseline"], ledger["charges"])
     service.crawler.restore_state(document["crawler"])
     if document["clock_now"] > service.clock.now:

@@ -127,6 +127,8 @@ PROBES = [
     checkpoint(("budget_exhausted",), "no"),
     checkpoint(("crawler", "rows_fetched"), 20.5),
     checkpoint(("crawler", "failed"), "false"),
+    checkpoint(("counter", "seen"), [1.5]),
+    checkpoint(("ledger", "charges"), {"default": 2.5}),
     checkpoint(("config", "checkpoint_every"), 2.5),
     checkpoint(("config", "bogus"), 1),
     checkpoint(("jobs", 0, "partials", 0, "bogus"), 1),

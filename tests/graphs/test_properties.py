@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.datasets import build_dataset
 from repro.errors import GraphError, NodeNotFoundError
 from repro.graphs.generators import (
     barabasi_albert_graph,
     complete_graph,
     cycle_graph,
+    erdos_renyi_graph,
     star_graph,
+    watts_strogatz_graph,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.properties import (
@@ -85,6 +88,45 @@ def test_local_clustering_extremes():
     s = star_graph(6)
     assert local_clustering(s, 0) == 0.0  # hub: no neighbor links
     assert local_clustering(s, 1) == 0.0  # leaf: degree < 2
+
+
+def reference_local_clustering(graph, node):
+    """The pairwise ``has_edge`` loop ``local_clustering`` used to run."""
+    neighbors = graph.neighbors(node)
+    k = len(neighbors)
+    if k < 2:
+        return 0.0
+    links = 0
+    neighbor_set = set(neighbors)
+    for i, u in enumerate(neighbors):
+        # Count each pair once by only looking at later neighbors of u.
+        for v in neighbors[i + 1 :]:
+            if v in neighbor_set and graph.has_edge(u, v):
+                links += 1
+    return 2.0 * links / (k * (k - 1))
+
+
+def assert_clustering_like_reference(graph):
+    for node in graph.nodes():
+        assert local_clustering(graph, node) == reference_local_clustering(graph, node)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(erdos_renyi_graph(120, 0.08, seed=3), id="er-120"),
+        pytest.param(watts_strogatz_graph(150, 6, 0.2, seed=4), id="ws-150"),
+        pytest.param(barabasi_albert_graph(200, 4, seed=5), id="ba-200"),
+        pytest.param(complete_graph(7), id="k7"),
+        pytest.param(star_graph(9), id="star"),
+    ],
+)
+def test_local_clustering_equals_the_pairwise_loop(graph):
+    assert_clustering_like_reference(graph)
+
+
+def test_local_clustering_equals_the_pairwise_loop_on_yelp():
+    assert_clustering_like_reference(build_dataset("yelp", seed=7).graph)
 
 
 def test_average_clustering_triangle_plus_tail():

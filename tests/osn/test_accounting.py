@@ -1,9 +1,11 @@
 """Query counters, budgets, and logs."""
 
+import re
+
 import pytest
 
-from repro.errors import QueryBudgetExceededError
-from repro.osn.accounting import QueryBudget, QueryCounter, QueryLog
+from repro.errors import ConfigurationError, QueryBudgetExceededError
+from repro.osn.accounting import QueryBudget, QueryCounter, QueryLog, TenantLedger
 
 
 def test_counter_unique_vs_raw():
@@ -100,3 +102,70 @@ def test_counter_state_matches_batch_equivalent():
         scalar.charge(node)
     batched.charge_batch(np.array([3, 3, 7, 2]))
     assert scalar.state() == batched.state()
+
+
+def test_counter_restore_adopts_a_state_as_given():
+    source = QueryCounter()
+    for node in (9, -1, 4, 9):
+        source.charge(node)
+    restored = QueryCounter()
+    restored.restore(*source.state())
+    assert restored.state() == source.state() == ((-1, 4, 9), 4)
+    assert restored.seen(-1) and not restored.seen(5)
+
+
+@pytest.mark.parametrize(
+    "seen, raw_calls, field",
+    [
+        ([1.5], 2, "seen[0]"),
+        ([1, "7"], 2, "seen[1]"),
+        ([True], 1, "seen[0]"),
+        ([1], 2.9, "raw_calls"),
+        ([1], False, "raw_calls"),
+        ([1], "3", "raw_calls"),
+    ],
+    ids=["float-id", "str-id", "bool-id", "float-calls", "bool-calls", "str-calls"],
+)
+def test_counter_restore_refuses_what_it_would_cast(seen, raw_calls, field):
+    counter = QueryCounter()
+    counter.charge(5)
+    with pytest.raises(ConfigurationError, match=re.escape(repr(field))):
+        counter.restore(seen, raw_calls)
+    assert counter.state() == ((5,), 1)  # a refusal leaves the state alone
+
+
+def test_ledger_restore_adopts_books_as_given():
+    counter = QueryCounter()
+    counter.restore([1, 2, 3], 3)
+    ledger = TenantLedger(counter)
+    ledger.restore(1, {"alice": 2})
+    assert ledger.baseline == 1 and ledger.charges() == {"alice": 2}
+    ledger.assert_balanced()
+
+
+@pytest.mark.parametrize(
+    "baseline, charges, field",
+    [
+        (0, {7: 1}, "tenants[0]"),
+        (0, {"alice": 1.0}, "charges[0]"),
+        (0, {"alice": True}, "charges[0]"),
+        (1, {"alice": -1}, "charges[0]"),
+        (1.0, {}, "baseline"),
+        (True, {}, "baseline"),
+    ],
+    ids=[
+        "int-tenant",
+        "float-charge",
+        "bool-charge",
+        "negative-charge",
+        "float-baseline",
+        "bool-baseline",
+    ],
+)
+def test_ledger_restore_refuses_what_it_would_cast(baseline, charges, field):
+    counter = QueryCounter()
+    counter.restore([4], 1)
+    ledger = TenantLedger(counter)
+    with pytest.raises(ConfigurationError, match=re.escape(repr(field))):
+        ledger.restore(baseline, charges)
+    assert ledger.baseline == 1 and ledger.charges() == {}

@@ -7,6 +7,7 @@ compactions — plus a genuinely threaded stress test of the locking
 discipline the module documents.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -151,9 +152,13 @@ def test_locking_discipline_under_threaded_producer_consumer():
     publisher — by locking, not by CPython luck.
 
     Four producer threads hammer disjoint row ranges while a consumer
-    thread compacts and array-reads in a tight loop.  Every intermediate
+    thread compacts and reads every array form in a tight loop, with the
+    interpreter switching threads as often as it can.  Every intermediate
     compaction must be internally consistent (CSRGraph validates its own
-    arrays on construction); the final state must equal a serial build.
+    arrays on construction), and every read must answer each fetched row
+    with its recorded length: a row lost between the queue of recorded
+    rows and the row pool would break that.  The final state must equal
+    a serial build.
     """
     store = DiscoveredGraph(name="threaded")
     universe = 400
@@ -161,24 +166,42 @@ def test_locking_discipline_under_threaded_producer_consumer():
     per_producer = universe // producers
     errors = []
     done = threading.Event()
+    rows = [
+        tuple(sorted({(node * 7 + k) % universe for k in range(1, 6)}))
+        for node in range(universe)
+    ]
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
 
     def produce(base):
         try:
             for node in range(base, base + per_producer):
-                row = tuple(sorted({(node * 7 + k) % universe for k in range(1, 6)}))
-                store.record(node, row)
+                store.record(node, rows[node])
         except Exception as error:  # pragma: no cover - failure path
             errors.append(error)
+
+    def assert_recorded_lengths(ids):
+        assert np.array_equal(store.degrees_of(ids), lengths[ids])
 
     def consume():
         try:
             while not done.is_set():
+                # Rows the scalar interface shows must be in the array form.
+                shown = [node for node in range(universe) if store.has_row(node)]
+                assert_recorded_lengths(np.array(shown, dtype=np.int64))
                 slab = store.compact()
-                # Reading the array interface mid-append must be coherent:
-                ids = slab.fetched_ids
-                if ids.size:
-                    degrees = store.degrees_of(ids)
-                    assert np.all(degrees > 0)
+                assert_recorded_lengths(slab.fetched_ids)
+                ids = store.fetched_ids()
+                assert_recorded_lengths(ids)
+                flat, row_lengths = store.rows_flat(ids)
+                assert np.array_equal(row_lengths, lengths[ids])
+                expected = [v for node in ids.tolist() for v in rows[node]]
+                assert flat.tolist() == expected
+                snapshot = store.snapshot_rows()
+                assert_recorded_lengths(snapshot["ids"])
+                assert np.array_equal(snapshot["lengths"], lengths[snapshot["ids"]])
+                members = store.member_ids()
+                assert np.isin(ids, members).all()
+                assert store.membership_size >= members.size
                 store.fetched_mask(np.arange(universe))
         except Exception as error:  # pragma: no cover - failure path
             errors.append(error)
@@ -188,20 +211,27 @@ def test_locking_discipline_under_threaded_producer_consumer():
         for i in range(producers)
     ]
     consumer = threading.Thread(target=consume)
-    consumer.start()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    done.set()
-    consumer.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        done.set()
+        consumer.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in [*threads, consumer])
     assert not errors, errors
     assert store.fetched_count == universe
+    assert_recorded_lengths(np.arange(universe))
     # Final compaction equals a serial from-scratch build.
     serial = DiscoveredGraph(name="serial")
     for node in range(universe):
-        row = tuple(sorted({(node * 7 + k) % universe for k in range(1, 6)}))
-        serial.record(node, row)
+        serial.record(node, rows[node])
     final, twin = store.compact(), serial.compact()
     assert np.array_equal(final.csr.node_ids, twin.csr.node_ids)
     assert np.array_equal(final.csr.indptr, twin.csr.indptr)
