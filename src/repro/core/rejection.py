@@ -9,9 +9,10 @@ Targets are handled *unnormalized* (``q̃``; degree for SRW, 1 for MHRW) —
 the normalizer cancels inside β, which is what makes the method usable when
 ``|V|`` is unknown.  The exact ``min_v p(v)/q̃(v)`` needs global knowledge,
 so, following §6.3.2, :class:`ScaleFactorBootstrap` tracks the observed
-ratios ``p̂(v)/q̃(v)`` and uses their 10th percentile as the scale factor;
-β is clamped to 1, trading a small bias for efficiency exactly as the paper
-describes.
+ratios ``p̂(v)/q̃(v)`` and uses a low percentile of them as the scale
+factor: the samplers pass ``WalkEstimateConfig.scale_percentile``, 25 by
+default, where the paper reports the 10th; β is clamped to 1, trading a
+small bias for efficiency exactly as the paper describes.
 """
 
 from __future__ import annotations

@@ -29,10 +29,11 @@ built per (graph, design structure) on first use and memoized on the
 graph.  The structure is :func:`repro.walks.kernels.compile_design`'s
 record: it keys the memo and decides the table's self slots and prices,
 so a design it does not match by exact type, a subclass included, is
-refused before any table is built.  A depth level is then one bounded
-draw (one block of 32-bit values for a wide batch, see
-:func:`repro.rng.bounded_integers`) and the gathers of each walk's slot
-and predecessor.  The slots of every level are kept; after the last
+refused before any table is built.  A depth level is then one take of
+each walk's row start and candidate count, one bounded draw (one block
+of 32-bit values for a wide batch, see
+:func:`repro.rng.bounded_integers`) and the gather of each walk's
+predecessor.  The slots of every level are kept; after the last
 level only the walks that ended at their start, the only ones worth
 more than 0, multiply their slots' factors.
 
@@ -200,16 +201,17 @@ class _BackwardTable(NamedTuple):
     ``indices[indptr[u]:indptr[u + 1]]`` is ``C(u)``: ``N(u)`` in CSR
     order, then ``u`` itself when the design may self-loop (loop-free
     designs alias the graph's own ``indptr`` / ``indices``).  ``factors``
-    holds ``|C(u)| · T(x, u)`` for each slot's ``x``; ``counts[u]`` is
-    ``|C(u)|``.  An isolated node's row is never drawn from: no edge
-    leads to it, so a walk is there only at its first level, with weight
-    1, and the stuck check raises first.
+    holds ``|C(u)| · T(x, u)`` for each slot's ``x``.  ``rows[u]`` is
+    ``(indptr[u], |C(u)|)``, so a level reads both for every walk in one
+    take.  An isolated node's row is never drawn from: no edge leads to
+    it, so a walk is there only at its first level, with weight 1, and
+    the stuck check raises first.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     factors: np.ndarray
-    counts: np.ndarray
+    rows: np.ndarray
     has_isolated: bool
 
 
@@ -231,7 +233,8 @@ def _build_backward_table(csr: CSRGraph, design: BatchDesign) -> _BackwardTable:
     factors[live] = counts[rows[live]] * _transition_probabilities_batch(
         csr, design, indices[live], rows[live]
     )
-    return _BackwardTable(indptr, indices, factors, counts, has_isolated)
+    starts_and_counts = np.stack((indptr[:-1], counts), axis=1)
+    return _BackwardTable(indptr, indices, factors, starts_and_counts, has_isolated)
 
 
 def _backward_table(csr: CSRGraph, design: BatchDesign) -> _BackwardTable:
@@ -288,17 +291,18 @@ def unbiased_estimate_batch(
     csr = graph.compile() if isinstance(graph, Graph) else graph
     rng = ensure_rng(seed)
     targets = csr.positions_of(nodes)
+    if targets.ndim != 1:
+        raise ConfigurationError(f"nodes must be 1-d, got shape {targets.shape}")
     starts = np.asarray(start, dtype=np.int64)
     if starts.ndim == 0:
-        start_position = np.full(targets.size, csr.position_of(int(starts)))
+        start_position = csr.position_of(int(starts))
     elif starts.ndim == 1 and starts.size == targets.size:
-        start_position = csr.positions_of(starts)
+        start_position = np.tile(csr.positions_of(starts), repetitions)
     else:
         raise ConfigurationError(
             f"start must be one node or an array aligned with nodes; got "
             f"shape {starts.shape} for {targets.size} nodes"
         )
-    start_position = np.tile(start_position, repetitions)
     current = np.tile(targets, repetitions)
     # Depth 0 prices no transition, so it needs no table.
     table = _backward_table(csr, compiled) if t else None
@@ -313,12 +317,11 @@ def unbiased_estimate_batch(
     # zero: skipping it would change the generator's stream.
     slots = np.empty((t, current.size), dtype=np.int64)
     for level in slots:
-        np.add(
-            table.indptr[current],
-            bounded_integers(rng, table.counts[current]),
-            out=level,
-        )
-        current = table.indices[level]
+        row = np.take(table.rows, current, axis=0)
+        # The draw reads its bounds several times; one copy makes them
+        # contiguous.
+        np.add(row[:, 0], bounded_integers(rng, row[:, 1].copy()), out=level)
+        current = np.take(table.indices, level)
         if compiled.code == MAXDEG:
             # The table prices over-bound nodes without checking.
             check_max_degree(csr, compiled, current, csr.degrees[current])

@@ -223,7 +223,8 @@ class WalkEstimateSampler:
 
         The calibration walks are not wasted: their trajectories feed the
         weighted-sampling history, and their endpoint estimates populate
-        the ratio pool the 10th-percentile scale factor is drawn from.
+        the ratio pool whose ``scale_percentile``-th percentile (25 by
+        default) is the scale factor.
         """
         light_repetitions = self.config.calibration_repetitions
         for _ in range(self.config.calibration_walks):

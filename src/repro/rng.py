@@ -38,11 +38,15 @@ def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
 #: Width from which :func:`bounded_integers` draws one block.  Against
 #: NumPy's own call (2-core x86-64 container, NumPy 2.4, PCG64, bounds
 #: sized like BA-graph degrees, median of 21 interleaved timings) the
-#: block breaks even at about 1,300 bounds when none is 1, and about
-#: 3,000 when a fifth are 1, which costs it a compression pass.  At 4,096
-#: bounds it takes 0.71–0.82 of NumPy's time, at 32,768 about 0.45.  This
-#: first power of two past both crossovers keeps narrower calls on NumPy.
-BLOCK_DRAW_MIN = 4096
+#: block, its values read from raw 64-bit words, breaks even at about
+#: 700 bounds when none is 1, and at 1,500–2,000 when a fifth are 1,
+#: which costs it a compression pass.  At 2,048 bounds it takes 0.57–0.65
+#: of NumPy's time (0.92–0.97 with a fifth 1), at 4,096 0.43–0.49, at
+#: 32,768 about 0.32.  This first power of two past both crossovers keeps
+#: narrower calls on NumPy.  Rounds shaped like the service's (256 walks
+#: × 8 repetitions: 2,048-wide backward levels) ran no slower at 2,048
+#: than at 4,096.
+BLOCK_DRAW_MIN = 2048
 
 # uint64 scalars keep the rule's arithmetic in uint64 under the value-based
 # promotion of NumPy 1.x as well as under NumPy 2's.
@@ -87,11 +91,41 @@ def bounded_integers(rng: np.random.Generator, high: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uint32s(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``rng.integers(0, 2**32, size=count, dtype=np.uint32)``, bit for bit.
+
+    NumPy makes each of these values with one ``next_uint32`` call.
+    PCG64 serves them from its 64-bit words, low half first, and keeps
+    the high half in its state (``has_uint32``, ``uinteger``) for the
+    next call.  So one ``random_raw`` call yields the same values: a
+    half already waiting first, then both halves of each word.  The
+    state is then written back as NumPy's calls leave it: the last
+    word's high half waits after an odd number of its halves, and stays
+    behind, spent, after an even one.  Other bit generators, and
+    subclasses that may draw otherwise, take NumPy's call.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64 or count == 0:
+        return rng.integers(0, 2**32, size=count, dtype=np.uint32)
+    state = bit_generator.state
+    waiting = state["has_uint32"]
+    words = bit_generator.random_raw((count - waiting + 1) // 2)
+    # Little-endian words read as 32-bit pairs put the low half first.
+    halves = words.astype("<u8", copy=False).view("<u4")
+    if waiting:
+        halves = np.concatenate((np.array([state["uinteger"]], "<u4"), halves))
+    state = bit_generator.state
+    state["has_uint32"] = int(halves.size > count)
+    state["uinteger"] = int(halves[-1])
+    bit_generator.state = state
+    return halves[:count]
+
+
 def _lemire_block(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     """Lemire's bounded draw for uint64 *bounds* in ``[2, 2**32)``, in order."""
     size = bounds.size
     products = np.empty(size, dtype=np.uint64)
-    stream = rng.integers(0, 2**32, size=size, dtype=np.uint32)  # not yet taken
+    stream = _uint32s(rng, size)  # not yet taken
     # NumPy draws again for a rejected element, so it and every later
     # element take values one further along the stream.  The first window
     # is the whole batch; after a rejection the next one starts at the
@@ -103,8 +137,7 @@ def _lemire_block(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
         if stream.size < n:
             # Each remaining element takes at least one value, so this
             # never draws past what NumPy would.
-            more = rng.integers(0, 2**32, size=n - stream.size, dtype=np.uint32)
-            stream = np.concatenate([stream, more])
+            stream = np.concatenate([stream, _uint32s(rng, n - stream.size)])
         window = products[done : done + n]
         np.multiply(stream[:n], bounds[done : done + n], out=window)
         accepted = _first_rejected(window, bounds[done : done + n])

@@ -195,11 +195,13 @@ def _step(
     if design.code == MHRW:
         dv = csr.degrees[proposal]
         contested = dv > deg
-        if contested.any():
-            accept = np.ones(sub.size, dtype=bool)
-            coins = rng.random(int(contested.sum()))
-            accept[contested] = coins < deg[contested] / dv[contested]
-            proposal = np.where(accept, proposal, sub)
+        draws = np.count_nonzero(contested)
+        if draws:
+            # An uncontested mover's coin stays 0 below a ratio of at
+            # least 1: it always accepts, as the scalar walk does.
+            coins = np.zeros(sub.size)
+            coins[contested] = rng.random(draws)
+            np.copyto(proposal, sub, where=coins >= deg / dv)
     if movers is None:
         return proposal
     nxt = current.copy()

@@ -77,6 +77,8 @@ class TestUnbiasedEstimateBatch:
             )
         with pytest.raises(ConfigurationError):
             unbiased_estimate_batch(small_csr, BidirectionalWalk(), [0], 0, 3)
+        with pytest.raises(ConfigurationError, match=r"1-d, got shape \(1, 2\)"):
+            unbiased_estimate_batch(small_csr, SimpleRandomWalk(), [[1, 2]], 0, 3)
 
     def test_lazy_and_maxdeg_match_exact_probabilities(self, small_graph, small_csr):
         # The designs gaining batch kernels this layer must also price

@@ -8,6 +8,13 @@ threshold, with bounds of 1 (which draw nothing), bounds just above 2**31
 (where about half of all 32-bit values are rejected), bounds up to
 2**32 − 1, a generator holding a buffered 32-bit half, and every bit
 generator NumPy ships.  Bounds the block cannot take go to NumPy's call.
+
+A PCG64 block reads its 32-bit values from the generator's raw 64-bit
+words and writes back the buffered half NumPy's own calls would leave,
+so the whole state dict, a spent (stale) ``uinteger`` included, must
+equal NumPy's after every call, at odd and even counts, and after the
+one-value top-ups that follow a rejection.  PCG64DXSM and a PCG64
+subclass must match NumPy whichever path they take.
 """
 
 import re
@@ -17,9 +24,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import rng as rng_module
 from repro.rng import BLOCK_DRAW_MIN, bounded_integers
 
-BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+class SubclassedPCG64(np.random.PCG64):
+    """A PCG64 subclass: it may override how it draws, so it is no PCG64."""
+
+
+BIT_GENERATORS = [
+    np.random.PCG64,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+    np.random.PCG64DXSM,
+    SubclassedPCG64,
+]
 WIDTHS = [BLOCK_DRAW_MIN - 1, BLOCK_DRAW_MIN, BLOCK_DRAW_MIN + 1, 3 * BLOCK_DRAW_MIN]
 
 
@@ -158,3 +178,49 @@ class TestNumpysOwnCall:
         high = _bounds("degrees", 2 * BLOCK_DRAW_MIN, 11).reshape(2, -1)
         _assert_matches_numpy(high, seed=12)
         assert block_calls == []
+
+
+class TestRawWords:
+    """The 32-bit values a block takes, against NumPy's uint32 call."""
+
+    @pytest.mark.parametrize("buffered_half", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 2 * BLOCK_DRAW_MIN + 1])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_odd_and_even_counts(self, bit_generator, count, buffered_half):
+        ours, numpys = _pair(bit_generator, count + 3, buffered_half)
+        got = rng_module._uint32s(ours, count)
+        expected = numpys.integers(0, 2**32, size=count, dtype=np.uint32)
+        assert np.array_equal(got, expected)
+        assert _same_state(ours.bit_generator.state, numpys.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_whole_state_after_every_call(self, bit_generator):
+        ours, numpys = _pair(bit_generator, 21, False)
+        spent = 0
+        for call, width in enumerate([BLOCK_DRAW_MIN, BLOCK_DRAW_MIN + 1] * 3 + [7]):
+            high = _bounds(KINDS[call % len(KINDS)], width, seed=call)
+            got = bounded_integers(ours, high)
+            assert np.array_equal(got, numpys.integers(0, high))
+            state = numpys.bit_generator.state
+            assert _same_state(ours.bit_generator.state, state)
+            spent += state.get("has_uint32") == 0 and state.get("uinteger", 0) != 0
+        if bit_generator is np.random.PCG64:
+            # Some calls ended on a spent high half: its stale value counts.
+            assert spent
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_buffered_half_feeds_a_one_value_top_up(self, seed, monkeypatch):
+        # Bounds just above 2**31 reject about half of all values, so the
+        # last window tops up one value at a time: from a fresh word, whose
+        # high half then waits, and from that waiting half.
+        top_ups = []
+        uint32s = rng_module._uint32s
+
+        def recording(rng, count):
+            top_ups.append((count, rng.bit_generator.state["has_uint32"]))
+            return uint32s(rng, count)
+
+        monkeypatch.setattr(rng_module, "_uint32s", recording)
+        high = _bounds("just-above-2**31", BLOCK_DRAW_MIN, seed)
+        _assert_matches_numpy(high, seed=seed)
+        assert (1, 0) in top_ups[1:] and (1, 1) in top_ups[1:]
